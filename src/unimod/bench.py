@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .core import DiscretePhaseSet, PhaseVector, Rng, norm_lp, sample_complex_gaussian
+from .core import DiscretePhaseSet, PhaseVector, Rng, norm_lp, normalize_p, sample_complex_gaussian
 from .das import das_maximize
 from .errors import InvalidArgumentError
 from .oracle import exhaustive_inner, exhaustive_norm, random_search
@@ -42,6 +42,9 @@ from .solver import (
 
 KINDS = ("convergence", "lifting-stat", "snr-vs-n", "snr-cdf",
          "quantization-gap", "timing", "oracle-check")
+#: kinds whose runners always solve with p = 2: received SNR is a p = 2
+#: quantity, and timing measures the same SNR pipeline
+_P2_KINDS = ("snr-vs-n", "snr-cdf", "quantization-gap", "timing")
 
 #: strict-improvement threshold and the rounding-loss floor below which the
 #: relative lifting gain is recorded as undefined
@@ -74,6 +77,8 @@ class ExperimentSpec:
             raise InvalidArgumentError("all dimensions must be >= 1")
         if any(b < 1 for b in self.bits) or not self.bits:
             raise InvalidArgumentError("bit widths must be >= 1")
+        if self.kind in _P2_KINDS and normalize_p(self.p) != 2.0:
+            raise InvalidArgumentError(f"{self.kind} always solves with p = 2, got p = {self.p!r}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
@@ -125,13 +130,15 @@ class LiftingRecord:
 # plumbing
 
 def _worker_count() -> int:
+    """UNIMOD_THREADS if set, capped at the CPU count; else the CPU count."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("UNIMOD_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cpus)
         except ValueError as exc:
             raise InvalidArgumentError(f"UNIMOD_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    return cpus
 
 
 def _map_trials(fn, args_list):

@@ -6,14 +6,26 @@ an auxiliary alignment angle psi, the per-element optimum is piecewise
 constant in psi: element i prefers the lattice phase whose shifted angle is
 circularly nearest to psi. Sorting the region edges of all elements splits
 the circle into at most n * 2^B arcs, each contributing one candidate
-configuration, and the global optimum is the best candidate. A sweep over the
-arcs updates the running sum with one subtract-add per edge, so the whole
-search costs O(n * 2^B + n log n).
+configuration, and the global optimum is the best candidate.
+
+The edges need no sort of their own. Edge k of element i sits at
+first_i + k*delta with first_i in (0, delta], so one stable argsort of the n
+first edges, repeated for each of the 2^B levels, lists all n * 2^B edges in
+ascending order. A sweep over the arcs then updates the running sum with one
+subtract-add per edge (a cumulative sum), so the whole search costs
+O(n log n + n * 2^B). Candidates whose objectives lie within a relative
+TIE_TOL of the best count as tied, and the one met first in the sweep wins;
+the choice therefore does not depend on the scale of v.
+
+`_das_indices` is the kernel: it takes a raw complex vector and returns int64
+lattice indices, with no validation and no PhaseVector. `das_maximize`
+validates its input once and wraps the kernel; the discrete solver calls the
+kernel directly on every iteration.
 
 The inner product here, as everywhere in this package, is conjugate-linear in
 the first argument. The region construction below follows the classical
-alignment form sum_i |v_i| * exp(j * (tau_i + Omega_i)); `das_maximize`
-therefore feeds it the angles of conj(v).
+alignment form sum_i |v_i| * exp(j * (tau_i + Omega_i)); the kernel therefore
+takes the angles of conj(v).
 """
 
 from __future__ import annotations
@@ -25,7 +37,8 @@ import numpy as np
 from .core import DiscretePhaseSet, PhaseVector, TWO_PI, as_complex_vector, wrap_phase
 from .errors import DegenerateInputError
 
-#: two candidates whose objectives differ by at most this much count as tied
+#: two candidates whose objectives differ by at most this fraction of the
+#: best objective count as tied
 TIE_TOL = 1e-12
 
 
@@ -101,14 +114,25 @@ def per_element_best(psi: float, tau: float, dps: DiscretePhaseSet) -> float:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """Internal sweep state for S(Omega) = sum_i c_i exp(j*Omega_i)."""
+    """Internal sweep state for S(Omega) = sum_i c_i exp(j*Omega_i).
+
+    Sweep edge e crosses element order[e % n_eff] for the (e // n_eff)-th
+    time, so candidate e (the state after crossing edges 0..e-1) is k0 plus
+    one for every crossing made so far.
+    """
 
     k0: np.ndarray        # initial lattice indices (candidate at psi = 0)
-    elem: np.ndarray      # element crossing at each edge, sweep order
-    pos: np.ndarray       # edge angles in (0, 2*pi], ascending
+    order: np.ndarray     # stable argsort of the first edges
+    first: np.ndarray     # first edge above 0 of each element, in (0, delta]
     objs: np.ndarray      # |S| per candidate, sweep order
     tred: np.ndarray      # angles reduced mod delta
     shift: np.ndarray     # integer s with angle = tred + s * delta
+
+    def edges(self, dps: DiscretePhaseSet) -> tuple[np.ndarray, np.ndarray]:
+        """Crossing element and angle of every edge, in sweep order."""
+        ks = np.arange(dps.levels)[:, None]
+        pos = self.first[self.order][None, :] + ks * dps.step
+        return np.tile(self.order, dps.levels), pos.ravel()
 
 
 def _sweep(c: np.ndarray, dps: DiscretePhaseSet) -> _Sweep:
@@ -125,23 +149,43 @@ def _sweep(c: np.ndarray, dps: DiscretePhaseSet) -> _Sweep:
     k0 = (m0 - shift) % levels
     first = tred + (m0 + 0.5) * delta          # first edge above 0, in (0, delta]
 
-    n_eff = c.size
-    ks = np.arange(levels)
-    pos = first[:, None] + ks[None, :] * delta             # (n_eff, levels)
-    elem = np.broadcast_to(np.arange(n_eff)[:, None], pos.shape)
-    # phase of element i just before its k-th crossing
-    phase_before = (k0[:, None] + ks[None, :]) * delta
-    d = c[:, None] * np.exp(1j * phase_before) * (np.exp(1j * delta) - 1.0)
-
-    order = np.lexsort((elem.ravel(), pos.ravel()))
-    pos_s = pos.ravel()[order]
-    elem_s = elem.ravel()[order]
-    d_s = d.ravel()[order]
+    # edge k of element i lies in (k*delta, (k+1)*delta], so the sweep takes
+    # the levels one after another and, within a level, the order of `first`
+    order = np.argsort(first, kind="stable")
+    ks = np.arange(levels)[:, None]
+    # phase of each element just before its k-th crossing, sweep order
+    phase_before = (k0[order][None, :] + ks) * delta
+    d = c[order][None, :] * np.exp(1j * phase_before) * (np.exp(1j * delta) - 1.0)
 
     s0 = complex(np.sum(c * np.exp(1j * (k0 * delta))))
-    running = s0 + np.cumsum(d_s)
+    running = s0 + np.cumsum(d.ravel())
     objs = np.abs(np.concatenate(([s0], running[:-1])))
-    return _Sweep(k0, elem_s, pos_s, objs, tred, shift)
+    return _Sweep(k0, order, first, objs, tred, shift)
+
+
+def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
+    """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
+    raw complex vector `v`, 0 at its zero entries."""
+    mag = np.abs(v)
+    nz = np.flatnonzero(mag > 0.0)
+    if nz.size == 0:
+        raise DegenerateInputError("all magnitudes are zero")
+    # rebuilt from polar form, not conj(v) itself: the two differ in the
+    # last bit, and the running sum's rounding decides between tied candidates
+    c = mag[nz] * np.exp(1j * wrap_phase(np.angle(np.conj(v[nz]))))
+    sw = _sweep(c, dps)
+
+    best = sw.objs.max()
+    j = int(np.argmax(sw.objs >= best * (1.0 - TIE_TOL)))
+    # candidate j has crossed j // n_eff whole levels plus the first
+    # j % n_eff edges of the next one
+    laps, extra = divmod(j, nz.size)
+    counts = np.full(nz.size, laps, dtype=np.int64)
+    counts[sw.order[:extra]] += 1
+
+    full = np.zeros(v.size, dtype=np.int64)
+    full[nz] = (sw.k0 + counts) % dps.levels
+    return full
 
 
 def _nonzero_weights(pd: PolarDecomposition) -> tuple[np.ndarray, np.ndarray]:
@@ -151,13 +195,14 @@ def _nonzero_weights(pd: PolarDecomposition) -> tuple[np.ndarray, np.ndarray]:
     return nz, pd.magnitudes[nz] * np.exp(1j * pd.angles[nz])
 
 
-def _candidate_indices(sw: _Sweep, levels: int) -> np.ndarray:
+def _candidate_indices(sw: _Sweep, dps: DiscretePhaseSet) -> np.ndarray:
     """(R, n_eff) lattice indices of every sweep candidate."""
+    elem, _ = sw.edges(dps)
     count = sw.objs.size
     inc = np.zeros((count, sw.k0.size), dtype=np.int64)
     if count > 1:
-        inc[np.arange(1, count), sw.elem[: count - 1]] = 1
-    return (sw.k0[None, :] + np.cumsum(inc, axis=0)) % levels
+        inc[np.arange(1, count), elem[: count - 1]] = 1
+    return (sw.k0[None, :] + np.cumsum(inc, axis=0)) % dps.levels
 
 
 def encode_regions(pd: PolarDecomposition, dps: DiscretePhaseSet) -> RegionEncoding:
@@ -167,11 +212,12 @@ def encode_regions(pd: PolarDecomposition, dps: DiscretePhaseSet) -> RegionEncod
     local_order = np.lexsort((np.arange(nz.size), sw.tred))
     order = nz[local_order]
 
-    ks = _candidate_indices(sw, dps.levels)
+    ks = _candidate_indices(sw, dps)
     # region starting at edge pos[j] holds the state after crossing j;
     # the last edge closes the circle back to candidate 0
     region_of_edge = np.concatenate((np.arange(1, sw.objs.size), [0]))
-    edges = wrap_phase(sw.pos)
+    _, pos = sw.edges(dps)
+    edges = wrap_phase(pos)
     edge_order = np.argsort(edges, kind="stable")
     boundaries = edges[edge_order]
     centers = (ks + sw.shift[None, :]) % dps.levels        # staircase offsets
@@ -188,7 +234,7 @@ def build_candidates(pd: PolarDecomposition, dps: DiscretePhaseSet) -> Candidate
     """
     nz, c = _nonzero_weights(pd)
     sw = _sweep(c, dps)
-    ks = _candidate_indices(sw, dps.levels)
+    ks = _candidate_indices(sw, dps)
     n = len(pd)
     candidates = []
     for row in ks:
@@ -202,21 +248,10 @@ def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:
     """Global maximizer of |<v, exp(j*Omega)>| over the lattice Delta^n.
 
     Returns the optimal configuration and its objective. Among candidates
-    whose objectives tie within 1e-12 the one generated earliest in the
-    sweep wins. Zero entries of `v` get phase 0.
+    whose objectives tie within a relative 1e-12 of the best, the one
+    generated earliest in the sweep wins. Zero entries of `v` get phase 0.
     """
     v = as_complex_vector(v)
-    pd = polar_decompose(np.conj(v))
-    nz, c = _nonzero_weights(pd)
-    sw = _sweep(c, dps)
-
-    best = float(sw.objs.max())
-    j = int(np.argmax(sw.objs >= best - TIE_TOL))
-    counts = np.bincount(sw.elem[:j], minlength=nz.size)
-    k_nz = (sw.k0 + counts) % dps.levels
-
-    full = np.zeros(v.size, dtype=np.int64)
-    full[nz] = k_nz
-    pv = PhaseVector.from_indices(full, dps)
+    pv = PhaseVector.from_indices(_das_indices(v, dps), dps)
     objective = float(np.abs(np.vdot(v, pv.phasors())))
     return pv, objective

@@ -10,6 +10,14 @@ never decreases, which is also what makes it a lifting procedure: restarting
 the discrete alternation from a hard-rounded continuous solution can only
 recover rounding loss, never add to it.
 
+Both modes share one loop, `_alternate`, that works on raw complex arrays.
+The public solvers validate their input and build PhaseVectors once, outside
+it. Inside, A^H is formed once per solve, the witness and the cost come from
+w = A x with plain numpy, and the iterate is carried in its cheapest form:
+phasors x = u / |u| in continuous mode (1 where u == 0), lattice indices from
+the divide-and-sort kernel in discrete mode. Two equal consecutive iterates
+are an exact fixed point.
+
 For the l-infinity objective no alternation is needed: the maximum over rows
 commutes with the maximum over configurations, so one exact divide-and-sort
 pass per row settles the problem globally.
@@ -28,13 +36,12 @@ from .core import (
     Rng,
     as_complex_matrix,
     as_complex_vector,
-    dual_exponent,
     nearest_lattice,
     norm_lp,
     normalize_p,
     wrap_phase,
 )
-from .das import das_maximize
+from .das import _das_indices, das_maximize
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedNormError
 
 
@@ -118,11 +125,7 @@ def dual_witness(w, q) -> np.ndarray:
     if q == 2.0:
         return w / np.linalg.norm(w)
     if math.isinf(q):
-        mod = np.abs(w)
-        z = np.ones_like(w)
-        nz = mod > 0
-        z[nz] = w[nz] / mod[nz]
-        return z
+        return _unit(w, np.abs(w))
     raise UnsupportedNormError("dual witness is implemented for q in {2, inf}")
 
 
@@ -137,13 +140,32 @@ def continuous_phase_step(u) -> PhaseVector:
     return PhaseVector(wrap_phase(ang))
 
 
+def _unit(v: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """v / |v| elementwise, with 1 where v == 0; `mod` is |v|."""
+    return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
+
+
+def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+    """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2}."""
+    if not np.any(w):
+        raise DegenerateInputError("A * exp(j*Omega) is identically zero")
+    if p == 2.0:
+        cost = np.linalg.norm(w)
+        return w / cost, float(cost)
+    mod = np.abs(w)
+    return _unit(w, mod), float(np.sum(mod))
+
+
 def _lattice_phase_vector(omega0, dps: DiscretePhaseSet) -> PhaseVector:
-    if isinstance(omega0, PhaseVector):
-        if omega0.indices is not None:
-            return omega0
-        pv = omega0
-    else:
-        pv = PhaseVector.from_values(omega0)
+    if isinstance(omega0, PhaseVector) and omega0.indices is not None:
+        # indices mean nothing apart from their lattice: take them only if
+        # they index this one and the values are theirs, bit for bit
+        idx = omega0.indices
+        if (np.any(idx < 0) or np.any(idx >= dps.levels)
+                or not np.array_equal(omega0.values, idx * dps.step)):
+            raise InvalidArgumentError("starting point's indices are not on this phase lattice")
+        return omega0
+    pv = _as_phase_vector(omega0)
     idx = nearest_lattice(pv.values, dps)
     if not np.allclose(pv.values, np.asarray(idx) * dps.step, atol=1e-12):
         raise InvalidArgumentError("starting point is not on the phase lattice")
@@ -156,39 +178,36 @@ def _as_phase_vector(omega0) -> PhaseVector:
     return PhaseVector.from_values(omega0)
 
 
-def _alternate(a, p, tol, max_iter, pv0, step, same):
-    """Shared alternating loop. `step` maps A^H z to the next PhaseVector,
-    `same` reports an exact fixed point."""
-    q = dual_exponent(p)
-    pv = pv0
-    x = pv.phasors()
-    w = a @ x
-    if not np.any(w):
-        raise DegenerateInputError("A * exp(j*Omega) is identically zero")
-    costs = [norm_lp(w, p)]
+def _alternate(a: np.ndarray, cfg: SolveConfig, state: np.ndarray, step, phasors):
+    """Shared alternating loop on raw arrays.
+
+    `state` is the iterate in its mode's own form, `phasors(state)` gives
+    exp(j*Omega) and `step(u)` maps u = A^H z to the next state; two equal
+    consecutive states are an exact fixed point. Returns the cost sequence,
+    the termination, the last state and its dual witness.
+    """
+    ah = a.conj().T
+    z, cost = _witness(a @ phasors(state), cfg.p)
+    costs = [cost]
     termination = "iteration-cap"
-    for _ in range(max_iter):
-        z = dual_witness(w, q)
-        pv_next = step(a.conj().T @ z)
-        x = pv_next.phasors()
-        w = a @ x
-        if not np.any(w):
-            raise DegenerateInputError("A * exp(j*Omega) is identically zero")
-        costs.append(norm_lp(w, p))
-        fixed = same(pv, pv_next)
-        pv = pv_next
-        if fixed or abs(costs[-1] - costs[-2]) <= tol:
+    for _ in range(cfg.max_iterations):
+        nxt = step(ah @ z)
+        z, cost = _witness(a @ phasors(nxt), cfg.p)
+        costs.append(cost)
+        fixed = np.array_equal(nxt, state)
+        state = nxt
+        if fixed or abs(costs[-1] - costs[-2]) <= cfg.tolerance:
             termination = "converged"
             break
-    witness = dual_witness(w, q)
-    return SolveTrace(np.asarray(costs), len(costs) - 1, termination, pv, witness)
+    return np.asarray(costs), termination, state, z
 
 
 def solve_discrete(a, cfg: SolveConfig, omega0) -> SolveTrace:
     """Alternate dual witnesses with exact lattice inner-product steps.
 
     Requires p in {1, 2} and a lattice starting point. Every iterate stays
-    on the lattice and the cost sequence never decreases.
+    on the lattice and the cost sequence never decreases. The loop carries
+    lattice indices; each step is one divide-and-sort kernel call.
     """
     a = as_complex_matrix(a)
     if math.isinf(cfg.p):
@@ -200,14 +219,10 @@ def solve_discrete(a, cfg: SolveConfig, omega0) -> SolveTrace:
     if len(pv0) != a.shape[1]:
         raise InvalidArgumentError("starting point length does not match the matrix")
 
-    def step(u):
-        pv, _ = das_maximize(u, dps)
-        return pv
-
-    def same(prev, cur):
-        return bool(np.array_equal(prev.indices, cur.indices))
-
-    return _alternate(a, cfg.p, cfg.tolerance, cfg.max_iterations, pv0, step, same)
+    table = np.exp(1j * dps.values)
+    costs, termination, idx, z = _alternate(
+        a, cfg, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k])
+    return SolveTrace(costs, costs.size - 1, termination, PhaseVector.from_indices(idx, dps), z)
 
 
 def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
@@ -215,6 +230,7 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
 
     Requires p in {1, 2}. Converges to a local maximizer of the continuous
     problem; its endpoint is the usual warm start for the discrete solver.
+    The loop carries phasors: each step is x = u / |u|, 1 where u == 0.
     """
     a = as_complex_matrix(a)
     if math.isinf(cfg.p):
@@ -223,11 +239,9 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
     if len(pv0) != a.shape[1]:
         raise InvalidArgumentError("starting point length does not match the matrix")
 
-    def same(prev, cur):
-        return bool(np.array_equal(prev.values, cur.values))
-
-    return _alternate(a, cfg.p, cfg.tolerance, cfg.max_iterations, pv0,
-                      continuous_phase_step, same)
+    costs, termination, x, z = _alternate(
+        a, cfg, pv0.phasors(), lambda u: _unit(u, np.abs(u)), lambda x: x)
+    return SolveTrace(costs, costs.size - 1, termination, PhaseVector(wrap_phase(np.angle(x))), z)
 
 
 def hard_round(omega, dps: DiscretePhaseSet) -> PhaseVector:

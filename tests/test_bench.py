@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unimod import InvalidArgumentError
+from unimod import bench
 from unimod.bench import (
     ExperimentSpec,
     LiftingRecord,
@@ -45,6 +46,15 @@ class TestSpec:
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=0)
         with pytest.raises(InvalidArgumentError):
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, bits=(0,))
+
+    @pytest.mark.parametrize("kind", ["snr-vs-n", "snr-cdf", "quantization-gap", "timing"])
+    def test_p2_only_kinds_reject_other_norms(self, kind):
+        # these runners always solve with p = 2; an envelope claiming another
+        # p would misreport the run
+        assert make_spec(kind, "out", p=2).p == 2
+        for p in (1, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                make_spec(kind, "out", p=p)
 
 
 class TestLiftingRecord:
@@ -206,6 +216,16 @@ class TestHarness:
         run_lifting_stat(make_spec("lifting-stat", tmp_path / "parallel", trials=8))
         assert (tmp_path / "serial/lifting_stat.csv").read_bytes() == \
             (tmp_path / "parallel/lifting_stat.csv").read_bytes()
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # only the count is computed; no pool is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("UNIMOD_THREADS", "4096")
+        assert bench._worker_count() == 2
+        monkeypatch.setenv("UNIMOD_THREADS", "1")
+        assert bench._worker_count() == 1
+        monkeypatch.delenv("UNIMOD_THREADS")
+        assert bench._worker_count() == 2
 
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNIMOD_THREADS", "lots")

@@ -224,6 +224,25 @@ class TestDasMaximize:
         assert np.array_equal(pv1.indices, pv2.indices)
         assert obj2 == pytest.approx(3.5 * obj1, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-6, 1.0, 1e6])
+    def test_exact_at_every_scale(self, scale):
+        # ties are judged relative to the best objective, so tiny and huge
+        # inputs stay exact; odd k are tie-heavy (small integer magnitudes at
+        # multiples of pi/4)
+        for k in range(40):
+            g = np.random.default_rng([81, k])
+            n, bits = int(g.integers(1, 9)), int(g.integers(1, 3))
+            if k % 2:
+                v = g.integers(1, 3, n) * np.exp(0.25j * math.pi * g.integers(0, 8, n))
+            else:
+                v = sample_complex_gaussian(Rng(81, k), 1, n, 1.0).ravel()
+            dps = DiscretePhaseSet(bits)
+            pv, obj = das_maximize(scale * v, dps)
+            ref = exhaustive_inner(scale * v, dps)
+            # abs=0: approx's default absolute slack would swallow 1e-13 inputs
+            assert obj == pytest.approx(ref.objective, rel=1e-9, abs=0)
+            assert hermitian_objective(scale * v, pv.values) == pytest.approx(obj, rel=1e-12, abs=0)
+
     def test_global_rotation_leaves_objective(self):
         rng = Rng(79)
         v = sample_complex_gaussian(rng, 1, 15, 1.0).ravel()

@@ -91,6 +91,38 @@ class TestExhaustiveNorm:
         assert np.linalg.norm(a @ x) == pytest.approx(ref.objective, rel=1e-12)
 
 
+def evaluate(a, digits, dps, p):
+    """||A exp(j * step * digits)||_p for each row of lattice digits."""
+    y = np.exp(1j * dps.step * digits) @ a.T
+    return np.linalg.norm(y, ord={1: 1, 2: 2, math.inf: np.inf}[p], axis=1)
+
+
+class TestPhaseTableEquivalence:
+    """The oracles' phase table against exp(j * step * digits) per entry."""
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize("bits", [1, 2])
+    def test_exhaustive_norm(self, p, bits):
+        a = sample_complex_gaussian(Rng(614, bits), 3, 6, 1.0)
+        dps = DiscretePhaseSet(bits)
+        digits = np.indices((dps.levels,) * 6).reshape(6, -1).T  # lexicographic
+        vals = evaluate(a, digits, dps, p)
+        ref = exhaustive_norm(a, dps, p)
+        assert np.array_equal(ref.phases.indices, digits[np.argmax(vals)])
+        assert ref.objective == pytest.approx(vals.max(), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_random_search(self, p, bits):
+        a = sample_complex_gaussian(Rng(615, bits), 4, 30, 1.0)
+        dps = DiscretePhaseSet(bits)
+        digits = Rng(616).generator.integers(0, dps.levels, size=(3000, 30))
+        vals = evaluate(a, digits, dps, p)
+        res = random_search(a, dps, p, 3000, Rng(616))
+        assert np.array_equal(res.phases.indices, digits[np.argmax(vals)])
+        assert res.objective == pytest.approx(vals.max(), rel=1e-12)
+
+
 class TestRandomSearch:
     def test_deterministic_single_draw(self):
         a = sample_complex_gaussian(Rng(606), 3, 8, 1.0)

@@ -151,6 +151,19 @@ class TestSolveDiscrete:
         with pytest.raises(InvalidArgumentError):
             solve_discrete(a, SolveConfig(p=2, dps=dps), PhaseVector(np.array([0.1, 0.0])))
 
+    def test_start_from_another_lattice_rejected(self):
+        # indices of a B = 3 start read on B = 2 would name other phases
+        a = sample_complex_gaussian(Rng(24), 3, 5, 1.0)
+        cfg = SolveConfig(p=2, dps=DiscretePhaseSet(2))
+        for idx in ([1, 0, 3, 2, 1], [0, 0, 0, 0, 5]):
+            start = PhaseVector.from_indices(idx, DiscretePhaseSet(3))
+            with pytest.raises(InvalidArgumentError):
+                solve_discrete(a, cfg, start)
+        # the shared point 0 is the same phase on every lattice
+        zero = PhaseVector.from_indices(np.zeros(5, dtype=int), DiscretePhaseSet(3))
+        assert solve_discrete(a, cfg, zero).costs[0] == pytest.approx(
+            norm_lp(a.sum(axis=1), 2), rel=1e-12)
+
     def test_zero_matrix_degenerate(self):
         dps = DiscretePhaseSet(1)
         with pytest.raises(DegenerateInputError):
@@ -183,6 +196,44 @@ class TestSolveContinuous:
         trace = solve_continuous(a, SolveConfig(p=p), deterministic_init(a, p))
         assert np.all(np.diff(trace.costs) >= -1e-9)
         assert trace.termination == "converged"
+
+
+class TestKernelEquivalence:
+    """The solvers' inner loop against the public steps composed by hand."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_continuous_matches_public_steps(self, p):
+        a = sample_complex_gaussian(Rng(25), 8, 40, 1.0)
+        start = deterministic_init(a, p)
+        # a tolerance no step meets: the run takes all six steps
+        trace = solve_continuous(a, SolveConfig(p=p, max_iterations=6, tolerance=1e-300), start)
+        q = math.inf if p == 1 else 2
+        pv, costs = start, [norm_lp(a @ start.phasors(), p)]
+        for _ in range(trace.iterations):
+            z = dual_witness(a @ pv.phasors(), q)
+            pv = continuous_phase_step(a.conj().T @ z)
+            costs.append(norm_lp(a @ pv.phasors(), p))
+        assert trace.iterations == 6
+        assert trace.costs == pytest.approx(costs, rel=1e-12)
+        assert trace.phases.phasors() == pytest.approx(pv.phasors(), abs=1e-12)
+        assert trace.witness == pytest.approx(dual_witness(a @ pv.phasors(), q), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_discrete_matches_public_steps(self, p, bits):
+        a = sample_complex_gaussian(Rng(26, bits), 8, 40, 1.0)
+        dps = DiscretePhaseSet(bits)
+        start = zero_start(40, dps)
+        trace = solve_discrete(a, SolveConfig(p=p, dps=dps), start)
+        q = math.inf if p == 1 else 2
+        pv, costs = start, [norm_lp(a @ start.phasors(), p)]
+        for _ in range(trace.iterations):
+            z = dual_witness(a @ pv.phasors(), q)
+            pv, _ = das_maximize(a.conj().T @ z, dps)
+            costs.append(norm_lp(a @ pv.phasors(), p))
+        assert trace.iterations >= 2
+        assert trace.costs == pytest.approx(costs, rel=1e-12)
+        assert np.array_equal(trace.phases.indices, pv.indices)
 
 
 class TestHardRound:
