@@ -13,23 +13,13 @@ from .core import (
     DiscretePhaseSet,
     PhaseVector,
     Rng,
-    dual_exponent,
     nearest_lattice,
     norm_lp,
     normalize_p,
     sample_complex_gaussian,
     wrap_phase,
 )
-from .das import (
-    CandidateSet,
-    PolarDecomposition,
-    RegionEncoding,
-    build_candidates,
-    das_maximize,
-    encode_regions,
-    per_element_best,
-    polar_decompose,
-)
+from .das import das_maximize
 from .errors import (
     DegenerateInputError,
     InvalidArgumentError,
@@ -59,7 +49,6 @@ from .solver import (
     deterministic_init,
     dual_witness,
     hard_round,
-    lift,
     solve_continuous,
     solve_discrete,
     solve_linf,
@@ -67,17 +56,14 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "BeamformingProblem", "CandidateSet", "DegenerateInputError",
-    "DiscretePhaseSet", "InvalidArgumentError", "OracleResult",
-    "PhaseVector", "PipelineResult", "PolarDecomposition", "RegionEncoding",
+    "BeamformingProblem", "DegenerateInputError", "DiscretePhaseSet",
+    "InvalidArgumentError", "OracleResult", "PhaseVector", "PipelineResult",
     "RisInstance", "Rng", "SizeLimitError", "SnrValue", "SolveConfig",
     "SolveTrace", "UnimodError", "UnsupportedNormError",
-    "build_candidates", "build_phi", "build_problem",
-    "continuous_phase_step", "das_maximize", "default_pipeline",
-    "derotate", "deterministic_init", "dual_exponent", "dual_witness",
-    "encode_regions", "exhaustive_inner", "exhaustive_norm", "hard_round",
-    "lift", "load_instance", "nearest_lattice", "norm_lp", "normalize_p",
-    "per_element_best", "polar_decompose", "random_search",
+    "build_phi", "build_problem", "continuous_phase_step", "das_maximize",
+    "default_pipeline", "derotate", "deterministic_init", "dual_witness",
+    "exhaustive_inner", "exhaustive_norm", "hard_round", "load_instance",
+    "nearest_lattice", "norm_lp", "normalize_p", "random_search",
     "sample_complex_gaussian", "save_instance", "snr", "solve_continuous",
     "solve_discrete", "solve_linf", "solve_ris", "wrap_phase",
 ]

@@ -1,11 +1,12 @@
 """Experiment harness: convergence, lifting, SNR, quantization and timing studies.
 
-Every experiment is driven by an ExperimentSpec and emits a CSV table plus a
-JSON envelope into the output directory. All randomness flows through
-(seed, stream) pairs where the stream is derived from the trial index, so
-results are bit-identical across reruns and independent of how many workers
-execute the trials. Timing numbers are the one exception: wall-clock fields
-vary run to run, everything else in the timing table is reproducible.
+Every experiment is a row of the EXPERIMENTS table, driven by an
+ExperimentSpec; `run_experiment` writes its CSV table plus a JSON envelope
+into the output directory. All randomness flows through (seed, stream) pairs
+where the stream is derived from the trial index, so results are
+bit-identical across reruns and independent of how many workers execute the
+trials. Timing numbers are the one exception: wall-clock fields vary run to
+run, everything else in the timing table is reproducible.
 
 Desk-scale trial counts are the defaults; the full-scale studies behind the
 shipped figures need nothing more than a larger --trials.
@@ -18,13 +19,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ._version import __version__
-from .core import DiscretePhaseSet, PhaseVector, Rng, norm_lp, normalize_p, sample_complex_gaussian
+from .core import DiscretePhaseSet, Rng, norm_lp, normalize_p, sample_complex_gaussian
 from .das import das_maximize
 from .errors import InvalidArgumentError
 from .oracle import exhaustive_inner, exhaustive_norm, random_search
@@ -39,12 +43,6 @@ from .solver import (
     solve_discrete,
     solve_linf,
 )
-
-KINDS = ("convergence", "lifting-stat", "snr-vs-n", "snr-cdf",
-         "quantization-gap", "timing", "oracle-check")
-#: kinds whose runners always solve with p = 2: received SNR is a p = 2
-#: quantity, and timing measures the same SNR pipeline
-_P2_KINDS = ("snr-vs-n", "snr-cdf", "quantization-gap", "timing")
 
 #: strict-improvement threshold and the rounding-loss floor below which the
 #: relative lifting gain is recorded as undefined
@@ -68,40 +66,50 @@ class ExperimentSpec:
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidArgumentError(
-                f"unknown experiment {self.kind!r}; valid kinds: {', '.join(KINDS)}")
-        if self.trials < 1:
-            raise InvalidArgumentError("trial count must be >= 1")
+        experiment = _experiment(self.kind)
+        for name in ("trials", "random_configs", "nmax"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.m < 1 or any(n < 1 for n in self.n_values) or not self.n_values:
             raise InvalidArgumentError("all dimensions must be >= 1")
         if any(b < 1 for b in self.bits) or not self.bits:
             raise InvalidArgumentError("bit widths must be >= 1")
-        if self.kind in _P2_KINDS and normalize_p(self.p) != 2.0:
+        if not (self.variance > 0 and math.isfinite(self.variance)):
+            raise InvalidArgumentError(
+                f"variance must be finite and positive, got {self.variance!r}")
+        if experiment.p2_only and normalize_p(self.p) != 2.0:
             raise InvalidArgumentError(f"{self.kind} always solves with p = 2, got p = {self.p!r}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
 
 
-_DEFAULTS: dict[str, dict] = {
-    "convergence": dict(trials=3, m=10, n_values=(100,), bits=(2,)),
-    "lifting-stat": dict(trials=500, m=10, n_values=(100,), bits=(1,)),
-    "snr-vs-n": dict(trials=100, m=32, n_values=(50, 100, 200), bits=(1,)),
-    "snr-cdf": dict(trials=200, m=32, n_values=(200,), bits=(2,)),
-    "quantization-gap": dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)),
-    "timing": dict(trials=20, m=32, n_values=(10, 50, 100, 200, 500, 1000),
-                   bits=(1,), random_configs=1000),
-    "oracle-check": dict(trials=100, m=6, n_values=(8,), bits=(1, 2, 3)),
-}
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the EXPERIMENTS table: `rows(spec)` builds the CSV rows and
+    `summarize(spec, rows)` the envelope's results. `p2_only` kinds always
+    solve with p = 2: received SNR is a p = 2 quantity, and timing measures
+    the same SNR pipeline."""
+
+    stem: str
+    header: tuple[str, ...]
+    rows: Callable[[ExperimentSpec], list]
+    summarize: Callable[[ExperimentSpec, list], list]
+    notes: tuple[str, ...]
+    defaults: dict
+    p2_only: bool = False
+
+
+def _experiment(kind: str) -> Experiment:
+    if kind not in EXPERIMENTS:
+        raise InvalidArgumentError(
+            f"unknown experiment {kind!r}; valid kinds: {', '.join(KINDS)}")
+    return EXPERIMENTS[kind]
 
 
 def make_spec(kind: str, out_dir, **overrides) -> ExperimentSpec:
     """Spec with desk-scale defaults for `kind`, selectively overridden."""
-    if kind not in _DEFAULTS:
-        raise InvalidArgumentError(
-            f"unknown experiment {kind!r}; valid kinds: {', '.join(KINDS)}")
-    params = dict(_DEFAULTS[kind])
+    params = dict(_experiment(kind).defaults)
     params.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentSpec(kind=kind, out_dir=out_dir, **params)
 
@@ -141,17 +149,22 @@ def _worker_count() -> int:
     return cpus
 
 
-def _map_trials(fn, args_list):
-    """Run a module-level worker over argument tuples, preserving order.
+def _map_trials(fn, spec: ExperimentSpec, tasks=None) -> list:
+    """Run the module-level worker `fn(spec, task)` over `tasks` (default: the
+    trial indices) and concatenate the row lists it returns, in task order.
 
     Results are independent of the worker count because every task derives
     its randomness from its own (seed, stream) pair.
     """
-    workers = min(_worker_count(), len(args_list))
-    if workers <= 1 or len(args_list) < 4:
-        return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list, chunksize=max(1, len(args_list) // (4 * workers))))
+    tasks = list(range(spec.trials) if tasks is None else tasks)
+    workers = min(_worker_count(), len(tasks))
+    if workers <= 1 or len(tasks) < 4:
+        chunks = [fn(spec, task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(fn, repeat(spec), tasks,
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
+    return [row for rows in chunks for row in rows]
 
 
 def _fmt(x) -> str:
@@ -162,7 +175,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -221,140 +234,91 @@ def _snr_db(cost: float, inst: RisInstance) -> float:
 # ---------------------------------------------------------------------------
 # convergence
 
-def _convergence_trial(args):
-    seed, trial, m, n, bits, variance = args
-    rng = Rng(seed, stream=trial)
-    a = sample_complex_gaussian(rng, m, n, variance)
+def _convergence_trial(spec: ExperimentSpec, trial: int) -> list:
+    """Per-iteration cost traces for both iteration flavours and p in {1, 2}."""
+    rng = Rng(spec.seed, stream=trial)
+    a = sample_complex_gaussian(rng, spec.m, spec.n_values[0], spec.variance)
+    dps = DiscretePhaseSet(spec.bits[0])
     rows = []
     for p in (1, 2):
         start = deterministic_init(a, p)
         cont = solve_continuous(a, SolveConfig(p=p), start)
-        for it, cost in enumerate(cont.costs):
-            rows.append((trial, "continuous", p, it, float(cost)))
-        dps = DiscretePhaseSet(bits)
         disc = solve_discrete(a, SolveConfig(p=p, dps=dps), hard_round(start, dps))
-        for it, cost in enumerate(disc.costs):
-            rows.append((trial, "discrete", p, it, float(cost)))
+        for mode, trace in (("continuous", cont), ("discrete", disc)):
+            rows += [(trial, mode, p, it, float(cost)) for it, cost in enumerate(trace.costs)]
     return rows
 
 
-def run_convergence(spec: ExperimentSpec) -> dict:
-    """Per-iteration cost traces for both iteration flavours and p in {1, 2}."""
-    args = [(spec.seed, t, spec.m, spec.n_values[0], spec.bits[0], spec.variance)
-            for t in range(spec.trials)]
-    rows = [row for rows in _map_trials(_convergence_trial, args) for row in rows]
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "convergence.csv",
-               ["trial", "mode", "p", "iter", "cost"], rows)
-    summary = {
-        "trials": spec.trials,
-        "max_iterations_observed": max(r[3] for r in rows),
-    }
-    envelope = _envelope(spec, [summary], [
-        "costs are listed per iteration; every trace is non-decreasing",
-    ])
-    dump_json(spec.out_dir / "convergence.json", envelope)
-    return envelope
+def _convergence_summary(spec: ExperimentSpec, rows) -> list:
+    return [{"trials": spec.trials, "max_iterations_observed": max(r[3] for r in rows)}]
 
 
 # ---------------------------------------------------------------------------
 # lifting statistics
 
-def _lifting_trial(args):
-    seed, trial, m, n, bits, p, variance = args
-    rng = Rng(seed, stream=trial)
-    a = sample_complex_gaussian(rng, m, n, variance)
-    result = default_pipeline(a, DiscretePhaseSet(bits), p)
+def _lifting_trial(spec: ExperimentSpec, trial: int) -> list:
+    """The relative lifting gain on one random instance."""
+    rng = Rng(spec.seed, stream=trial)
+    a = sample_complex_gaussian(rng, spec.m, spec.n_values[0], spec.variance)
+    result = default_pipeline(a, DiscretePhaseSet(spec.bits[0]), spec.p)
     rec = LiftingRecord.from_costs(result.unrounded_cost, result.rounded_cost,
                                    result.final_cost)
-    return (trial, rec.unrounded, rec.rounded, rec.lifted, rec.gain)
+    return [(trial, rec.unrounded, rec.rounded, rec.lifted, rec.gain)]
 
 
-def run_lifting_stat(spec: ExperimentSpec) -> dict:
-    """Distribution of the relative lifting gain over random instances."""
-    args = [(spec.seed, t, spec.m, spec.n_values[0], spec.bits[0], spec.p, spec.variance)
-            for t in range(spec.trials)]
-    rows = _map_trials(_lifting_trial, args)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "lifting_stat.csv",
-               ["trial", "unrounded", "rounded", "lifted", "gain"], rows)
+def _lifting_summary(spec: ExperimentSpec, rows) -> list:
     gains = [r[4] for r in rows if r[4] is not None]
-    strict = sum(1 for r in rows if r[3] > r[2] + GAIN_EPS)
-    summary = {
+    return [{
         "trials": spec.trials,
         "p": spec.p,
         "defined_gains": len(gains),
         "median_gain": float(np.median(gains)) if gains else None,
-        "strict_improvements": strict,
+        "strict_improvements": sum(1 for r in rows if r[3] > r[2] + GAIN_EPS),
         "dominance_violations": sum(1 for r in rows if r[3] < r[2] - 1e-9),
-    }
-    envelope = _envelope(spec, [summary], [
-        "continuous reference: this package's alternating continuous solver",
-        "gain is empty when the rounding loss is below 1e-12",
-    ])
-    dump_json(spec.out_dir / "lifting_stat.json", envelope)
-    return envelope
+    }]
 
 
 # ---------------------------------------------------------------------------
 # SNR studies
 
-def _snr_trial(args):
-    seed, stream, trial, n, m, bits, random_configs, variance = args
-    rng = Rng(seed, stream=stream)
-    inst = _nlos_channel(rng, n, m, variance)
+def _snr_trial(spec: ExperimentSpec, task: tuple[int, int]) -> list:
+    block, trial = task
+    n = spec.n_values[block]
+    rng = Rng(spec.seed, stream=(block << 32) | trial)
+    inst = _nlos_channel(rng, n, spec.m, spec.variance)
     prob = build_problem(inst)
-    dps = DiscretePhaseSet(bits)
+    dps = DiscretePhaseSet(spec.bits[0])
 
     result = default_pipeline(prob.matrix, dps, 2)
-    best_random = random_search(prob.matrix, dps, 2, random_configs, rng)
+    best_random = random_search(prob.matrix, dps, 2, spec.random_configs, rng)
     zero_cost = norm_lp(prob.matrix @ np.ones(n, dtype=complex), 2)
 
-    out = []
-    for method, cost in (("pipeline", result.final_cost),
-                         ("rounded", result.rounded_cost),
-                         ("random", best_random.objective),
-                         ("zero", zero_cost)):
-        out.append((n, trial, method, float(cost), _snr_db(cost, inst)))
-    return out
+    return [(n, trial, method, float(cost), _snr_db(cost, inst))
+            for method, cost in (("pipeline", result.final_cost),
+                                 ("rounded", result.rounded_cost),
+                                 ("random", best_random.objective),
+                                 ("zero", zero_cost))]
 
 
 def _snr_rows(spec: ExperimentSpec) -> list:
-    args = []
-    for block, n in enumerate(spec.n_values):
-        for t in range(spec.trials):
-            stream = (block << 32) | t
-            args.append((spec.seed, stream, t, n, spec.m, spec.bits[0],
-                         spec.random_configs, spec.variance))
-    return [row for rows in _map_trials(_snr_trial, args) for row in rows]
+    """Per-trial SNR of the pipeline and its baselines, for every unit count."""
+    tasks = [(block, t) for block in range(len(spec.n_values)) for t in range(spec.trials)]
+    return _map_trials(_snr_trial, spec, tasks)
 
 
-def run_snr_vs_n(spec: ExperimentSpec) -> dict:
+def _snr_vs_n_summary(spec: ExperimentSpec, rows) -> list:
     """Mean SNR against the unit count for the pipeline and baselines."""
-    rows = _snr_rows(spec)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "snr_vs_n.csv",
-               ["n", "trial", "method", "objective", "snr_db"], rows)
     results = []
     for n in spec.n_values:
         for method in ("pipeline", "rounded", "random", "zero"):
             vals = [r[4] for r in rows if r[0] == n and r[2] == method]
             results.append({"n": n, "method": method,
                             "mean_snr_db": float(np.mean(vals))})
-    envelope = _envelope(spec, results, [
-        "NLoS channels, i.i.d. complex Gaussian entries",
-        "SNR convention: transmit power 1, noise variance 1",
-    ])
-    dump_json(spec.out_dir / "snr_vs_n.json", envelope)
-    return envelope
+    return results
 
 
-def run_snr_cdf(spec: ExperimentSpec) -> dict:
-    """Per-trial SNR records at a fixed unit count, for distribution plots."""
-    rows = _snr_rows(spec)
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "snr_cdf.csv",
-               ["n", "trial", "method", "objective", "snr_db"], rows)
+def _snr_cdf_summary(spec: ExperimentSpec, rows) -> list:
+    """SNR percentiles per method, for distribution plots."""
     results = []
     for method in ("pipeline", "rounded", "random", "zero"):
         vals = sorted(r[4] for r in rows if r[2] == method)
@@ -363,58 +327,39 @@ def run_snr_cdf(spec: ExperimentSpec) -> dict:
             "percentiles_db": {str(q): float(np.percentile(vals, q))
                                for q in (5, 25, 50, 75, 95)},
         })
-    envelope = _envelope(spec, results, [
-        "NLoS channels, i.i.d. complex Gaussian entries",
-        "SNR convention: transmit power 1, noise variance 1",
-    ])
-    dump_json(spec.out_dir / "snr_cdf.json", envelope)
-    return envelope
+    return results
 
 
 # ---------------------------------------------------------------------------
 # quantization gap
 
-def _gap_trial(args):
-    seed, trial, n, m, bits_list, variance = args
-    rng = Rng(seed, stream=trial)
-    inst = _nlos_channel(rng, n, m, variance)
-    prob = build_problem(inst)
-    a = prob.matrix
+def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
+    """SNR loss of B-bit pipelines against the continuous solution."""
+    rng = Rng(spec.seed, stream=trial)
+    inst = _nlos_channel(rng, spec.n_values[0], spec.m, spec.variance)
+    a = build_problem(inst).matrix
     cont = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
     cont_db = _snr_db(cont.final_cost, inst)
     rows = []
-    for bits in bits_list:
+    for bits in spec.bits:
         result = default_pipeline(a, DiscretePhaseSet(bits), 2)
         pipe_db = _snr_db(result.final_cost, inst)
         rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db))
     return rows
 
 
-def run_quantization_gap(spec: ExperimentSpec) -> dict:
-    """Mean SNR loss of B-bit pipelines against the continuous solution."""
-    args = [(spec.seed, t, spec.n_values[0], spec.m, spec.bits, spec.variance)
-            for t in range(spec.trials)]
-    rows = [row for rows in _map_trials(_gap_trial, args) for row in rows]
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "quantization_gap.csv",
-               ["trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db"],
-               rows)
+def _gap_summary(spec: ExperimentSpec, rows) -> list:
     results = []
     for bits in spec.bits:
         vals = [r[4] for r in rows if r[1] == bits]
         results.append({"bits": bits, "mean_gap_db": float(np.mean(vals))})
-    envelope = _envelope(spec, results, [
-        "continuous reference: this package's alternating continuous solver",
-        "SNR convention: transmit power 1, noise variance 1",
-    ])
-    dump_json(spec.out_dir / "quantization_gap.json", envelope)
-    return envelope
+    return results
 
 
 # ---------------------------------------------------------------------------
 # timing
 
-def run_timing(spec: ExperimentSpec) -> dict:
+def _timing_rows(spec: ExperimentSpec) -> list:
     """Wall-clock cost of the pipeline and the random baseline per unit count.
 
     Runs serially on purpose; channel generation and I/O sit outside the
@@ -428,126 +373,132 @@ def run_timing(spec: ExperimentSpec) -> dict:
             rng = Rng(spec.seed, stream=(block << 32) | t)
             instances.append((build_problem(_nlos_channel(rng, n, spec.m, spec.variance)), rng))
 
-        pipeline_objs = []
-        t0 = time.perf_counter()
-        for prob, _ in instances:
-            pipeline_objs.append(default_pipeline(prob.matrix, dps, 2).final_cost)
-        pipeline_total = time.perf_counter() - t0
+        for method, solve in (
+                ("pipeline", lambda prob, _: default_pipeline(prob.matrix, dps, 2).final_cost),
+                ("random", lambda prob, rng: random_search(
+                    prob.matrix, dps, 2, spec.random_configs, rng).objective)):
+            t0 = time.perf_counter()
+            objs = [solve(prob, rng) for prob, rng in instances]
+            total = time.perf_counter() - t0
+            rows.append((n, method, spec.trials, total, total / spec.trials,
+                         float(np.mean(objs))))
+    return rows
 
-        random_objs = []
-        t0 = time.perf_counter()
-        for prob, rng in instances:
-            random_objs.append(
-                random_search(prob.matrix, dps, 2, spec.random_configs, rng).objective)
-        random_total = time.perf_counter() - t0
 
-        rows.append((n, "pipeline", spec.trials, pipeline_total,
-                     pipeline_total / spec.trials, float(np.mean(pipeline_objs))))
-        rows.append((n, "random", spec.trials, random_total,
-                     random_total / spec.trials, float(np.mean(random_objs))))
-
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(spec.out_dir / "timing.csv",
-               ["n", "method", "trials", "total_seconds", "mean_seconds",
-                "mean_objective"], rows)
-    results = [{"n": r[0], "method": r[1], "mean_seconds": r[4],
-                "mean_objective": r[5]} for r in rows]
-    envelope = _envelope(spec, results, [
-        "wall-clock fields vary run to run; mean_objective is reproducible",
-        "timers exclude channel generation and file I/O",
-    ])
-    dump_json(spec.out_dir / "timing.json", envelope)
-    return envelope
+def _timing_summary(spec: ExperimentSpec, rows) -> list:
+    return [{"n": r[0], "method": r[1], "mean_seconds": r[4],
+             "mean_objective": r[5]} for r in rows]
 
 
 # ---------------------------------------------------------------------------
 # oracle check
 
-def _oracle_das_trial(args):
-    seed, trial, nmax, bits_choices, variance = args
-    rng = Rng(seed, stream=trial)
+def _oracle_das_trial(spec: ExperimentSpec, trial: int) -> list:
+    """One (row, failure) pair; the failure is None when DaS matches."""
+    rng = Rng(spec.seed, stream=trial)
     g = rng.generator
-    n = int(g.integers(1, nmax + 1))
-    bits = int(bits_choices[g.integers(0, len(bits_choices))])
-    v = sample_complex_gaussian(rng, 1, n, variance).ravel()
+    n = int(g.integers(1, min(spec.nmax, 8) + 1))
+    bits = int(spec.bits[g.integers(0, len(spec.bits))])
+    v = sample_complex_gaussian(rng, 1, n, spec.variance).ravel()
     dps = DiscretePhaseSet(bits)
     _, das_obj = das_maximize(v, dps)
     ref = exhaustive_inner(v, dps)
     match = abs(das_obj - ref.objective) <= 1e-9
-    return (trial, n, bits, das_obj, ref.objective, match,
-            None if match else vector_to_json(v))
+    failure = None if match else {"check": "das", "trial": trial, "bits": bits,
+                                  "v": vector_to_json(v)}
+    return [(("das", trial, None, n, bits, das_obj, ref.objective, int(match)), failure)]
 
 
-def _oracle_linf_trial(args):
-    seed, trial, mmax, nmax, bits_choices, variance = args
-    rng = Rng(seed, stream=(1 << 40) | trial)
+def _oracle_linf_trial(spec: ExperimentSpec, trial: int) -> list:
+    """One (row, failure) pair; the failure is None when solve_linf matches."""
+    bits_choices = tuple(b for b in spec.bits if b <= 2) or (1, 2)
+    rng = Rng(spec.seed, stream=(1 << 40) | trial)
     g = rng.generator
-    m = int(g.integers(1, mmax + 1))
-    n = int(g.integers(1, nmax + 1))
+    m = int(g.integers(1, min(spec.m, 6) + 1))
+    n = int(g.integers(1, min(spec.nmax, 8) + 1))
     bits = int(bits_choices[g.integers(0, len(bits_choices))])
-    a = sample_complex_gaussian(rng, m, n, variance)
+    a = sample_complex_gaussian(rng, m, n, spec.variance)
     dps = DiscretePhaseSet(bits)
     _, _, obj = solve_linf(a, dps)
     ref = exhaustive_norm(a, dps, math.inf)
     match = abs(obj - ref.objective) <= 1e-9
-    return (trial, m, n, bits, obj, ref.objective, match,
-            None if match else matrix_to_json(a))
+    failure = None if match else {"check": "linf", "trial": trial, "bits": bits,
+                                  "a": matrix_to_json(a)}
+    return [(("linf", trial, m, n, bits, obj, ref.objective, int(match)), failure)]
 
 
-def run_oracle_check(spec: ExperimentSpec) -> dict:
+def _oracle_rows(spec: ExperimentSpec) -> list:
     """Exactness audit: divide-and-sort and the l-infinity solver against
     exhaustive enumeration. Mismatches dump the failing instance as JSON."""
-    nmax = min(spec.nmax, 8)
-    das_args = [(spec.seed, t, nmax, spec.bits, spec.variance)
-                for t in range(spec.trials)]
-    linf_bits = tuple(b for b in spec.bits if b <= 2) or (1, 2)
-    linf_args = [(spec.seed, t, min(spec.m, 6), nmax, linf_bits, spec.variance)
-                 for t in range(spec.trials)]
-    das_rows = _map_trials(_oracle_das_trial, das_args)
-    linf_rows = _map_trials(_oracle_linf_trial, linf_args)
-
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [("das", r[0], None, r[1], r[2], r[3], r[4], int(r[5])) for r in das_rows]
-    rows += [("linf", r[0], r[1], r[2], r[3], r[4], r[5], int(r[6])) for r in linf_rows]
-    _write_csv(spec.out_dir / "oracle_check.csv",
-               ["check", "trial", "m", "n", "bits", "solver_objective",
-                "oracle_objective", "match"], rows)
-
-    failures = []
-    for r in das_rows:
-        if not r[5]:
-            failures.append({"check": "das", "trial": r[0], "bits": r[2], "v": r[6]})
-    for r in linf_rows:
-        if not r[6]:
-            failures.append({"check": "linf", "trial": r[0], "bits": r[3], "a": r[7]})
+    pairs = _map_trials(_oracle_das_trial, spec) + _map_trials(_oracle_linf_trial, spec)
+    failures = [failure for _, failure in pairs if failure is not None]
     if failures:
         dump_json(spec.out_dir / "oracle_check_failures.json", failures)
+    return [row for row, _ in pairs]
 
-    summary = {
-        "das_matches": sum(1 for r in das_rows if r[5]),
-        "das_trials": len(das_rows),
-        "linf_matches": sum(1 for r in linf_rows if r[6]),
-        "linf_trials": len(linf_rows),
-    }
-    envelope = _envelope(spec, [summary],
-                         ["mismatching instances, if any, are dumped alongside"])
-    dump_json(spec.out_dir / "oracle_check.json", envelope)
-    return envelope
+
+def _oracle_summary(spec: ExperimentSpec, rows) -> list:
+    summary = {}
+    for check in ("das", "linf"):
+        summary[f"{check}_matches"] = sum(r[7] for r in rows if r[0] == check)
+        summary[f"{check}_trials"] = sum(1 for r in rows if r[0] == check)
+    return [summary]
 
 
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "convergence": run_convergence,
-    "lifting-stat": run_lifting_stat,
-    "snr-vs-n": run_snr_vs_n,
-    "snr-cdf": run_snr_cdf,
-    "quantization-gap": run_quantization_gap,
-    "timing": run_timing,
-    "oracle-check": run_oracle_check,
+_CONTINUOUS_REFERENCE = "continuous reference: this package's alternating continuous solver"
+_SNR_CONVENTION = "SNR convention: transmit power 1, noise variance 1"
+_SNR_HEADER = ("n", "trial", "method", "objective", "snr_db")
+_SNR_NOTES = ("NLoS channels, i.i.d. complex Gaussian entries", _SNR_CONVENTION)
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "convergence": Experiment(
+        "convergence", ("trial", "mode", "p", "iter", "cost"),
+        partial(_map_trials, _convergence_trial), _convergence_summary,
+        ("costs are listed per iteration; every trace is non-decreasing",),
+        dict(trials=3, m=10, n_values=(100,), bits=(2,))),
+    "lifting-stat": Experiment(
+        "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain"),
+        partial(_map_trials, _lifting_trial), _lifting_summary,
+        (_CONTINUOUS_REFERENCE, "gain is empty when the rounding loss is below 1e-12"),
+        dict(trials=500, m=10, n_values=(100,), bits=(1,))),
+    "snr-vs-n": Experiment(
+        "snr_vs_n", _SNR_HEADER, _snr_rows, _snr_vs_n_summary, _SNR_NOTES,
+        dict(trials=100, m=32, n_values=(50, 100, 200), bits=(1,)), p2_only=True),
+    "snr-cdf": Experiment(
+        "snr_cdf", _SNR_HEADER, _snr_rows, _snr_cdf_summary, _SNR_NOTES,
+        dict(trials=200, m=32, n_values=(200,), bits=(2,)), p2_only=True),
+    "quantization-gap": Experiment(
+        "quantization_gap",
+        ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db"),
+        partial(_map_trials, _gap_trial), _gap_summary, (_CONTINUOUS_REFERENCE, _SNR_CONVENTION),
+        dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)), p2_only=True),
+    "timing": Experiment(
+        "timing",
+        ("n", "method", "trials", "total_seconds", "mean_seconds", "mean_objective"),
+        _timing_rows, _timing_summary,
+        ("wall-clock fields vary run to run; mean_objective is reproducible",
+         "timers exclude channel generation and file I/O"),
+        dict(trials=20, m=32, n_values=(10, 50, 100, 200, 500, 1000), bits=(1,),
+             random_configs=1000), p2_only=True),
+    "oracle-check": Experiment(
+        "oracle_check",
+        ("check", "trial", "m", "n", "bits", "solver_objective", "oracle_objective", "match"),
+        _oracle_rows, _oracle_summary,
+        ("mismatching instances, if any, are dumped alongside",),
+        dict(trials=100, m=6, n_values=(8,), bits=(1, 2, 3))),
 }
+KINDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Dispatch to the experiment runner; returns the JSON envelope."""
-    return _RUNNERS[spec.kind](spec)
+    """Run one experiment: write its CSV table and JSON envelope into
+    spec.out_dir and return the envelope."""
+    experiment = EXPERIMENTS[spec.kind]
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    rows = experiment.rows(spec)
+    _write_csv(spec.out_dir / f"{experiment.stem}.csv", experiment.header, rows)
+    envelope = _envelope(spec, experiment.summarize(spec, rows), experiment.notes)
+    dump_json(spec.out_dir / f"{experiment.stem}.json", envelope)
+    return envelope

@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lattice bits B; omit for a continuous solve (p in {1, 2} only)")
     solve.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance (default 1e-10)")
     solve.add_argument("--max-iter", type=int, default=500, help="iteration cap (default 500)")
-    solve.add_argument("--seed", type=int, default=0, help="seed for randomized options (default 0)")
     solve.add_argument("--out", default=None, help="result file (default: stdout)")
 
     sris = sub.add_parser("solve-ris", help="optimize a RIS channel instance file")

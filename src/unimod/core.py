@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,15 +27,13 @@ def _as_float_array(x) -> np.ndarray:
     return arr
 
 
-def as_complex_vector(x, *, allow_zero: bool = True) -> np.ndarray:
+def as_complex_vector(x) -> np.ndarray:
     """Validate and convert `x` to a 1-d complex128 array."""
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.size == 0:
         raise InvalidArgumentError("expected a nonempty 1-d complex vector")
     if not np.all(np.isfinite(v)):
         raise InvalidArgumentError("non-finite entry in complex vector")
-    if not allow_zero and not np.any(v):
-        raise DegenerateInputError("vector is identically zero")
     return v
 
 
@@ -127,12 +125,6 @@ class PhaseVector:
         """exp(j * values)."""
         return np.exp(1j * self.values)
 
-    def on_lattice(self, dps: DiscretePhaseSet, tol: float = 1e-12) -> bool:
-        if self.indices is not None:
-            return bool(np.all(self.indices < dps.levels))
-        k = nearest_lattice(self.values, dps)
-        return bool(np.allclose(self.values, np.asarray(k) * dps.step, atol=tol))
-
 
 class Rng:
     """Deterministic random source: counter-based Philox keyed by (seed, stream).
@@ -155,10 +147,6 @@ class Rng:
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-    def substream(self, stream: int) -> "Rng":
-        """A fresh Rng on (seed, stream); independent of this one's state."""
-        return Rng(self.seed, stream)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed}, stream={self.stream})"
@@ -230,16 +218,6 @@ def normalize_p(p) -> float:
     if p in (1.0, 2.0) or math.isinf(p):
         return p
     raise InvalidArgumentError(f"norm selector must be 1, 2 or inf, got {p!r}")
-
-
-def dual_exponent(p) -> float:
-    """Holder conjugate: 1 <-> inf, 2 <-> 2."""
-    p = normalize_p(p)
-    if p == 1.0:
-        return math.inf
-    if p == 2.0:
-        return 2.0
-    return 1.0
 
 
 def norm_lp(x, p) -> float:

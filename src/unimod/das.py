@@ -34,82 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePhaseSet, PhaseVector, TWO_PI, as_complex_vector, wrap_phase
+from .core import DiscretePhaseSet, PhaseVector, as_complex_vector, wrap_phase
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
 #: best objective count as tied
 TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PolarDecomposition:
-    """Magnitudes and wrapped angles of a complex vector.
-
-    Zero entries get angle 0 by convention and are listed in `zero_mask`;
-    they generate no sweep regions.
-    """
-
-    magnitudes: np.ndarray
-    angles: np.ndarray
-    zero_mask: np.ndarray
-
-    def __len__(self) -> int:
-        return self.magnitudes.size
-
-
-@dataclass(frozen=True)
-class RegionEncoding:
-    """The sorted-angle partition of the alignment circle.
-
-    `order` lists the original indices of the nonzero elements sorted by
-    their angle reduced modulo the lattice step (ties by original index,
-    ascending). `boundaries` are the n_eff * 2^B region edges, sorted
-    ascending in [0, 2*pi); region r is the half-open arc from
-    boundaries[r] to the next edge (wrapping). `offsets[r]` gives each
-    sorted element's active center index in region r, and steps through the
-    staircase patterns one increment per edge.
-    """
-
-    order: np.ndarray
-    boundaries: np.ndarray
-    offsets: np.ndarray
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """All sweep candidates for one vector, in sweep order.
-
-    `objectives[l]` is the coherent-sum magnitude of candidate l as
-    accumulated by the incremental sweep.
-    """
-
-    candidates: list[PhaseVector]
-    objectives: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-
-def polar_decompose(v) -> PolarDecomposition:
-    """Split `v` into magnitudes and wrapped angles, flagging exact zeros."""
-    v = as_complex_vector(v)
-    mag = np.abs(v)
-    zero = np.flatnonzero(mag == 0.0)
-    ang = np.where(mag == 0.0, 0.0, wrap_phase(np.angle(v)))
-    return PolarDecomposition(mag, ang, zero)
-
-
-def per_element_best(psi: float, tau: float, dps: DiscretePhaseSet) -> float:
-    """Lattice phase maximizing cos(psi - (tau + Omega)) over Omega in Delta.
-
-    Equivalently: the half-open region [tau + n*delta - delta/2,
-    tau + n*delta + delta/2) that contains psi selects Omega = n*delta. A psi
-    exactly on an edge belongs to the region whose center sits above it.
-    """
-    d = wrap_phase(psi - tau)
-    n = int(np.floor(d / dps.step + 0.5)) % dps.levels
-    return n * dps.step
 
 
 @dataclass(frozen=True)
@@ -123,16 +53,7 @@ class _Sweep:
 
     k0: np.ndarray        # initial lattice indices (candidate at psi = 0)
     order: np.ndarray     # stable argsort of the first edges
-    first: np.ndarray     # first edge above 0 of each element, in (0, delta]
     objs: np.ndarray      # |S| per candidate, sweep order
-    tred: np.ndarray      # angles reduced mod delta
-    shift: np.ndarray     # integer s with angle = tred + s * delta
-
-    def edges(self, dps: DiscretePhaseSet) -> tuple[np.ndarray, np.ndarray]:
-        """Crossing element and angle of every edge, in sweep order."""
-        ks = np.arange(dps.levels)[:, None]
-        pos = self.first[self.order][None, :] + ks * dps.step
-        return np.tile(self.order, dps.levels), pos.ravel()
 
 
 def _sweep(c: np.ndarray, dps: DiscretePhaseSet) -> _Sweep:
@@ -160,7 +81,7 @@ def _sweep(c: np.ndarray, dps: DiscretePhaseSet) -> _Sweep:
     s0 = complex(np.sum(c * np.exp(1j * (k0 * delta))))
     running = s0 + np.cumsum(d.ravel())
     objs = np.abs(np.concatenate(([s0], running[:-1])))
-    return _Sweep(k0, order, first, objs, tred, shift)
+    return _Sweep(k0, order, objs)
 
 
 def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
@@ -186,62 +107,6 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     full = np.zeros(v.size, dtype=np.int64)
     full[nz] = (sw.k0 + counts) % dps.levels
     return full
-
-
-def _nonzero_weights(pd: PolarDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    nz = np.flatnonzero(pd.magnitudes > 0.0)
-    if nz.size == 0:
-        raise DegenerateInputError("all magnitudes are zero")
-    return nz, pd.magnitudes[nz] * np.exp(1j * pd.angles[nz])
-
-
-def _candidate_indices(sw: _Sweep, dps: DiscretePhaseSet) -> np.ndarray:
-    """(R, n_eff) lattice indices of every sweep candidate."""
-    elem, _ = sw.edges(dps)
-    count = sw.objs.size
-    inc = np.zeros((count, sw.k0.size), dtype=np.int64)
-    if count > 1:
-        inc[np.arange(1, count), elem[: count - 1]] = 1
-    return (sw.k0[None, :] + np.cumsum(inc, axis=0)) % dps.levels
-
-
-def encode_regions(pd: PolarDecomposition, dps: DiscretePhaseSet) -> RegionEncoding:
-    """Materialize the sorted region partition for inspection and testing."""
-    nz, c = _nonzero_weights(pd)
-    sw = _sweep(c, dps)
-    local_order = np.lexsort((np.arange(nz.size), sw.tred))
-    order = nz[local_order]
-
-    ks = _candidate_indices(sw, dps)
-    # region starting at edge pos[j] holds the state after crossing j;
-    # the last edge closes the circle back to candidate 0
-    region_of_edge = np.concatenate((np.arange(1, sw.objs.size), [0]))
-    _, pos = sw.edges(dps)
-    edges = wrap_phase(pos)
-    edge_order = np.argsort(edges, kind="stable")
-    boundaries = edges[edge_order]
-    centers = (ks + sw.shift[None, :]) % dps.levels        # staircase offsets
-    offsets = centers[region_of_edge[edge_order]][:, local_order]
-    return RegionEncoding(order, boundaries, offsets)
-
-
-def build_candidates(pd: PolarDecomposition, dps: DiscretePhaseSet) -> CandidateSet:
-    """Enumerate all n_eff * 2^B sweep candidates for the alignment problem
-    with weights magnitudes * exp(j * angles).
-
-    Zero-magnitude entries take phase 0 in every candidate and generate no
-    regions. Objectives come from the incremental running sum.
-    """
-    nz, c = _nonzero_weights(pd)
-    sw = _sweep(c, dps)
-    ks = _candidate_indices(sw, dps)
-    n = len(pd)
-    candidates = []
-    for row in ks:
-        full = np.zeros(n, dtype=np.int64)
-        full[nz] = row
-        candidates.append(PhaseVector.from_indices(full, dps))
-    return CandidateSet(candidates, sw.objs.copy())
 
 
 def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:

@@ -33,7 +33,6 @@ import numpy as np
 from .core import (
     DiscretePhaseSet,
     PhaseVector,
-    Rng,
     as_complex_matrix,
     as_complex_vector,
     nearest_lattice,
@@ -50,17 +49,12 @@ class SolveConfig:
     """Knobs for the alternating solvers.
 
     `dps` present means discrete mode; absent means continuous mode.
-    `init` selects how pipeline-style entry points choose their starting
-    point: "warm-start" (continuous solve, then round), "given" (caller
-    supplies Omega_0) or "random" (uniform lattice draw per restart).
     """
 
     p: float = 2.0
     dps: DiscretePhaseSet | None = None
     tolerance: float = 1e-10
     max_iterations: int = 500
-    init: str = "warm-start"
-    restarts: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "p", normalize_p(self.p))
@@ -68,10 +62,6 @@ class SolveConfig:
             raise InvalidArgumentError("tolerance must be positive")
         if self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
-        if self.init not in ("warm-start", "given", "random"):
-            raise InvalidArgumentError(f"unknown init policy {self.init!r}")
-        if self.restarts < 1:
-            raise InvalidArgumentError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -251,15 +241,6 @@ def hard_round(omega, dps: DiscretePhaseSet) -> PhaseVector:
     return PhaseVector.from_indices(np.atleast_1d(idx), dps)
 
 
-def lift(a, omega_rounded, cfg: SolveConfig) -> SolveTrace:
-    """Restart the discrete alternation from a hard-rounded point.
-
-    Monotonicity guarantees the final cost is at least the rounded cost, so
-    this can only recover quantization loss.
-    """
-    return solve_discrete(a, cfg, omega_rounded)
-
-
 def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
     """Exact global optimum of ||A exp(j*Omega)||_inf over the lattice.
 
@@ -298,12 +279,12 @@ def deterministic_init(a, p) -> PhaseVector:
     return PhaseVector(wrap_phase(ang))
 
 
-def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None,
-                     rng: Rng | None = None) -> PipelineResult:
+def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None) -> PipelineResult:
     """Continuous warm start, hard rounding, then lifting.
 
-    With cfg.restarts > 1 additional discrete runs start from uniform random
-    lattice points (requires `rng`) and the best final cost wins.
+    The lift runs the discrete alternation from the hard-rounded point.
+    Monotonicity guarantees its final cost is at least the rounded cost, so it
+    can only recover quantization loss.
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
@@ -319,15 +300,5 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
     continuous = solve_continuous(a, cont_cfg, start)
     rounded = hard_round(continuous.phases, dps)
     rounded_cost = norm_lp(a @ rounded.phasors(), p)
-    lifted = lift(a, rounded, cfg)
-
-    extra = cfg.restarts - 1
-    if extra > 0:
-        if rng is None:
-            raise InvalidArgumentError("random restarts need an Rng")
-        for _ in range(extra):
-            idx = rng.generator.integers(0, dps.levels, size=a.shape[1])
-            candidate = solve_discrete(a, cfg, PhaseVector.from_indices(idx, dps))
-            if candidate.final_cost > lifted.final_cost:
-                lifted = candidate
+    lifted = solve_discrete(a, cfg, rounded)
     return PipelineResult(lifted, continuous, rounded, rounded_cost)

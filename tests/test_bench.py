@@ -9,19 +9,25 @@ import pytest
 from unimod import InvalidArgumentError
 from unimod import bench
 from unimod.bench import (
+    EXPERIMENTS,
+    KINDS,
     ExperimentSpec,
     LiftingRecord,
     make_spec,
     read_csv,
-    run_convergence,
     run_experiment,
-    run_lifting_stat,
-    run_oracle_check,
-    run_quantization_gap,
-    run_snr_cdf,
-    run_snr_vs_n,
-    run_timing,
 )
+
+#: small overrides that run every experiment in well under a second
+SMALL = {
+    "convergence": dict(trials=2, m=3, n_values=(12,)),
+    "lifting-stat": dict(trials=3),
+    "snr-vs-n": dict(trials=2, m=3, n_values=(12, 16), random_configs=50),
+    "snr-cdf": dict(trials=2, m=3, n_values=(12,), random_configs=50),
+    "quantization-gap": dict(trials=2, m=3, n_values=(12,), bits=(1, 2)),
+    "timing": dict(trials=2, m=3, n_values=(12,), random_configs=50),
+    "oracle-check": dict(trials=3),
+}
 
 
 def rows_by(rows, col_idx, value):
@@ -47,6 +53,15 @@ class TestSpec:
         with pytest.raises(InvalidArgumentError):
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, bits=(0,))
 
+    @pytest.mark.parametrize("field,value", [
+        ("random_configs", 0), ("nmax", 0),
+        ("variance", 0.0), ("variance", -1.0), ("variance", math.inf), ("variance", math.nan),
+    ])
+    def test_rejects_bad_field_naming_it(self, field, value):
+        # these used to pass the spec and fail, if at all, inside a trial
+        with pytest.raises(InvalidArgumentError, match=field):
+            make_spec("oracle-check", "out", trials=1, **{field: value})
+
     @pytest.mark.parametrize("kind", ["snr-vs-n", "snr-cdf", "quantization-gap", "timing"])
     def test_p2_only_kinds_reject_other_norms(self, kind):
         # these runners always solve with p = 2; an envelope claiming another
@@ -70,7 +85,7 @@ class TestLiftingRecord:
 class TestConvergence:
     def test_monotone_traces_and_schema(self, tmp_path):
         spec = make_spec("convergence", tmp_path, trials=2, m=4, n_values=(20,))
-        run_convergence(spec)
+        run_experiment(spec)
         header, rows = read_csv(tmp_path / "convergence.csv")
         assert header == ["trial", "mode", "p", "iter", "cost"]
         for trial in (0, 1):
@@ -83,7 +98,7 @@ class TestConvergence:
 
     def test_single_row_is_immediate(self, tmp_path):
         spec = make_spec("convergence", tmp_path, trials=1, m=1, n_values=(12,))
-        run_convergence(spec)
+        run_experiment(spec)
         _, rows = read_csv(tmp_path / "convergence.csv")
         for mode in ("discrete", "continuous"):
             for p in (1, 2):
@@ -93,8 +108,8 @@ class TestConvergence:
     def test_rerun_is_byte_identical(self, tmp_path):
         s1 = make_spec("convergence", tmp_path / "a", trials=2, m=3, n_values=(15,))
         s2 = make_spec("convergence", tmp_path / "b", trials=2, m=3, n_values=(15,))
-        run_convergence(s1)
-        run_convergence(s2)
+        run_experiment(s1)
+        run_experiment(s2)
         assert (tmp_path / "a/convergence.csv").read_bytes() == \
             (tmp_path / "b/convergence.csv").read_bytes()
 
@@ -102,7 +117,7 @@ class TestConvergence:
 class TestLiftingStat:
     def test_dominance_and_median(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=30)
-        envelope = run_lifting_stat(spec)
+        envelope = run_experiment(spec)
         _, rows = read_csv(tmp_path / "lifting_stat.csv")
         assert all(r[3] >= r[2] - 1e-9 for r in rows)  # lifted >= rounded
         summary = envelope["results"][0]
@@ -111,7 +126,7 @@ class TestLiftingStat:
 
     def test_notes_name_the_continuous_reference(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=4)
-        envelope = run_lifting_stat(spec)
+        envelope = run_experiment(spec)
         assert any("continuous" in note for note in envelope["notes"])
 
 
@@ -119,7 +134,7 @@ class TestSnrStudies:
     def test_snr_vs_n_invariants(self, tmp_path):
         spec = make_spec("snr-vs-n", tmp_path, trials=4, n_values=(20, 40), m=4,
                          random_configs=200)
-        envelope = run_snr_vs_n(spec)
+        envelope = run_experiment(spec)
         header, rows = read_csv(tmp_path / "snr_vs_n.csv")
         assert header == ["n", "trial", "method", "objective", "snr_db"]
         # pipeline >= rounded for every (n, trial); at these tiny sizes the
@@ -137,7 +152,7 @@ class TestSnrStudies:
     def test_snr_cdf_percentiles(self, tmp_path):
         spec = make_spec("snr-cdf", tmp_path, trials=6, n_values=(25,), m=4,
                          random_configs=100)
-        envelope = run_snr_cdf(spec)
+        envelope = run_experiment(spec)
         for entry in envelope["results"]:
             pct = entry["percentiles_db"]
             assert pct["5"] <= pct["50"] <= pct["95"]
@@ -146,7 +161,7 @@ class TestSnrStudies:
 class TestQuantizationGap:
     def test_gap_shrinks_with_bits(self, tmp_path):
         spec = make_spec("quantization-gap", tmp_path, trials=8, n_values=(60,), m=4)
-        envelope = run_quantization_gap(spec)
+        envelope = run_experiment(spec)
         gaps = {r["bits"]: r["mean_gap_db"] for r in envelope["results"]}
         assert gaps[1] > gaps[2] > gaps[4]
         assert gaps[4] < 0.2
@@ -156,7 +171,7 @@ class TestTiming:
     def test_subquadratic_growth_and_schema(self, tmp_path):
         spec = make_spec("timing", tmp_path, trials=3, n_values=(50, 200, 800),
                          random_configs=50)
-        run_timing(spec)
+        run_experiment(spec)
         header, rows = read_csv(tmp_path / "timing.csv")
         assert header == ["n", "method", "trials", "total_seconds",
                           "mean_seconds", "mean_objective"]
@@ -169,8 +184,8 @@ class TestTiming:
     def test_solver_outputs_reproducible(self, tmp_path):
         s1 = make_spec("timing", tmp_path / "a", trials=2, n_values=(30,), random_configs=50)
         s2 = make_spec("timing", tmp_path / "b", trials=2, n_values=(30,), random_configs=50)
-        run_timing(s1)
-        run_timing(s2)
+        run_experiment(s1)
+        run_experiment(s2)
         _, r1 = read_csv(tmp_path / "a/timing.csv")
         _, r2 = read_csv(tmp_path / "b/timing.csv")
         # objective columns match; wall-clock columns may not
@@ -180,25 +195,50 @@ class TestTiming:
 class TestOracleCheck:
     def test_all_match(self, tmp_path):
         spec = make_spec("oracle-check", tmp_path, trials=25)
-        envelope = run_oracle_check(spec)
+        envelope = run_experiment(spec)
         summary = envelope["results"][0]
         assert summary["das_matches"] == summary["das_trials"] == 25
         assert summary["linf_matches"] == summary["linf_trials"] == 25
         assert not (tmp_path / "oracle_check_failures.json").exists()
 
+    def test_mismatch_dumps_the_instance(self, tmp_path, monkeypatch):
+        # a DaS that overstates its objective fails every das trial; serial,
+        # so the trials run the patched function
+        monkeypatch.setenv("UNIMOD_THREADS", "1")
+        real = bench.das_maximize
+
+        def overstated(v, dps):
+            pv, obj = real(v, dps)
+            return pv, obj + 1.0
+
+        monkeypatch.setattr(bench, "das_maximize", overstated)
+        envelope = run_experiment(make_spec("oracle-check", tmp_path, trials=3))
+        summary = envelope["results"][0]
+        assert summary["das_matches"] == 0 and summary["linf_matches"] == 3
+        failures = json.loads((tmp_path / "oracle_check_failures.json").read_text())
+        assert [(f["check"], f["trial"]) for f in failures] == [("das", t) for t in range(3)]
+        _, rows = read_csv(tmp_path / "oracle_check.csv")
+        for f in failures:
+            row = next(r for r in rows if r[0] == "das" and r[1] == f["trial"])
+            assert row[7] == 0 and f["bits"] == row[4] and len(f["v"]) == row[3]
+
 
 class TestHarness:
-    def test_dispatch_and_envelope(self, tmp_path):
-        spec = make_spec("lifting-stat", tmp_path, trials=3)
-        envelope = run_experiment(spec)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dispatch_and_envelope(self, tmp_path, kind):
+        envelope = run_experiment(make_spec(kind, tmp_path, **SMALL[kind]))
         assert envelope["git_like_version"]
-        assert envelope["spec"]["kind"] == "lifting-stat"
-        on_disk = json.loads((tmp_path / "lifting_stat.json").read_text())
+        assert envelope["spec"]["kind"] == kind
+        experiment = EXPERIMENTS[kind]
+        on_disk = json.loads((tmp_path / f"{experiment.stem}.json").read_text())
         assert on_disk == envelope
+        header, rows = read_csv(tmp_path / f"{experiment.stem}.csv")
+        assert header == list(experiment.header)
+        assert rows and all(len(row) == len(header) for row in rows)
 
     def test_csv_round_trip(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=5)
-        run_lifting_stat(spec)
+        run_experiment(spec)
         path = tmp_path / "lifting_stat.csv"
         _, rows = read_csv(path)
         # floats survive emit -> parse exactly (shortest-repr round trip)
@@ -211,9 +251,9 @@ class TestHarness:
 
     def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNIMOD_THREADS", "1")
-        run_lifting_stat(make_spec("lifting-stat", tmp_path / "serial", trials=8))
+        run_experiment(make_spec("lifting-stat", tmp_path / "serial", trials=8))
         monkeypatch.setenv("UNIMOD_THREADS", "2")
-        run_lifting_stat(make_spec("lifting-stat", tmp_path / "parallel", trials=8))
+        run_experiment(make_spec("lifting-stat", tmp_path / "parallel", trials=8))
         assert (tmp_path / "serial/lifting_stat.csv").read_bytes() == \
             (tmp_path / "parallel/lifting_stat.csv").read_bytes()
 
@@ -230,4 +270,4 @@ class TestHarness:
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNIMOD_THREADS", "lots")
         with pytest.raises(InvalidArgumentError):
-            run_lifting_stat(make_spec("lifting-stat", tmp_path, trials=4))
+            run_experiment(make_spec("lifting-stat", tmp_path, trials=4))

@@ -124,6 +124,13 @@ class TestBenchCommand:
         summary = report["results"][0]
         assert summary["das_matches"] == 10 and summary["linf_matches"] == 10
 
+    @pytest.mark.parametrize("flag", ["--nmax", "--random-configs"])
+    def test_nonpositive_count_exits_2_naming_it(self, tmp_path, capsys, flag):
+        code = main(["bench", "--experiment", "oracle-check", flag, "0", "--trials", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_unknown_experiment_exits_2_listing_names(self, capsys):
         assert main(["bench", "--experiment", "bogus", "--out", "x"]) == 2
         err = capsys.readouterr().err
@@ -142,5 +149,7 @@ class TestBenchCommand:
     def test_help_exits_0(self, capsys):
         assert main(["solve", "--help"]) == 0
         out = capsys.readouterr().out
-        for flag in ("--p", "--bits", "--tol", "--max-iter", "--seed", "--out"):
+        for flag in ("--p", "--bits", "--tol", "--max-iter", "--out"):
             assert flag in out
+        # solve is deterministic and has no use for a seed
+        assert "--seed" not in out

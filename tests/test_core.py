@@ -8,7 +8,6 @@ from unimod import (
     InvalidArgumentError,
     PhaseVector,
     Rng,
-    dual_exponent,
     nearest_lattice,
     norm_lp,
     sample_complex_gaussian,
@@ -174,8 +173,3 @@ class TestNorms:
             z = rng.normal(size=n) + 1j * rng.normal(size=n)
             z = z / norm_lp(z, q)
             assert abs(np.vdot(z, x)) <= norm_lp(x, p) + 1e-9
-
-    def test_dual_exponent(self):
-        assert dual_exponent(1) == math.inf
-        assert dual_exponent(2) == 2
-        assert dual_exponent(math.inf) == 1
