@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -31,7 +31,7 @@ from ._version import __version__
 from .core import DiscretePhaseSet, Rng, norm_lp, normalize_p, sample_complex_gaussian
 from .das import das_maximize
 from .errors import InvalidArgumentError
-from .oracle import exhaustive_inner, exhaustive_norm, random_search
+from .oracle import MAX_EXHAUSTIVE_BITS, exhaustive_inner, exhaustive_norm, random_search
 from .ris import RisInstance, build_problem
 from .serialize import dump_json, matrix_to_json, vector_to_json
 from .solver import (
@@ -47,6 +47,9 @@ from .solver import (
 #: strict-improvement threshold and the rounding-loss floor below which the
 #: relative lifting gain is recorded as undefined
 GAIN_EPS = 1e-12
+
+#: oracle-check instances have at most this many elements
+_ORACLE_NMAX = 8
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,15 @@ class ExperimentSpec:
                 f"variance must be finite and positive, got {self.variance!r}")
         if experiment.p2_only and normalize_p(self.p) != 2.0:
             raise InvalidArgumentError(f"{self.kind} always solves with p = 2, got p = {self.p!r}")
+        for name in ("n_values", "bits"):
+            if name not in experiment.sweeps and len(getattr(self, name)) > 1:
+                raise InvalidArgumentError(
+                    f"{self.kind} runs one value of {name}, got {getattr(self, name)!r}")
+        if (self.kind == "oracle-check"
+                and max(self.bits) * min(self.nmax, _ORACLE_NMAX) > MAX_EXHAUSTIVE_BITS):
+            raise InvalidArgumentError(
+                f"bits up to {max(self.bits)} at n up to {min(self.nmax, _ORACLE_NMAX)} exceed "
+                f"the exhaustive search's 2^{MAX_EXHAUSTIVE_BITS} guard")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
@@ -87,9 +99,11 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class Experiment:
     """One row of the EXPERIMENTS table: `rows(spec)` builds the CSV rows and
-    `summarize(spec, rows)` the envelope's results. `p2_only` kinds always
-    solve with p = 2: received SNR is a p = 2 quantity, and timing measures
-    the same SNR pipeline."""
+    `summarize(spec, rows)` the envelope's results. `sweeps` names the spec
+    fields among n_values and bits that the experiment runs over; it takes
+    one value of the others. `p2_only` kinds always solve with p = 2:
+    received SNR is a p = 2 quantity, and timing measures the same SNR
+    pipeline."""
 
     stem: str
     header: tuple[str, ...]
@@ -97,6 +111,7 @@ class Experiment:
     summarize: Callable[[ExperimentSpec, list], list]
     notes: tuple[str, ...]
     defaults: dict
+    sweeps: tuple[str, ...] = ()
     p2_only: bool = False
 
 
@@ -114,24 +129,11 @@ def make_spec(kind: str, out_dir, **overrides) -> ExperimentSpec:
     return ExperimentSpec(kind=kind, out_dir=out_dir, **params)
 
 
-@dataclass(frozen=True)
-class LiftingRecord:
-    """Costs around one hard-rounding event.
-
-    `gain` is (lifted - rounded) / (unrounded - rounded), or None when the
-    rounding loss is below 1e-12 and the ratio is undefined.
-    """
-
-    unrounded: float
-    rounded: float
-    lifted: float
-    gain: float | None = field(default=None)
-
-    @staticmethod
-    def from_costs(unrounded: float, rounded: float, lifted: float) -> "LiftingRecord":
-        loss = unrounded - rounded
-        gain = (lifted - rounded) / loss if loss >= GAIN_EPS else None
-        return LiftingRecord(unrounded, rounded, lifted, gain)
+def _lifting_gain(unrounded: float, rounded: float, lifted: float) -> float | None:
+    """(lifted - rounded) / (unrounded - rounded), or None when the rounding
+    loss is below GAIN_EPS and the ratio is undefined."""
+    loss = unrounded - rounded
+    return (lifted - rounded) / loss if loss >= GAIN_EPS else None
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +263,8 @@ def _lifting_trial(spec: ExperimentSpec, trial: int) -> list:
     rng = Rng(spec.seed, stream=trial)
     a = sample_complex_gaussian(rng, spec.m, spec.n_values[0], spec.variance)
     result = default_pipeline(a, DiscretePhaseSet(spec.bits[0]), spec.p)
-    rec = LiftingRecord.from_costs(result.unrounded_cost, result.rounded_cost,
-                                   result.final_cost)
-    return [(trial, rec.unrounded, rec.rounded, rec.lifted, rec.gain)]
+    costs = (result.unrounded_cost, result.rounded_cost, result.final_cost)
+    return [(trial, *costs, _lifting_gain(*costs))]
 
 
 def _lifting_summary(spec: ExperimentSpec, rows) -> list:
@@ -338,11 +339,11 @@ def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     rng = Rng(spec.seed, stream=trial)
     inst = _nlos_channel(rng, spec.n_values[0], spec.m, spec.variance)
     a = build_problem(inst).matrix
-    cont = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
-    cont_db = _snr_db(cont.final_cost, inst)
+    results = [default_pipeline(a, DiscretePhaseSet(bits), 2) for bits in spec.bits]
+    # every pipeline runs the same continuous warm start
+    cont_db = _snr_db(results[0].unrounded_cost, inst)
     rows = []
-    for bits in spec.bits:
-        result = default_pipeline(a, DiscretePhaseSet(bits), 2)
+    for bits, result in zip(spec.bits, results):
         pipe_db = _snr_db(result.final_cost, inst)
         rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db))
     return rows
@@ -397,7 +398,7 @@ def _oracle_das_trial(spec: ExperimentSpec, trial: int) -> list:
     """One (row, failure) pair; the failure is None when DaS matches."""
     rng = Rng(spec.seed, stream=trial)
     g = rng.generator
-    n = int(g.integers(1, min(spec.nmax, 8) + 1))
+    n = int(g.integers(1, min(spec.nmax, _ORACLE_NMAX) + 1))
     bits = int(spec.bits[g.integers(0, len(spec.bits))])
     v = sample_complex_gaussian(rng, 1, n, spec.variance).ravel()
     dps = DiscretePhaseSet(bits)
@@ -415,7 +416,7 @@ def _oracle_linf_trial(spec: ExperimentSpec, trial: int) -> list:
     rng = Rng(spec.seed, stream=(1 << 40) | trial)
     g = rng.generator
     m = int(g.integers(1, min(spec.m, 6) + 1))
-    n = int(g.integers(1, min(spec.nmax, 8) + 1))
+    n = int(g.integers(1, min(spec.nmax, _ORACLE_NMAX) + 1))
     bits = int(bits_choices[g.integers(0, len(bits_choices))])
     a = sample_complex_gaussian(rng, m, n, spec.variance)
     dps = DiscretePhaseSet(bits)
@@ -465,15 +466,16 @@ EXPERIMENTS: dict[str, Experiment] = {
         dict(trials=500, m=10, n_values=(100,), bits=(1,))),
     "snr-vs-n": Experiment(
         "snr_vs_n", _SNR_HEADER, _snr_rows, _snr_vs_n_summary, _SNR_NOTES,
-        dict(trials=100, m=32, n_values=(50, 100, 200), bits=(1,)), p2_only=True),
+        dict(trials=100, m=32, n_values=(50, 100, 200), bits=(1,)),
+        sweeps=("n_values",), p2_only=True),
     "snr-cdf": Experiment(
         "snr_cdf", _SNR_HEADER, _snr_rows, _snr_cdf_summary, _SNR_NOTES,
-        dict(trials=200, m=32, n_values=(200,), bits=(2,)), p2_only=True),
+        dict(trials=200, m=32, n_values=(200,), bits=(2,)), sweeps=("n_values",), p2_only=True),
     "quantization-gap": Experiment(
         "quantization_gap",
         ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db"),
         partial(_map_trials, _gap_trial), _gap_summary, (_CONTINUOUS_REFERENCE, _SNR_CONVENTION),
-        dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)), p2_only=True),
+        dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)), sweeps=("bits",), p2_only=True),
     "timing": Experiment(
         "timing",
         ("n", "method", "trials", "total_seconds", "mean_seconds", "mean_objective"),
@@ -481,13 +483,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         ("wall-clock fields vary run to run; mean_objective is reproducible",
          "timers exclude channel generation and file I/O"),
         dict(trials=20, m=32, n_values=(10, 50, 100, 200, 500, 1000), bits=(1,),
-             random_configs=1000), p2_only=True),
+             random_configs=1000), sweeps=("n_values",), p2_only=True),
     "oracle-check": Experiment(
         "oracle_check",
         ("check", "trial", "m", "n", "bits", "solver_objective", "oracle_objective", "match"),
         _oracle_rows, _oracle_summary,
         ("mismatching instances, if any, are dumped alongside",),
-        dict(trials=100, m=6, n_values=(8,), bits=(1, 2, 3))),
+        dict(trials=100, m=6, n_values=(8,), bits=(1, 2, 3)), sweeps=("bits",)),
 }
 KINDS = tuple(EXPERIMENTS)
 

@@ -46,17 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--p", type=_norm_arg, default=2.0, help="norm selector: 1, 2 or inf (default 2)")
     solve.add_argument("--bits", type=int, default=None,
                        help="lattice bits B; omit for a continuous solve (p in {1, 2} only)")
-    solve.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance (default 1e-10)")
-    solve.add_argument("--max-iter", type=int, default=500, help="iteration cap (default 500)")
-    solve.add_argument("--out", default=None, help="result file (default: stdout)")
 
     sris = sub.add_parser("solve-ris", help="optimize a RIS channel instance file")
     sris.add_argument("instance", help="JSON RIS instance file")
     sris.add_argument("--bits", type=int, required=True, help="lattice bits B")
     sris.add_argument("--p", type=_norm_arg, default=2.0, help="norm for the phase optimization (default 2)")
-    sris.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance (default 1e-10)")
-    sris.add_argument("--max-iter", type=int, default=500, help="iteration cap (default 500)")
-    sris.add_argument("--out", default=None, help="result file (default: stdout)")
+    for cmd in (solve, sris):
+        cmd.add_argument("--tol", type=float, default=SolveConfig.tolerance,
+                         help="convergence tolerance (default %(default)s)")
+        cmd.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations,
+                         help="iteration cap (default %(default)s)")
+        cmd.add_argument("--out", default=None, help="result file (default: stdout)")
 
     oracle = sub.add_parser("oracle", help="exhaustive-search reference on a matrix file")
     oracle.add_argument("matrix", help="JSON matrix file: nested rows of [re, im] pairs")

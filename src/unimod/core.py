@@ -135,8 +135,6 @@ class Rng:
     advancing a shared state.
     """
 
-    algorithm = "philox4x64"
-
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise InvalidArgumentError("seed and stream must be nonnegative")
@@ -218,6 +216,16 @@ def normalize_p(p) -> float:
     if p in (1.0, 2.0) or math.isinf(p):
         return p
     raise InvalidArgumentError(f"norm selector must be 1, 2 or inf, got {p!r}")
+
+
+def row_norms(y: np.ndarray, p: float) -> np.ndarray:
+    """l1 / l2 / l-infinity norm of each row of a 2-d complex array, for a
+    p already through `normalize_p`."""
+    if p == 1.0:
+        return np.abs(y).sum(axis=1)
+    if p == 2.0:
+        return np.linalg.norm(y, axis=1)
+    return np.abs(y).max(axis=1)
 
 
 def norm_lp(x, p) -> float:

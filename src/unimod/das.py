@@ -20,7 +20,7 @@ the choice therefore does not depend on the scale of v.
 `_das_indices` is the kernel: it takes a raw complex vector and returns int64
 lattice indices, with no validation and no PhaseVector. `das_maximize`
 validates its input once and wraps the kernel; the discrete solver calls the
-kernel directly on every iteration.
+kernel directly on every iteration, and the l-infinity solver once per row.
 
 The inner product here, as everywhere in this package, is conjugate-linear in
 the first argument. The region construction below follows the classical
@@ -29,8 +29,6 @@ takes the angles of conj(v).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,24 +40,20 @@ from .errors import DegenerateInputError
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """Internal sweep state for S(Omega) = sum_i c_i exp(j*Omega_i).
+def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
+    """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
+    raw complex vector `v`, 0 at its zero entries."""
+    mag = np.abs(v)
+    nz = np.flatnonzero(mag > 0.0)
+    if nz.size == 0:
+        raise DegenerateInputError("all magnitudes are zero")
+    # rebuilt from polar form, not conj(v) itself: the two differ in the
+    # last bit, and the running sum's rounding decides between tied candidates
+    c = mag[nz] * np.exp(1j * wrap_phase(np.angle(np.conj(v[nz]))))
 
-    Sweep edge e crosses element order[e % n_eff] for the (e // n_eff)-th
-    time, so candidate e (the state after crossing edges 0..e-1) is k0 plus
-    one for every crossing made so far.
-    """
-
-    k0: np.ndarray        # initial lattice indices (candidate at psi = 0)
-    order: np.ndarray     # stable argsort of the first edges
-    objs: np.ndarray      # |S| per candidate, sweep order
-
-
-def _sweep(c: np.ndarray, dps: DiscretePhaseSet) -> _Sweep:
-    # c: nonzero complex weights. Element i prefers Omega with
-    # angle(c_i) + Omega near the alignment angle psi, so its center set is
-    # {angle(c_i) + k*delta} and its edges sit half a step off the centers.
+    # Element i prefers Omega with angle(c_i) + Omega near the alignment
+    # angle psi, so its center set is {angle(c_i) + k*delta} and its edges
+    # sit half a step off the centers.
     delta, levels = dps.step, dps.levels
     tau = wrap_phase(np.angle(c))
     tred = np.mod(tau, delta)                  # fmod is exact, stays < delta
@@ -78,34 +72,22 @@ def _sweep(c: np.ndarray, dps: DiscretePhaseSet) -> _Sweep:
     phase_before = (k0[order][None, :] + ks) * delta
     d = c[order][None, :] * np.exp(1j * phase_before) * (np.exp(1j * delta) - 1.0)
 
+    # objs[e] is |S| of candidate e, the state after crossing edges 0..e-1
     s0 = complex(np.sum(c * np.exp(1j * (k0 * delta))))
     running = s0 + np.cumsum(d.ravel())
     objs = np.abs(np.concatenate(([s0], running[:-1])))
-    return _Sweep(k0, order, objs)
 
-
-def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
-    """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
-    raw complex vector `v`, 0 at its zero entries."""
-    mag = np.abs(v)
-    nz = np.flatnonzero(mag > 0.0)
-    if nz.size == 0:
-        raise DegenerateInputError("all magnitudes are zero")
-    # rebuilt from polar form, not conj(v) itself: the two differ in the
-    # last bit, and the running sum's rounding decides between tied candidates
-    c = mag[nz] * np.exp(1j * wrap_phase(np.angle(np.conj(v[nz]))))
-    sw = _sweep(c, dps)
-
-    best = sw.objs.max()
-    j = int(np.argmax(sw.objs >= best * (1.0 - TIE_TOL)))
-    # candidate j has crossed j // n_eff whole levels plus the first
+    best = objs.max()
+    j = int(np.argmax(objs >= best * (1.0 - TIE_TOL)))
+    # edge e crosses element order[e % n_eff] for the (e // n_eff)-th time,
+    # so candidate j has crossed j // n_eff whole levels plus the first
     # j % n_eff edges of the next one
     laps, extra = divmod(j, nz.size)
     counts = np.full(nz.size, laps, dtype=np.int64)
-    counts[sw.order[:extra]] += 1
+    counts[order[:extra]] += 1
 
     full = np.zeros(v.size, dtype=np.int64)
-    full[nz] = (sw.k0 + counts) % dps.levels
+    full[nz] = (k0 + counts) % levels
     return full
 
 

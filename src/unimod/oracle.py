@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePhaseSet, PhaseVector, Rng, as_complex_matrix, as_complex_vector, normalize_p
+from .core import (DiscretePhaseSet, PhaseVector, Rng, as_complex_matrix, as_complex_vector,
+                   normalize_p, row_norms)
 from .errors import InvalidArgumentError, SizeLimitError
 
 #: refuse exhaustive enumerations beyond 2^24 configurations
@@ -67,33 +68,34 @@ def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
     return OracleResult(PhaseVector.from_indices(idx, dps), objective, total)
 
 
+def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, batches) -> tuple[np.ndarray, float]:
+    """Best configuration and objective ||A exp(j*Omega)||_p over `batches`
+    of lattice index rows; the first hit wins ties."""
+    at = a.T.copy()
+    phase_table = np.exp(1j * dps.values)
+    best_val = -1.0
+    best_idx: np.ndarray | None = None
+    for digits in batches:
+        vals = row_norms(phase_table[digits] @ at, p)
+        local = int(np.argmax(vals))
+        if vals[local] > best_val:
+            best_val = float(vals[local])
+            best_idx = digits[local].copy()
+    assert best_idx is not None
+    return best_idx, best_val
+
+
 def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
     """Maximum of ||A exp(j*Omega)||_p by enumerating all of Delta^n."""
     a = as_complex_matrix(a)
     p = normalize_p(p)
     n = a.shape[1]
     total = _guard(n, dps)
-    at = a.T.copy()
-    phase_table = np.exp(1j * dps.values)
-
-    best_val = -1.0
-    best_flat = -1
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = _decode(flat, n, dps.levels)
-        y = phase_table[digits] @ at
-        if p == 1.0:
-            vals = np.abs(y).sum(axis=1)
-        elif p == 2.0:
-            vals = np.linalg.norm(y, axis=1)
-        else:
-            vals = np.abs(y).max(axis=1)
-        local = int(np.argmax(vals))
-        if vals[local] > best_val:
-            best_val = float(vals[local])
-            best_flat = int(flat[local])
-    idx = _decode(np.array([best_flat]), n, dps.levels)[0]
-    return OracleResult(PhaseVector.from_indices(idx, dps), best_val, total)
+    batches = (_decode(np.arange(start, min(start + _CHUNK, total), dtype=np.int64),
+                       n, dps.levels)
+               for start in range(0, total, _CHUNK))
+    idx, best = _scan(a, dps, p, batches)
+    return OracleResult(PhaseVector.from_indices(idx, dps), best, total)
 
 
 def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleResult:
@@ -102,28 +104,8 @@ def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleR
     p = normalize_p(p)
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    n = a.shape[1]
-    at = a.T.copy()
-    phase_table = np.exp(1j * dps.values)
     g = rng.generator
-
-    best_val = -1.0
-    best_idx: np.ndarray | None = None
-    remaining = trials
-    while remaining > 0:
-        batch = min(remaining, _CHUNK)
-        digits = g.integers(0, dps.levels, size=(batch, n))
-        y = phase_table[digits] @ at
-        if p == 1.0:
-            vals = np.abs(y).sum(axis=1)
-        elif p == 2.0:
-            vals = np.linalg.norm(y, axis=1)
-        else:
-            vals = np.abs(y).max(axis=1)
-        local = int(np.argmax(vals))
-        if vals[local] > best_val:
-            best_val = float(vals[local])
-            best_idx = digits[local].copy()
-        remaining -= batch
-    assert best_idx is not None
-    return OracleResult(PhaseVector.from_indices(best_idx, dps), best_val, trials)
+    batches = (g.integers(0, dps.levels, size=(min(trials - done, _CHUNK), a.shape[1]))
+               for done in range(0, trials, _CHUNK))
+    idx, best = _scan(a, dps, p, batches)
+    return OracleResult(PhaseVector.from_indices(idx, dps), best, trials)

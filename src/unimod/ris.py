@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DiscretePhaseSet, PhaseVector, as_complex_matrix, as_complex_vector, norm_lp
 from .errors import InvalidArgumentError
-from .solver import PipelineResult, SolveConfig, default_pipeline
+from .solver import PipelineResult, SolveConfig, _lattice_phase_vector, default_pipeline
 from . import serialize
 
 
@@ -57,10 +57,6 @@ class RisInstance:
     @property
     def n_units(self) -> int:
         return self.h_ue_ris.size
-
-    @property
-    def n_antennas(self) -> int:
-        return self.h_ris_bs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,11 @@ def build_problem(inst: RisInstance) -> BeamformingProblem:
 def derotate(pv: PhaseVector, dps: DiscretePhaseSet) -> PhaseVector:
     """Fold the auxiliary phase into the unit phases: Omega_i - Omega_last.
 
-    Works in index space, so lattice membership is preserved exactly.
+    Works in index space, so lattice membership is preserved exactly. `pv`
+    must lie on `dps`; indices of another lattice are rejected.
     """
-    if pv.indices is None:
-        raise InvalidArgumentError("de-rotation expects a lattice configuration")
-    idx = (pv.indices[:-1] - pv.indices[-1]) % dps.levels
+    idx = _lattice_phase_vector(pv, dps).indices
+    idx = (idx[:-1] - idx[-1]) % dps.levels
     return PhaseVector.from_indices(idx, dps)
 
 

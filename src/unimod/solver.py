@@ -15,12 +15,13 @@ The public solvers validate their input and build PhaseVectors once, outside
 it. Inside, A^H is formed once per solve, the witness and the cost come from
 w = A x with plain numpy, and the iterate is carried in its cheapest form:
 phasors x = u / |u| in continuous mode (1 where u == 0), lattice indices from
-the divide-and-sort kernel in discrete mode. Two equal consecutive iterates
-are an exact fixed point.
+the divide-and-sort kernel in discrete mode. The loop stops once a step
+raises the cost by at most the tolerance; an exact fixed point raises it by
+nothing.
 
 For the l-infinity objective no alternation is needed: the maximum over rows
-commutes with the maximum over configurations, so one exact divide-and-sort
-pass per row settles the problem globally.
+commutes with the maximum over configurations, so one divide-and-sort kernel
+call per row settles the problem globally.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .core import (
     nearest_lattice,
     norm_lp,
     normalize_p,
+    row_norms,
     wrap_phase,
 )
-from .das import _das_indices, das_maximize
+from .das import _das_indices
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedNormError
 
 
@@ -73,10 +75,13 @@ class SolveTrace:
     """
 
     costs: np.ndarray
-    iterations: int
     termination: str            # "converged" or "iteration-cap"
     phases: PhaseVector
     witness: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        return self.costs.size - 1
 
     @property
     def final_cost(self) -> float:
@@ -153,12 +158,12 @@ def _lattice_phase_vector(omega0, dps: DiscretePhaseSet) -> PhaseVector:
         idx = omega0.indices
         if (np.any(idx < 0) or np.any(idx >= dps.levels)
                 or not np.array_equal(omega0.values, idx * dps.step)):
-            raise InvalidArgumentError("starting point's indices are not on this phase lattice")
+            raise InvalidArgumentError("phase indices are not on this phase lattice")
         return omega0
     pv = _as_phase_vector(omega0)
     idx = nearest_lattice(pv.values, dps)
     if not np.allclose(pv.values, np.asarray(idx) * dps.step, atol=1e-12):
-        raise InvalidArgumentError("starting point is not on the phase lattice")
+        raise InvalidArgumentError("phases are not on the phase lattice")
     return PhaseVector.from_indices(idx, dps)
 
 
@@ -172,21 +177,23 @@ def _alternate(a: np.ndarray, cfg: SolveConfig, state: np.ndarray, step, phasors
     """Shared alternating loop on raw arrays.
 
     `state` is the iterate in its mode's own form, `phasors(state)` gives
-    exp(j*Omega) and `step(u)` maps u = A^H z to the next state; two equal
-    consecutive states are an exact fixed point. Returns the cost sequence,
-    the termination, the last state and its dual witness.
+    exp(j*Omega) and `step(u)` maps u = A^H z to the next state. Returns the
+    cost sequence, the termination, the last state and its dual witness.
     """
+    if math.isinf(cfg.p):
+        raise UnsupportedNormError("p = inf has an exact non-iterative solver, use solve_linf")
+    if state.size != a.shape[1]:
+        raise InvalidArgumentError("starting point length does not match the matrix")
     ah = a.conj().T
     z, cost = _witness(a @ phasors(state), cfg.p)
     costs = [cost]
     termination = "iteration-cap"
     for _ in range(cfg.max_iterations):
-        nxt = step(ah @ z)
-        z, cost = _witness(a @ phasors(nxt), cfg.p)
+        state = step(ah @ z)
+        z, cost = _witness(a @ phasors(state), cfg.p)
         costs.append(cost)
-        fixed = np.array_equal(nxt, state)
-        state = nxt
-        if fixed or abs(costs[-1] - costs[-2]) <= cfg.tolerance:
+        # a fixed point repeats its cost exactly, so it stops here too
+        if costs[-1] - costs[-2] <= cfg.tolerance:
             termination = "converged"
             break
     return np.asarray(costs), termination, state, z
@@ -200,19 +207,14 @@ def solve_discrete(a, cfg: SolveConfig, omega0) -> SolveTrace:
     lattice indices; each step is one divide-and-sort kernel call.
     """
     a = as_complex_matrix(a)
-    if math.isinf(cfg.p):
-        raise UnsupportedNormError("p = inf has an exact non-iterative solver, use solve_linf")
     if cfg.dps is None:
         raise InvalidArgumentError("solve_discrete needs a DiscretePhaseSet in the config")
     dps = cfg.dps
     pv0 = _lattice_phase_vector(omega0, dps)
-    if len(pv0) != a.shape[1]:
-        raise InvalidArgumentError("starting point length does not match the matrix")
-
     table = np.exp(1j * dps.values)
     costs, termination, idx, z = _alternate(
         a, cfg, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k])
-    return SolveTrace(costs, costs.size - 1, termination, PhaseVector.from_indices(idx, dps), z)
+    return SolveTrace(costs, termination, PhaseVector.from_indices(idx, dps), z)
 
 
 def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
@@ -223,15 +225,10 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
     The loop carries phasors: each step is x = u / |u|, 1 where u == 0.
     """
     a = as_complex_matrix(a)
-    if math.isinf(cfg.p):
-        raise UnsupportedNormError("p = inf has an exact non-iterative solver, use solve_linf")
     pv0 = _as_phase_vector(omega0)
-    if len(pv0) != a.shape[1]:
-        raise InvalidArgumentError("starting point length does not match the matrix")
-
     costs, termination, x, z = _alternate(
         a, cfg, pv0.phasors(), lambda u: _unit(u, np.abs(u)), lambda x: x)
-    return SolveTrace(costs, costs.size - 1, termination, PhaseVector(wrap_phase(np.angle(x))), z)
+    return SolveTrace(costs, termination, PhaseVector(wrap_phase(np.angle(x))), z)
 
 
 def hard_round(omega, dps: DiscretePhaseSet) -> PhaseVector:
@@ -246,37 +243,37 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
 
     The max over rows commutes with the max over configurations, so each
     row's inner product is maximized independently and the best row wins.
-    Zero rows are skipped; all-zero matrices are degenerate.
+    Zero rows are skipped; all-zero matrices are degenerate. Of rows with
+    equal objectives the first wins.
     """
     a = as_complex_matrix(a)
-    best: tuple[PhaseVector, int, float] | None = None
+    best: tuple[np.ndarray, int, float] | None = None
     for i in range(a.shape[0]):
         row = a[i, :]
         if not np.any(row):
             continue
-        pv, obj = das_maximize(np.conj(row), dps)
+        v = np.conj(row)
+        idx = _das_indices(v, dps)
+        obj = float(np.abs(np.vdot(v, np.exp(1j * (idx * dps.step)))))
         if best is None or obj > best[2]:
-            best = (pv, i, obj)
+            best = (idx, i, obj)
     if best is None:
         raise DegenerateInputError("every row of A is zero")
-    return best
+    idx, i, obj = best
+    return PhaseVector.from_indices(idx, dps), i, obj
 
 
 def deterministic_init(a, p) -> PhaseVector:
     """Phase start aligning the dominant row: Omega_0 = angle(A^H e_i*).
 
-    i* is the row with the largest l2 norm for p = 2 and largest l1 norm for
-    p = 1. The indicator e_i* is a unit vector in every dual norm, and for a
-    single-row matrix this start is already the continuous optimum.
+    i* is the row with the largest l1 norm for p = 1 and largest l2 norm
+    otherwise. The indicator e_i* is a unit vector in every dual norm, and for
+    a single-row matrix this start is already the continuous optimum.
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
-    row_norms = (np.abs(a).sum(axis=1) if p == 1.0
-                 else np.linalg.norm(a, axis=1))
-    i_star = int(np.argmax(row_norms))
-    u = np.conj(a[i_star, :])
-    ang = np.where(np.abs(u) > 0, np.angle(u), 0.0)
-    return PhaseVector(wrap_phase(ang))
+    i_star = int(np.argmax(row_norms(a, 1.0 if p == 1.0 else 2.0)))
+    return continuous_phase_step(np.conj(a[i_star, :]))
 
 
 def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None) -> PipelineResult:

@@ -12,7 +12,6 @@ from unimod.bench import (
     EXPERIMENTS,
     KINDS,
     ExperimentSpec,
-    LiftingRecord,
     make_spec,
     read_csv,
     run_experiment,
@@ -62,6 +61,33 @@ class TestSpec:
         with pytest.raises(InvalidArgumentError, match=field):
             make_spec("oracle-check", "out", trials=1, **{field: value})
 
+    @pytest.mark.parametrize("kind,field", [
+        ("convergence", "n_values"), ("convergence", "bits"),
+        ("lifting-stat", "n_values"), ("lifting-stat", "bits"),
+        ("snr-vs-n", "bits"), ("snr-cdf", "bits"), ("timing", "bits"),
+        ("quantization-gap", "n_values"), ("oracle-check", "n_values"),
+    ])
+    def test_rejects_second_value_of_unused_field(self, kind, field):
+        # the experiment would run the first value only while its envelope
+        # recorded all of them
+        assert len(getattr(make_spec(kind, "out", **{field: (1,)}), field)) == 1
+        with pytest.raises(InvalidArgumentError, match=field):
+            make_spec(kind, "out", **{field: (1, 3)})
+
+    @pytest.mark.parametrize("kind,field", [
+        ("snr-vs-n", "n_values"), ("snr-cdf", "n_values"), ("timing", "n_values"),
+        ("quantization-gap", "bits"), ("oracle-check", "bits"),
+    ])
+    def test_accepts_several_values_of_swept_field(self, kind, field):
+        assert getattr(make_spec(kind, "out", **{field: (1, 3)}), field) == (1, 3)
+
+    def test_oracle_check_rejects_sizes_beyond_the_exhaustive_guard(self):
+        # n * B may reach 24 bits, the exhaustive search's limit, and no more
+        assert make_spec("oracle-check", "out", bits=(3,)).bits == (3,)
+        assert make_spec("oracle-check", "out", bits=(4,), nmax=6).nmax == 6
+        with pytest.raises(InvalidArgumentError, match="bits"):
+            make_spec("oracle-check", "out", bits=(1, 4))
+
     @pytest.mark.parametrize("kind", ["snr-vs-n", "snr-cdf", "quantization-gap", "timing"])
     def test_p2_only_kinds_reject_other_norms(self, kind):
         # these runners always solve with p = 2; an envelope claiming another
@@ -72,14 +98,13 @@ class TestSpec:
                 make_spec(kind, "out", p=p)
 
 
-class TestLiftingRecord:
+class TestLiftingGain:
     def test_gain_defined(self):
-        rec = LiftingRecord.from_costs(10.0, 8.0, 9.0)
-        assert rec.gain == pytest.approx(0.5)
+        assert bench._lifting_gain(10.0, 8.0, 9.0) == pytest.approx(0.5)
 
     def test_gain_undefined_below_floor(self):
-        assert LiftingRecord.from_costs(10.0, 10.0, 10.0).gain is None
-        assert LiftingRecord.from_costs(10.0, 10.0 + 1e-13, 10.5).gain is None
+        assert bench._lifting_gain(10.0, 10.0, 10.0) is None
+        assert bench._lifting_gain(10.0, 10.0 + 1e-13, 10.5) is None
 
 
 class TestConvergence:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unimod import SolveConfig
 from unimod.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -131,6 +132,20 @@ class TestBenchCommand:
         assert code == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_value_the_experiment_ignores_exits_2(self, tmp_path, capsys):
+        code = main(["bench", "--experiment", "lifting-stat", "--bits", "1", "3",
+                     "--trials", "2", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "bits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_size_beyond_guard_exits_2_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["bench", "--experiment", "oracle-check", "--bits", "4", "--trials", "20",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_unknown_experiment_exits_2_listing_names(self, capsys):
         assert main(["bench", "--experiment", "bogus", "--out", "x"]) == 2
         err = capsys.readouterr().err
@@ -151,5 +166,7 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         for flag in ("--p", "--bits", "--tol", "--max-iter", "--out"):
             assert flag in out
+        assert f"(default {SolveConfig.tolerance})" in out
+        assert f"(default {SolveConfig.max_iterations})" in out
         # solve is deterministic and has no use for a seed
         assert "--seed" not in out

@@ -113,6 +113,14 @@ class TestDerotate:
         with pytest.raises(InvalidArgumentError):
             derotate(PhaseVector(np.array([0.1, 0.2])), DiscretePhaseSet(1))
 
+    def test_rejects_indices_of_another_lattice(self):
+        # B = 3 indices read on B = 2 would name other phases: [5, 1, 7, 3]
+        # means pi/2, 3pi/2, pi after de-rotation, not pi, pi, 0
+        pv = PhaseVector.from_indices([5, 1, 7, 3], DiscretePhaseSet(3))
+        with pytest.raises(InvalidArgumentError):
+            derotate(pv, DiscretePhaseSet(2))
+        assert np.array_equal(derotate(pv, DiscretePhaseSet(3)).indices, [2, 6, 4])
+
 
 class TestSolveRis:
     def test_matches_exhaustive_on_small_los(self):
