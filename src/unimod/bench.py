@@ -36,6 +36,7 @@ from .ris import RisInstance, build_problem
 from .serialize import dump_json, matrix_to_json, vector_to_json
 from .solver import (
     SolveConfig,
+    _round_and_lift,
     default_pipeline,
     deterministic_init,
     hard_round,
@@ -339,11 +340,12 @@ def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     rng = Rng(spec.seed, stream=trial)
     inst = _nlos_channel(rng, spec.n_values[0], spec.m, spec.variance)
     a = build_problem(inst).matrix
-    results = [default_pipeline(a, DiscretePhaseSet(bits), 2) for bits in spec.bits]
-    # every pipeline runs the same continuous warm start
-    cont_db = _snr_db(results[0].unrounded_cost, inst)
+    # one warm start, lifted onto each lattice as default_pipeline would
+    continuous = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
+    cont_db = _snr_db(continuous.final_cost, inst)
     rows = []
-    for bits, result in zip(spec.bits, results):
+    for bits in spec.bits:
+        result = _round_and_lift(a, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
         pipe_db = _snr_db(result.final_cost, inst)
         rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db))
     return rows

@@ -150,16 +150,20 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
+def _mod_two_pi(th: np.ndarray) -> np.ndarray:
+    """`wrap_phase` of a finite float array, without the check."""
+    out = np.mod(th, TWO_PI)
+    # np.mod can round a tiny negative input up to exactly 2*pi
+    return np.where(out >= TWO_PI, 0.0, out)
+
+
 def wrap_phase(theta):
     """Reduce radians into [0, 2*pi).
 
     Accepts scalars or arrays; raises on non-finite input. Idempotent:
     values already in range pass through unchanged.
     """
-    th = _as_float_array(theta)
-    out = np.mod(th, TWO_PI)
-    # np.mod can round a tiny negative input up to exactly 2*pi
-    out = np.where(out >= TWO_PI, 0.0, out)
+    out = _mod_two_pi(_as_float_array(theta))
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return float(out)
     return out

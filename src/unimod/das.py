@@ -13,14 +13,20 @@ first_i + k*delta with first_i in (0, delta], so one stable argsort of the n
 first edges, repeated for each of the 2^B levels, lists all n * 2^B edges in
 ascending order. A sweep over the arcs then updates the running sum with one
 subtract-add per edge (a cumulative sum), so the whole search costs
-O(n log n + n * 2^B). Candidates whose objectives lie within a relative
-TIE_TOL of the best count as tied, and the one met first in the sweep wins;
-the choice therefore does not depend on the scale of v.
+O(n log n + n * 2^B). An edge's increment needs the element's phasor just
+before the crossing, exp(j*(m*delta)) for an integer m < 2^(B+1), so one
+2^(B+1)-entry phasor table serves every edge. No transcendental function runs
+per edge, and since each entry is the same exp of the same m*delta, the
+increments and the running sum keep the bits of a per-edge exp. Candidates
+whose objectives lie within a relative TIE_TOL of the best count as tied, and
+the one met first in the sweep wins; the choice therefore does not depend on
+the scale of v.
 
 `_das_indices` is the kernel: it takes a raw complex vector and returns int64
-lattice indices, with no validation and no PhaseVector. `das_maximize`
-validates its input once and wraps the kernel; the discrete solver calls the
-kernel directly on every iteration, and the l-infinity solver once per row.
+lattice indices, with no validation and no PhaseVector, so its input must
+be finite. `das_maximize` validates its input once and wraps the kernel; the
+discrete solver calls the kernel directly on every iteration, and the
+l-infinity solver once per row.
 
 The inner product here, as everywhere in this package, is conjugate-linear in
 the first argument. The region construction below follows the classical
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DiscretePhaseSet, PhaseVector, as_complex_vector, wrap_phase
+from .core import DiscretePhaseSet, PhaseVector, _mod_two_pi, as_complex_vector
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
@@ -47,15 +53,13 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     nz = np.flatnonzero(mag > 0.0)
     if nz.size == 0:
         raise DegenerateInputError("all magnitudes are zero")
-    # rebuilt from polar form, not conj(v) itself: the two differ in the
-    # last bit, and the running sum's rounding decides between tied candidates
-    c = mag[nz] * np.exp(1j * wrap_phase(np.angle(np.conj(v[nz]))))
+    c = np.conj(v[nz])
 
     # Element i prefers Omega with angle(c_i) + Omega near the alignment
     # angle psi, so its center set is {angle(c_i) + k*delta} and its edges
     # sit half a step off the centers.
     delta, levels = dps.step, dps.levels
-    tau = wrap_phase(np.angle(c))
+    tau = _mod_two_pi(np.angle(c))
     tred = np.mod(tau, delta)                  # fmod is exact, stays < delta
     shift = np.rint((tau - tred) / delta).astype(np.int64)
 
@@ -67,13 +71,15 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     # edge k of element i lies in (k*delta, (k+1)*delta], so the sweep takes
     # the levels one after another and, within a level, the order of `first`
     order = np.argsort(first, kind="stable")
+    # table[m] = exp(j*(m*delta)); an element's index before its k-th
+    # crossing is k0 + k < 2*levels, and the crossing multiplies its phasor
+    # by exp(j*delta) = table[1]
+    table = np.exp(1j * (np.arange(2 * levels) * delta))
     ks = np.arange(levels)[:, None]
-    # phase of each element just before its k-th crossing, sweep order
-    phase_before = (k0[order][None, :] + ks) * delta
-    d = c[order][None, :] * np.exp(1j * phase_before) * (np.exp(1j * delta) - 1.0)
+    d = c[order][None, :] * table[k0[order][None, :] + ks] * (table[1] - 1.0)
 
     # objs[e] is |S| of candidate e, the state after crossing edges 0..e-1
-    s0 = complex(np.sum(c * np.exp(1j * (k0 * delta))))
+    s0 = complex(np.sum(c * table[k0]))
     running = s0 + np.cumsum(d.ravel())
     objs = np.abs(np.concatenate(([s0], running[:-1])))
 

@@ -54,10 +54,6 @@ class RisInstance:
         if not (self.power > 0 and self.sigma2 > 0):
             raise InvalidArgumentError("transmit power and noise variance must be positive")
 
-    @property
-    def n_units(self) -> int:
-        return self.h_ue_ris.size
-
 
 @dataclass(frozen=True)
 class BeamformingProblem:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    TWO_PI,
     DiscretePhaseSet,
     PhaseVector,
     as_complex_matrix,
@@ -162,7 +163,9 @@ def _lattice_phase_vector(omega0, dps: DiscretePhaseSet) -> PhaseVector:
         return omega0
     pv = _as_phase_vector(omega0)
     idx = nearest_lattice(pv.values, dps)
-    if not np.allclose(pv.values, np.asarray(idx) * dps.step, atol=1e-12):
+    # circular distance: 2*pi - 1e-13 is 1e-13 away from the lattice point 0
+    gap = np.abs(pv.values - idx * dps.step)
+    if np.any(np.minimum(gap, TWO_PI - gap) > 1e-12):
         raise InvalidArgumentError("phases are not on the phase lattice")
     return PhaseVector.from_indices(idx, dps)
 
@@ -247,6 +250,7 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
     equal objectives the first wins.
     """
     a = as_complex_matrix(a)
+    table = np.exp(1j * dps.values)
     best: tuple[np.ndarray, int, float] | None = None
     for i in range(a.shape[0]):
         row = a[i, :]
@@ -254,7 +258,7 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
             continue
         v = np.conj(row)
         idx = _das_indices(v, dps)
-        obj = float(np.abs(np.vdot(v, np.exp(1j * (idx * dps.step)))))
+        obj = float(np.abs(np.vdot(v, table[idx])))
         if best is None or obj > best[2]:
             best = (idx, i, obj)
     if best is None:
@@ -293,9 +297,15 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
         cfg = replace(cfg, p=p, dps=dps)
     cont_cfg = replace(cfg, dps=None)
 
-    start = deterministic_init(a, p)
-    continuous = solve_continuous(a, cont_cfg, start)
-    rounded = hard_round(continuous.phases, dps)
-    rounded_cost = norm_lp(a @ rounded.phasors(), p)
+    continuous = solve_continuous(a, cont_cfg, deterministic_init(a, p))
+    return _round_and_lift(a, cfg, continuous)
+
+
+def _round_and_lift(a: np.ndarray, cfg: SolveConfig, continuous: SolveTrace) -> PipelineResult:
+    """The pipeline after its warm start: hard-round the continuous solution
+    onto cfg.dps, then lift. `a` is validated and cfg.p in {1, 2}; callers
+    that lift one warm start onto several lattices call this once per lattice."""
+    rounded = hard_round(continuous.phases, cfg.dps)
+    rounded_cost = norm_lp(a @ rounded.phasors(), cfg.p)
     lifted = solve_discrete(a, cfg, rounded)
     return PipelineResult(lifted, continuous, rounded, rounded_cost)

@@ -9,7 +9,9 @@ from unimod import (
     Rng,
     das_maximize,
     sample_complex_gaussian,
+    wrap_phase,
 )
+from unimod.das import TIE_TOL, _das_indices
 from unimod.oracle import exhaustive_inner
 
 
@@ -116,10 +118,117 @@ class TestDasMaximize:
             das_maximize(np.zeros(4, dtype=complex), DiscretePhaseSet(1))
 
     def test_exact_tie_instances_pick_earliest(self):
-        # symmetric instance with many optimal configurations; the result is
-        # deterministic and still optimal
-        v = np.ones(4)
-        pv1, obj1 = das_maximize(v, DiscretePhaseSet(1))
-        pv2, obj2 = das_maximize(v, DiscretePhaseSet(1))
-        assert np.array_equal(pv1.indices, pv2.indices)
-        assert obj1 == pytest.approx(4.0)
+        # every global rotation of the optimum ties with it; the sweep meets
+        # the one at psi = 0 first
+        for v, bits, expected in (
+            (np.ones(4), 1, [0, 0, 0, 0]),
+            (np.array([1, 1j, -1, -1j]), 2, [0, 1, 2, 3]),
+            (np.array([-1, 1, -1]), 1, [1, 0, 1]),
+        ):
+            pv, obj = das_maximize(v, DiscretePhaseSet(bits))
+            assert pv.indices.tolist() == expected
+            assert obj == pytest.approx(float(np.sum(np.abs(v))))
+
+
+def _per_edge_exp_indices(v, dps, polar=False):
+    """DaS with a per-edge exp: the increments and s0 each take exp of their
+    phase products. c is conj(v), or with `polar` rebuilt from polar form as
+    it was before the phasor table."""
+    mag = np.abs(v)
+    nz = np.flatnonzero(mag > 0.0)
+    c = np.conj(v[nz])
+    if polar:
+        c = mag[nz] * np.exp(1j * wrap_phase(np.angle(c)))
+    delta, levels = dps.step, dps.levels
+    tau = wrap_phase(np.angle(c))
+    tred = np.mod(tau, delta)
+    shift = np.rint((tau - tred) / delta).astype(np.int64)
+    m0 = np.where(tred <= 0.5 * delta, 0, -1)
+    k0 = (m0 - shift) % levels
+    order = np.argsort(tred + (m0 + 0.5) * delta, kind="stable")
+    phase_before = (k0[order][None, :] + np.arange(levels)[:, None]) * delta
+    d = c[order][None, :] * np.exp(1j * phase_before) * (np.exp(1j * delta) - 1.0)
+    s0 = complex(np.sum(c * np.exp(1j * (k0 * delta))))
+    objs = np.abs(np.concatenate(([s0], (s0 + np.cumsum(d.ravel()))[:-1])))
+    j = int(np.argmax(objs >= objs.max() * (1.0 - TIE_TOL)))
+    laps, extra = divmod(j, nz.size)
+    counts = np.full(nz.size, laps, dtype=np.int64)
+    counts[order[:extra]] += 1
+    full = np.zeros(v.size, dtype=np.int64)
+    full[nz] = (k0 + counts) % levels
+    return full
+
+
+class TestPhasorTableKernel:
+    """The kernel takes its edge increments from a phasor table; its answers
+    must be those of the per-edge exp, bit for bit, ties included."""
+
+    @staticmethod
+    def vectors(family, bits):
+        for k in range(25):
+            g = np.random.default_rng([83, bits, k])
+            n = int(g.integers(1, 600))
+            gauss = g.standard_normal(n) + 1j * g.standard_normal(n)
+            if family == "gaussian":
+                yield gauss
+            elif family == "lattice":
+                # small integer magnitudes at multiples of pi/8: ties everywhere
+                yield g.integers(1, 4, n) * np.exp(0.125j * math.pi * g.integers(0, 16, n))
+            elif family == "partly-zero":
+                gauss[g.random(n) < 0.3] = 0.0
+                gauss[0] = 1.0 - 1.0j
+                yield gauss
+            else:
+                yield float(family) * gauss
+
+    @pytest.mark.parametrize("family", ["gaussian", "lattice", "partly-zero", "1e-13", "1e12"])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_same_indices_as_per_edge_exp(self, family, bits):
+        # the formula before the table, polar c included: away from the tie
+        # threshold conj(v) and the polar rebuild choose alike
+        dps = DiscretePhaseSet(bits)
+        for v in self.vectors(family, bits):
+            expected = _per_edge_exp_indices(v, dps, polar=True)
+            assert np.array_equal(_das_indices(v, dps), expected)
+
+    @staticmethod
+    def turned(v, eta):
+        out = v.copy()
+        out[-1] *= np.exp(1j * eta)
+        return out
+
+    def tie_boundary(self, v, dps):
+        """Adjacent floats eta in [0, 1e-10] on either side of which the
+        reference answers differently for v with its last entry turned by
+        eta, or None. Between them a candidate's objective crosses the tie
+        threshold, so the answer there rests on the running sum's last bits."""
+        ref = lambda eta: _per_edge_exp_indices(self.turned(v, eta), dps)
+        low = ref(0.0)
+        lo, hi = np.array([0.0, 1e-10]).view(np.int64)
+        if np.array_equal(ref(1e-10), low):
+            return None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if np.array_equal(ref(np.int64(mid).view(np.float64)), low):
+                lo = mid
+            else:
+                hi = mid
+        return np.array([lo, hi]).view(np.float64)
+
+    def test_same_indices_at_the_tie_threshold(self):
+        # the per-edge exp on the kernel's own c: here an increment one ulp
+        # off changes the answer, so this pins the table's bits
+        boundaries = 0
+        for k in range(40):
+            g = np.random.default_rng([84, k])
+            dps = DiscretePhaseSet(int(g.integers(1, 5)))
+            n = int(g.integers(2, 9))
+            v = g.integers(1, 3, n) * np.exp(0.5j * dps.step * g.integers(0, 2 * dps.levels, n))
+            etas = self.tie_boundary(v, dps)
+            if etas is None:
+                continue
+            boundaries += 1
+            for eta in (np.nextafter(etas[0], 0), *etas, np.nextafter(etas[1], 1)):
+                w = self.turned(v, eta)
+                assert np.array_equal(_das_indices(w, dps), _per_edge_exp_indices(w, dps))
+        assert boundaries >= 10

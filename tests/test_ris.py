@@ -229,4 +229,5 @@ class TestJsonInterface:
         nlos = load_instance(DATA / "ris_nlos.json")
         los = load_instance(DATA / "ris_los.json")
         assert nlos.h_d is None and los.h_d is not None
-        assert nlos.n_units == los.n_units == 6
+        assert nlos.h_ue_ris.size == los.h_ue_ris.size == 6
+        assert build_problem(nlos).n_units == build_problem(los).n_units == 6

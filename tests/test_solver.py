@@ -152,6 +152,17 @@ class TestSolveDiscrete:
         with pytest.raises(InvalidArgumentError):
             solve_discrete(a, SolveConfig(p=2, dps=dps), PhaseVector(np.array([0.1, 0.0])))
 
+    @pytest.mark.parametrize("first", [1e-13, 2 * math.pi - 1e-13])
+    def test_lattice_start_within_1e12_of_a_point(self, first):
+        # 2*pi - 1e-13 is the lattice point 0 approached from the other side
+        a = np.ones((2, 3), dtype=complex)
+        dps = DiscretePhaseSet(2)
+        trace = solve_discrete(a, SolveConfig(p=2, dps=dps), [first, math.pi / 2, 0.0])
+        assert trace.costs[0] == pytest.approx(norm_lp(a @ np.exp(1j * np.array(
+            [0.0, math.pi / 2, 0.0])), 2), rel=1e-12)
+        with pytest.raises(InvalidArgumentError):
+            solve_discrete(a, SolveConfig(p=2, dps=dps), [first - 1e-9, math.pi / 2, 0.0])
+
     def test_start_from_another_lattice_rejected(self):
         # indices of a B = 3 start read on B = 2 would name other phases
         a = sample_complex_gaussian(Rng(24), 3, 5, 1.0)
@@ -312,6 +323,16 @@ class TestSolveLinf:
         best_pv, best = das_maximize(np.conj(big[0]), dps)
         assert obj == best
         assert np.array_equal(pv.indices, best_pv.indices)
+
+    def test_objective_is_the_winning_rows_inner_product(self):
+        a = sample_complex_gaussian(Rng(18), 5, 300, 1.0)
+        for bits in (1, 2, 3, 4):
+            dps = DiscretePhaseSet(bits)
+            pv, row, obj = solve_linf(a, dps)
+            x = np.exp(1j * (pv.indices * dps.step))
+            # np.abs, not the builtin abs: on a complex128 the two can
+            # differ in the last bit
+            assert obj == np.abs(np.vdot(np.conj(a[row]), x))
 
     def test_matches_exhaustive_4x6(self):
         for t in range(15):
