@@ -2,11 +2,14 @@
 
 Every experiment is a row of the EXPERIMENTS table, driven by an
 ExperimentSpec; `run_experiment` writes its CSV table plus a JSON envelope
-into the output directory. All randomness flows through (seed, stream) pairs
-where the stream is derived from the trial index, so results are
-bit-identical across reruns and independent of how many workers execute the
-trials. Timing numbers are the one exception: wall-clock fields vary run to
-run, everything else in the timing table is reproducible.
+into the output directory. The envelope records the spec, the results and
+the environment: Python and numpy versions, CPU count, the worker count that
+ran the trials and the git commit (null outside a checkout). All randomness
+flows through (seed, stream) pairs where the stream is derived from the
+trial index, so results are bit-identical across reruns and independent of
+how many workers execute the trials. Timing numbers are the one exception:
+wall-clock fields vary run to run, everything else in the timing table is
+reproducible.
 
 Desk-scale trial counts are the defaults; the full-scale studies behind the
 shipped figures need nothing more than a larger --trials.
@@ -17,10 +20,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+import platform
+import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -51,6 +56,9 @@ GAIN_EPS = 1e-12
 
 #: oracle-check instances have at most this many elements
 _ORACLE_NMAX = 8
+
+#: root of the git checkout this module runs from, if it runs from one
+_CHECKOUT = Path(__file__).resolve().parents[2]
 
 
 @dataclass(frozen=True)
@@ -100,9 +108,10 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class Experiment:
     """One row of the EXPERIMENTS table: `rows(spec)` builds the CSV rows and
-    `summarize(spec, rows)` the envelope's results. `sweeps` names the spec
-    fields among n_values and bits that the experiment runs over; it takes
-    one value of the others. `p2_only` kinds always solve with p = 2:
+    returns them with the number of worker processes that ran the trials,
+    and `summarize(spec, rows)` builds the envelope's results. `sweeps` names
+    the spec fields among n_values and bits that the experiment runs over;
+    it takes one value of the others. `p2_only` kinds always solve with p = 2:
     received SNR is a p = 2 quantity, and timing measures the same SNR
     pipeline."""
 
@@ -152,9 +161,11 @@ def _worker_count() -> int:
     return cpus
 
 
-def _map_trials(fn, spec: ExperimentSpec, tasks=None) -> list:
+def _map_trials(fn, spec: ExperimentSpec, tasks=None) -> tuple[list, int]:
     """Run the module-level worker `fn(spec, task)` over `tasks` (default: the
     trial indices) and concatenate the row lists it returns, in task order.
+    Returns the rows and the number of worker processes that ran the tasks,
+    1 when they ran in this process.
 
     Results are independent of the worker count because every task derives
     its randomness from its own (seed, stream) pair.
@@ -162,12 +173,13 @@ def _map_trials(fn, spec: ExperimentSpec, tasks=None) -> list:
     tasks = list(range(spec.trials) if tasks is None else tasks)
     workers = min(_worker_count(), len(tasks))
     if workers <= 1 or len(tasks) < 4:
+        workers = 1
         chunks = [fn(spec, task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(fn, repeat(spec), tasks,
                                    chunksize=max(1, len(tasks) // (4 * workers))))
-    return [row for rows in chunks for row in rows]
+    return [row for rows in chunks for row in rows], workers
 
 
 def _fmt(x) -> str:
@@ -209,7 +221,21 @@ def read_csv(path) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _envelope(spec: ExperimentSpec, results, notes) -> dict:
+@cache
+def _commit() -> str | None:
+    """HEAD of the git checkout this module runs from, or None outside one
+    or without git. Asked once per process."""
+    if not (_CHECKOUT / ".git").exists():
+        return None
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=_CHECKOUT,
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() or None
+
+
+def _envelope(spec: ExperimentSpec, results, notes, workers: int) -> dict:
     doc = asdict(spec)
     doc["out_dir"] = str(spec.out_dir)
     doc["n_values"] = list(spec.n_values)
@@ -218,6 +244,9 @@ def _envelope(spec: ExperimentSpec, results, notes) -> dict:
     return {
         "spec": doc,
         "git_like_version": __version__,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "cpu_count": os.cpu_count(), "workers": workers,
+                        "commit": _commit()},
         "results": results,
         "notes": list(notes),
     }
@@ -302,7 +331,7 @@ def _snr_trial(spec: ExperimentSpec, task: tuple[int, int]) -> list:
                                  ("zero", zero_cost))]
 
 
-def _snr_rows(spec: ExperimentSpec) -> list:
+def _snr_rows(spec: ExperimentSpec) -> tuple[list, int]:
     """Per-trial SNR of the pipeline and its baselines, for every unit count."""
     tasks = [(block, t) for block in range(len(spec.n_values)) for t in range(spec.trials)]
     return _map_trials(_snr_trial, spec, tasks)
@@ -362,11 +391,12 @@ def _gap_summary(spec: ExperimentSpec, rows) -> list:
 # ---------------------------------------------------------------------------
 # timing
 
-def _timing_rows(spec: ExperimentSpec) -> list:
+def _timing_rows(spec: ExperimentSpec) -> tuple[list, int]:
     """Wall-clock cost of the pipeline and the random baseline per unit count.
 
-    Runs serially on purpose; channel generation and I/O sit outside the
-    timers. Objective columns are reproducible, second columns are not.
+    Runs serially on purpose, so with one worker; channel generation and I/O
+    sit outside the timers. Objective columns are reproducible, second
+    columns are not.
     """
     dps = DiscretePhaseSet(spec.bits[0])
     rows = []
@@ -385,7 +415,7 @@ def _timing_rows(spec: ExperimentSpec) -> list:
             total = time.perf_counter() - t0
             rows.append((n, method, spec.trials, total, total / spec.trials,
                          float(np.mean(objs))))
-    return rows
+    return rows, 1
 
 
 def _timing_summary(spec: ExperimentSpec, rows) -> list:
@@ -430,14 +460,15 @@ def _oracle_linf_trial(spec: ExperimentSpec, trial: int) -> list:
     return [(("linf", trial, m, n, bits, obj, ref.objective, int(match)), failure)]
 
 
-def _oracle_rows(spec: ExperimentSpec) -> list:
+def _oracle_rows(spec: ExperimentSpec) -> tuple[list, int]:
     """Exactness audit: divide-and-sort and the l-infinity solver against
     exhaustive enumeration. Mismatches dump the failing instance as JSON."""
-    pairs = _map_trials(_oracle_das_trial, spec) + _map_trials(_oracle_linf_trial, spec)
-    failures = [failure for _, failure in pairs if failure is not None]
+    das, das_workers = _map_trials(_oracle_das_trial, spec)
+    linf, linf_workers = _map_trials(_oracle_linf_trial, spec)
+    failures = [failure for _, failure in das + linf if failure is not None]
     if failures:
         dump_json(spec.out_dir / "oracle_check_failures.json", failures)
-    return [row for row, _ in pairs]
+    return [row for row, _ in das + linf], max(das_workers, linf_workers)
 
 
 def _oracle_summary(spec: ExperimentSpec, rows) -> list:
@@ -459,7 +490,9 @@ EXPERIMENTS: dict[str, Experiment] = {
     "convergence": Experiment(
         "convergence", ("trial", "mode", "p", "iter", "cost"),
         partial(_map_trials, _convergence_trial), _convergence_summary,
-        ("costs are listed per iteration; every trace is non-decreasing",),
+        ("costs are listed per iteration; every trace is non-decreasing",
+         "a continuous iteration is one SQUAREM cycle of three map evaluations, "
+         "a discrete iteration one map evaluation"),
         dict(trials=3, m=10, n_values=(100,), bits=(2,))),
     "lifting-stat": Experiment(
         "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain"),
@@ -501,8 +534,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     spec.out_dir and return the envelope."""
     experiment = EXPERIMENTS[spec.kind]
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    rows = experiment.rows(spec)
+    rows, workers = experiment.rows(spec)
     _write_csv(spec.out_dir / f"{experiment.stem}.csv", experiment.header, rows)
-    envelope = _envelope(spec, experiment.summarize(spec, rows), experiment.notes)
+    envelope = _envelope(spec, experiment.summarize(spec, rows), experiment.notes, workers)
     dump_json(spec.out_dir / f"{experiment.stem}.json", envelope)
     return envelope

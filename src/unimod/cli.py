@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--tol", type=float, default=SolveConfig.tolerance,
                          help="convergence tolerance (default %(default)s)")
         cmd.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations,
-                         help="iteration cap (default %(default)s)")
+                         help="iteration cap (default %(default)s): lift steps, and SQUAREM "
+                              "cycles of three map evaluations in the continuous warm start")
         cmd.add_argument("--out", default=None, help="result file (default: stdout)")
 
     oracle = sub.add_parser("oracle", help="exhaustive-search reference on a matrix file")

@@ -261,6 +261,19 @@ class TestHarness:
         assert header == list(experiment.header)
         assert rows and all(len(row) == len(header) for row in rows)
 
+    @pytest.mark.parametrize("threads,workers", [("1", 1), ("2", 2)])
+    def test_envelope_records_the_environment(self, tmp_path, monkeypatch, threads, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("UNIMOD_THREADS", threads)
+        env = run_experiment(make_spec("lifting-stat", tmp_path, trials=4))["environment"]
+        assert set(env) == {"python", "numpy", "cpu_count", "workers", "commit"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == 2
+        assert env["workers"] == workers
+        assert env["commit"] is None or len(env["commit"]) == 40
+        # the timing runner never starts a pool
+        timing = run_experiment(make_spec("timing", tmp_path, **SMALL["timing"]))
+        assert timing["environment"]["workers"] == 1
+
     def test_csv_round_trip(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=5)
         run_experiment(spec)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,57 @@ class TestSolveContinuous:
         assert np.all(np.diff(trace.costs) >= -1e-9)
         assert trace.termination == "converged"
 
+    def test_32x1000_converges_before_the_cap(self):
+        # 500 plain steps stopped short of the tolerance here
+        a = sample_complex_gaussian(Rng(970_000, 4), 32, 1000, 1.0)
+        trace = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
+        assert trace.termination == "converged"
+        assert trace.iterations < SolveConfig.max_iterations
+        assert np.all(np.diff(trace.costs) >= -1e-9)
+
+    def test_tiny_scale_witness_does_not_underflow(self):
+        # ||w||_2 of |w| near 1e-170 underflows to 0 in the sum of squares
+        a = sample_complex_gaussian(Rng(3), 8, 40, 1.0)
+        start = deterministic_init(a, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = solve_continuous(1e-170 * a, SolveConfig(p=2), start)
+            z = dual_witness(1e-170 * (a @ start.phasors()), 2)
+            default_pipeline(1e-170 * a, DiscretePhaseSet(2), 2)
+        assert np.all(np.isfinite(trace.costs))
+        assert trace.costs[0] == pytest.approx(1e-170 * norm_lp(a @ start.phasors(), 2),
+                                               rel=1e-12)
+        assert z == pytest.approx(dual_witness(a @ start.phasors(), 2), rel=1e-12)
+
+
+def squarem_by_hand(a, p, start, cycles):
+    """The continuous solver's iterations composed from the public steps:
+    SQUAREM cycles of `dual_witness` plus `continuous_phase_step` map steps,
+    projected by phase alignment. Returns the costs, the end point and the
+    branch each cycle took (True where it kept the extrapolated point)."""
+    q = math.inf if p == 1 else 2
+
+    def step(pv):
+        return continuous_phase_step(a.conj().T @ dual_witness(a @ pv.phasors(), q))
+
+    def cost(pv):
+        return norm_lp(a @ pv.phasors(), p)
+
+    pv, costs, accepted = start, [cost(start)], []
+    for _ in range(cycles):
+        pv1 = step(pv)
+        pv2 = step(pv1)
+        x0, x1, x2 = pv.phasors(), pv1.phasors(), pv2.phasors()
+        r = x1 - x0
+        v = x2 - x1 - r
+        nr, nv = np.linalg.norm(r), np.linalg.norm(v)
+        alpha = min(-nr / nv, -1.0) if nv > 0 else -1.0
+        extrapolated = continuous_phase_step(x0 - 2 * alpha * r + alpha ** 2 * v)
+        accepted.append(cost(extrapolated) >= cost(pv1))
+        pv = step(extrapolated if accepted[-1] else pv2)
+        costs.append(cost(pv))
+    return costs, pv, accepted
+
 
 class TestKernelEquivalence:
     """The solvers' inner loop against the public steps composed by hand."""
@@ -217,18 +269,29 @@ class TestKernelEquivalence:
     def test_continuous_matches_public_steps(self, p):
         a = sample_complex_gaussian(Rng(25), 8, 40, 1.0)
         start = deterministic_init(a, p)
-        # a tolerance no step meets: the run takes all six steps
+        # a tolerance no cycle meets: the run takes all six cycles
         trace = solve_continuous(a, SolveConfig(p=p, max_iterations=6, tolerance=1e-300), start)
+        costs, pv, _ = squarem_by_hand(a, p, start, trace.iterations)
         q = math.inf if p == 1 else 2
-        pv, costs = start, [norm_lp(a @ start.phasors(), p)]
-        for _ in range(trace.iterations):
-            z = dual_witness(a @ pv.phasors(), q)
-            pv = continuous_phase_step(a.conj().T @ z)
-            costs.append(norm_lp(a @ pv.phasors(), p))
         assert trace.iterations == 6
         assert trace.costs == pytest.approx(costs, rel=1e-12)
         assert trace.phases.phasors() == pytest.approx(pv.phasors(), abs=1e-12)
         assert trace.witness == pytest.approx(dual_witness(a @ pv.phasors(), q), abs=1e-12)
+
+    def test_continuous_cycles_take_both_branches(self):
+        # the extrapolated point is kept in most cycles and dropped for the
+        # plain double step in some (15 of 121 cycles in these runs); both
+        # paths match the hand composition
+        branches = set()
+        for t in range(6):
+            a = sample_complex_gaussian(Rng(27, t), 4, 30, 1.0)
+            for p in (1, 2):
+                start = deterministic_init(a, p)
+                trace = solve_continuous(a, SolveConfig(p=p), start)
+                costs, _, accepted = squarem_by_hand(a, p, start, trace.iterations)
+                assert trace.costs == pytest.approx(costs, rel=1e-12)
+                branches.update(accepted)
+        assert branches == {True, False}
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("bits", [1, 3])
