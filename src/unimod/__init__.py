@@ -36,7 +36,6 @@ from .ris import (
     build_problem,
     derotate,
     load_instance,
-    save_instance,
     snr,
     solve_ris,
 )
@@ -64,6 +63,6 @@ __all__ = [
     "default_pipeline", "derotate", "deterministic_init", "dual_witness",
     "exhaustive_inner", "exhaustive_norm", "hard_round", "load_instance",
     "nearest_lattice", "norm_lp", "normalize_p", "random_search",
-    "sample_complex_gaussian", "save_instance", "snr", "solve_continuous",
+    "sample_complex_gaussian", "snr", "solve_continuous",
     "solve_discrete", "solve_linf", "solve_ris", "wrap_phase",
 ]

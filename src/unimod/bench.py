@@ -13,6 +13,9 @@ reproducible.
 
 Desk-scale trial counts are the defaults; the full-scale studies behind the
 shipped figures need nothing more than a larger --trials.
+
+Each worker process starts its own BLAS threads, which oversubscribe a small
+machine and can make a run several times slower: set OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import platform
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
 from itertools import repeat
 from pathlib import Path
@@ -54,8 +57,9 @@ from .solver import (
 #: relative lifting gain is recorded as undefined
 GAIN_EPS = 1e-12
 
-#: oracle-check instances have at most this many elements
-_ORACLE_NMAX = 8
+#: spec fields only some experiments read; each Experiment's `reads` names
+#: those it does, and a spec leaves the others at their defaults
+_OPTIONAL_FIELDS = ("p", "n_values", "bits", "random_configs", "nmax")
 
 #: root of the git checkout this module runs from, if it runs from one
 _CHECKOUT = Path(__file__).resolve().parents[2]
@@ -79,6 +83,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         experiment = _experiment(self.kind)
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         for name in ("trials", "random_configs", "nmax"):
             if getattr(self, name) < 1:
                 raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)!r}")
@@ -89,31 +96,37 @@ class ExperimentSpec:
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise InvalidArgumentError(
                 f"variance must be finite and positive, got {self.variance!r}")
-        if experiment.p2_only and normalize_p(self.p) != 2.0:
-            raise InvalidArgumentError(f"{self.kind} always solves with p = 2, got p = {self.p!r}")
+        unread = [f"{f.name} (got {getattr(self, f.name)!r})" for f in fields(self)
+                  if f.name in _OPTIONAL_FIELDS and f.name not in experiment.reads
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise InvalidArgumentError(f"{self.kind} does not read {', '.join(unread)}")
+        if normalize_p(self.p) == math.inf:  # no experiment runs the p = inf solver
+            raise InvalidArgumentError(f"{self.kind} takes p = 1 or 2, got p = inf")
         for name in ("n_values", "bits"):
             if name not in experiment.sweeps and len(getattr(self, name)) > 1:
                 raise InvalidArgumentError(
                     f"{self.kind} runs one value of {name}, got {getattr(self, name)!r}")
-        if (self.kind == "oracle-check"
-                and max(self.bits) * min(self.nmax, _ORACLE_NMAX) > MAX_EXHAUSTIVE_BITS):
-            raise InvalidArgumentError(
-                f"bits up to {max(self.bits)} at n up to {min(self.nmax, _ORACLE_NMAX)} exceed "
-                f"the exhaustive search's 2^{MAX_EXHAUSTIVE_BITS} guard")
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        if self.kind == "oracle-check":
+            if self.nmax > 8 or self.m > 6:
+                raise InvalidArgumentError(
+                    f"oracle-check takes nmax <= 8 and m <= 6, got nmax {self.nmax}, m {self.m}")
+            if max(self.bits) * self.nmax > MAX_EXHAUSTIVE_BITS:
+                raise InvalidArgumentError(
+                    f"bits up to {max(self.bits)} at n up to {self.nmax} exceed "
+                    f"the exhaustive search's 2^{MAX_EXHAUSTIVE_BITS} guard")
 
 
 @dataclass(frozen=True)
 class Experiment:
     """One row of the EXPERIMENTS table: `rows(spec)` builds the CSV rows and
     returns them with the number of worker processes that ran the trials,
-    and `summarize(spec, rows)` builds the envelope's results. `sweeps` names
-    the spec fields among n_values and bits that the experiment runs over;
-    it takes one value of the others. `p2_only` kinds always solve with p = 2:
-    received SNR is a p = 2 quantity, and timing measures the same SNR
-    pipeline."""
+    and `summarize(spec, rows)` builds the envelope's results. `reads` names
+    the spec fields among p, n_values, bits, random_configs and nmax that the
+    experiment uses; a spec may not set the others. `sweeps` names those
+    among n_values and bits that it runs over; it takes one value of the
+    others. Only lifting-stat reads p: convergence runs p = 1 and p = 2
+    itself, and received SNR is a p = 2 quantity."""
 
     stem: str
     header: tuple[str, ...]
@@ -121,8 +134,8 @@ class Experiment:
     summarize: Callable[[ExperimentSpec, list], list]
     notes: tuple[str, ...]
     defaults: dict
+    reads: tuple[str, ...]
     sweeps: tuple[str, ...] = ()
-    p2_only: bool = False
 
 
 def _experiment(kind: str) -> Experiment:
@@ -198,29 +211,6 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def read_csv(path) -> tuple[list[str], list[list]]:
-    """Parse a table written by this module; floats round-trip exactly."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = []
-        for raw in reader:
-            parsed = []
-            for cell in raw:
-                if cell == "":
-                    parsed.append(None)
-                    continue
-                try:
-                    parsed.append(int(cell))
-                except ValueError:
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        parsed.append(cell)
-            rows.append(parsed)
-    return header, rows
-
-
 @cache
 def _commit() -> str | None:
     """HEAD of the git checkout this module runs from, or None outside one
@@ -235,12 +225,12 @@ def _commit() -> str | None:
     return proc.stdout.strip() or None
 
 
-def _envelope(spec: ExperimentSpec, results, notes, workers: int) -> dict:
-    doc = asdict(spec)
+def _envelope(spec: ExperimentSpec, experiment: Experiment, results, workers: int) -> dict:
+    """The JSON envelope; its spec lists only the fields the experiment reads."""
+    doc = {name: list(value) if isinstance(value, tuple) else value
+           for name, value in asdict(spec).items()
+           if name not in _OPTIONAL_FIELDS or name in experiment.reads}
     doc["out_dir"] = str(spec.out_dir)
-    doc["n_values"] = list(spec.n_values)
-    doc["bits"] = list(spec.bits)
-    doc["p"] = "inf" if math.isinf(spec.p) else spec.p
     return {
         "spec": doc,
         "git_like_version": __version__,
@@ -248,7 +238,7 @@ def _envelope(spec: ExperimentSpec, results, notes, workers: int) -> dict:
                         "cpu_count": os.cpu_count(), "workers": workers,
                         "commit": _commit()},
         "results": results,
-        "notes": list(notes),
+        "notes": list(experiment.notes),
     }
 
 
@@ -312,6 +302,10 @@ def _lifting_summary(spec: ExperimentSpec, rows) -> list:
 # ---------------------------------------------------------------------------
 # SNR studies
 
+#: the pipeline, its hard-rounded point, the best random draw, all phases 0
+_SNR_METHODS = ("pipeline", "rounded", "random", "zero")
+
+
 def _snr_trial(spec: ExperimentSpec, task: tuple[int, int]) -> list:
     block, trial = task
     n = spec.n_values[block]
@@ -324,11 +318,9 @@ def _snr_trial(spec: ExperimentSpec, task: tuple[int, int]) -> list:
     best_random = random_search(prob.matrix, dps, 2, spec.random_configs, rng)
     zero_cost = norm_lp(prob.matrix @ np.ones(n, dtype=complex), 2)
 
+    costs = (result.final_cost, result.rounded_cost, best_random.objective, zero_cost)
     return [(n, trial, method, float(cost), _snr_db(cost, inst))
-            for method, cost in (("pipeline", result.final_cost),
-                                 ("rounded", result.rounded_cost),
-                                 ("random", best_random.objective),
-                                 ("zero", zero_cost))]
+            for method, cost in zip(_SNR_METHODS, costs)]
 
 
 def _snr_rows(spec: ExperimentSpec) -> tuple[list, int]:
@@ -341,7 +333,7 @@ def _snr_vs_n_summary(spec: ExperimentSpec, rows) -> list:
     """Mean SNR against the unit count for the pipeline and baselines."""
     results = []
     for n in spec.n_values:
-        for method in ("pipeline", "rounded", "random", "zero"):
+        for method in _SNR_METHODS:
             vals = [r[4] for r in rows if r[0] == n and r[2] == method]
             results.append({"n": n, "method": method,
                             "mean_snr_db": float(np.mean(vals))})
@@ -351,7 +343,7 @@ def _snr_vs_n_summary(spec: ExperimentSpec, rows) -> list:
 def _snr_cdf_summary(spec: ExperimentSpec, rows) -> list:
     """SNR percentiles per method, for distribution plots."""
     results = []
-    for method in ("pipeline", "rounded", "random", "zero"):
+    for method in _SNR_METHODS:
         vals = sorted(r[4] for r in rows if r[2] == method)
         results.append({
             "method": method,
@@ -430,7 +422,7 @@ def _oracle_das_trial(spec: ExperimentSpec, trial: int) -> list:
     """One (row, failure) pair; the failure is None when DaS matches."""
     rng = Rng(spec.seed, stream=trial)
     g = rng.generator
-    n = int(g.integers(1, min(spec.nmax, _ORACLE_NMAX) + 1))
+    n = int(g.integers(1, spec.nmax + 1))
     bits = int(spec.bits[g.integers(0, len(spec.bits))])
     v = sample_complex_gaussian(rng, 1, n, spec.variance).ravel()
     dps = DiscretePhaseSet(bits)
@@ -444,12 +436,12 @@ def _oracle_das_trial(spec: ExperimentSpec, trial: int) -> list:
 
 def _oracle_linf_trial(spec: ExperimentSpec, trial: int) -> list:
     """One (row, failure) pair; the failure is None when solve_linf matches."""
-    bits_choices = tuple(b for b in spec.bits if b <= 2) or (1, 2)
+    widths = _linf_bits(spec)
     rng = Rng(spec.seed, stream=(1 << 40) | trial)
     g = rng.generator
-    m = int(g.integers(1, min(spec.m, 6) + 1))
-    n = int(g.integers(1, min(spec.nmax, _ORACLE_NMAX) + 1))
-    bits = int(bits_choices[g.integers(0, len(bits_choices))])
+    m = int(g.integers(1, spec.m + 1))
+    n = int(g.integers(1, spec.nmax + 1))
+    bits = int(widths[g.integers(0, len(widths))])
     a = sample_complex_gaussian(rng, m, n, spec.variance)
     dps = DiscretePhaseSet(bits)
     _, _, obj = solve_linf(a, dps)
@@ -460,11 +452,18 @@ def _oracle_linf_trial(spec: ExperimentSpec, trial: int) -> list:
     return [(("linf", trial, m, n, bits, obj, ref.objective, int(match)), failure)]
 
 
+def _linf_bits(spec: ExperimentSpec) -> tuple[int, ...]:
+    """The spec's bit widths the l-infinity audit draws from: those <= 2."""
+    return tuple(b for b in spec.bits if b <= 2)
+
+
 def _oracle_rows(spec: ExperimentSpec) -> tuple[list, int]:
     """Exactness audit: divide-and-sort and the l-infinity solver against
-    exhaustive enumeration. Mismatches dump the failing instance as JSON."""
+    exhaustive enumeration, the latter only when the spec has a bit width
+    <= 2. Mismatches dump the failing instance as JSON."""
     das, das_workers = _map_trials(_oracle_das_trial, spec)
-    linf, linf_workers = _map_trials(_oracle_linf_trial, spec)
+    linf, linf_workers = _map_trials(_oracle_linf_trial, spec,
+                                     range(spec.trials) if _linf_bits(spec) else ())
     failures = [failure for _, failure in das + linf if failure is not None]
     if failures:
         dump_json(spec.out_dir / "oracle_check_failures.json", failures)
@@ -485,6 +484,7 @@ _CONTINUOUS_REFERENCE = "continuous reference: this package's alternating contin
 _SNR_CONVENTION = "SNR convention: transmit power 1, noise variance 1"
 _SNR_HEADER = ("n", "trial", "method", "objective", "snr_db")
 _SNR_NOTES = ("NLoS channels, i.i.d. complex Gaussian entries", _SNR_CONVENTION)
+_SNR_READS = ("n_values", "bits", "random_configs")
 
 EXPERIMENTS: dict[str, Experiment] = {
     "convergence": Experiment(
@@ -493,24 +493,26 @@ EXPERIMENTS: dict[str, Experiment] = {
         ("costs are listed per iteration; every trace is non-decreasing",
          "a continuous iteration is one SQUAREM cycle of three map evaluations, "
          "a discrete iteration one map evaluation"),
-        dict(trials=3, m=10, n_values=(100,), bits=(2,))),
+        dict(trials=3, m=10, n_values=(100,), bits=(2,)), reads=("n_values", "bits")),
     "lifting-stat": Experiment(
         "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain"),
         partial(_map_trials, _lifting_trial), _lifting_summary,
         (_CONTINUOUS_REFERENCE, "gain is empty when the rounding loss is below 1e-12"),
-        dict(trials=500, m=10, n_values=(100,), bits=(1,))),
+        dict(trials=500, m=10, n_values=(100,), bits=(1,)), reads=("p", "n_values", "bits")),
     "snr-vs-n": Experiment(
         "snr_vs_n", _SNR_HEADER, _snr_rows, _snr_vs_n_summary, _SNR_NOTES,
         dict(trials=100, m=32, n_values=(50, 100, 200), bits=(1,)),
-        sweeps=("n_values",), p2_only=True),
+        reads=_SNR_READS, sweeps=("n_values",)),
     "snr-cdf": Experiment(
         "snr_cdf", _SNR_HEADER, _snr_rows, _snr_cdf_summary, _SNR_NOTES,
-        dict(trials=200, m=32, n_values=(200,), bits=(2,)), sweeps=("n_values",), p2_only=True),
+        dict(trials=200, m=32, n_values=(200,), bits=(2,)),
+        reads=_SNR_READS, sweeps=("n_values",)),
     "quantization-gap": Experiment(
         "quantization_gap",
         ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db"),
         partial(_map_trials, _gap_trial), _gap_summary, (_CONTINUOUS_REFERENCE, _SNR_CONVENTION),
-        dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)), sweeps=("bits",), p2_only=True),
+        dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)),
+        reads=("n_values", "bits"), sweeps=("bits",)),
     "timing": Experiment(
         "timing",
         ("n", "method", "trials", "total_seconds", "mean_seconds", "mean_objective"),
@@ -518,13 +520,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         ("wall-clock fields vary run to run; mean_objective is reproducible",
          "timers exclude channel generation and file I/O"),
         dict(trials=20, m=32, n_values=(10, 50, 100, 200, 500, 1000), bits=(1,),
-             random_configs=1000), sweeps=("n_values",), p2_only=True),
+             random_configs=1000), reads=_SNR_READS, sweeps=("n_values",)),
     "oracle-check": Experiment(
         "oracle_check",
         ("check", "trial", "m", "n", "bits", "solver_objective", "oracle_objective", "match"),
         _oracle_rows, _oracle_summary,
         ("mismatching instances, if any, are dumped alongside",),
-        dict(trials=100, m=6, n_values=(8,), bits=(1, 2, 3)), sweeps=("bits",)),
+        dict(trials=100, m=6, bits=(1, 2, 3)), reads=("bits", "nmax"), sweeps=("bits",)),
 }
 KINDS = tuple(EXPERIMENTS)
 
@@ -536,6 +538,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     rows, workers = experiment.rows(spec)
     _write_csv(spec.out_dir / f"{experiment.stem}.csv", experiment.header, rows)
-    envelope = _envelope(spec, experiment.summarize(spec, rows), experiment.notes, workers)
+    envelope = _envelope(spec, experiment, experiment.summarize(spec, rows), workers)
     dump_json(spec.out_dir / f"{experiment.stem}.json", envelope)
     return envelope

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import KINDS, make_spec, run_experiment
+from .bench import EXPERIMENTS, KINDS, make_spec, run_experiment
 from .core import DiscretePhaseSet, normalize_p
 from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError, UnimodError
 from .oracle import exhaustive_norm
@@ -32,6 +32,11 @@ def _norm_arg(value: str) -> float:
         return normalize_p(value)
     except InvalidArgumentError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _readers(field: str) -> str:
+    """The bench experiments that read a spec field, for the flags' help."""
+    return ", ".join(kind for kind, experiment in EXPERIMENTS.items() if field in experiment.reads)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,17 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--bits", type=int, required=True, help="lattice bits B")
     oracle.add_argument("--out", default=None, help="result file (default: stdout)")
 
-    bench = sub.add_parser("bench", help="run a benchmark experiment")
+    bench = sub.add_parser(
+        "bench", help="run a benchmark experiment",
+        description="Run one benchmark experiment; it rejects the flags it does not read. Each "
+                    "worker process starts its own BLAS threads: set OPENBLAS_NUM_THREADS=1.")
     bench.add_argument("--experiment", required=True, choices=KINDS)
     bench.add_argument("--out", required=True, help="output directory for CSV/JSON results")
     bench.add_argument("--trials", type=int, default=None, help="trial count (desk-scale default per experiment)")
     bench.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
-    bench.add_argument("--p", type=_norm_arg, default=None, help="norm selector where applicable")
+    bench.add_argument("--p", type=_norm_arg, default=None,
+                       help=f"norm selector, 1 or 2 (default 2); read by {_readers('p')}")
     bench.add_argument("--m", type=int, default=None, help="row count / antenna count")
     bench.add_argument("--n-values", type=int, nargs="+", default=None, help="column counts / unit counts")
     bench.add_argument("--bits", type=int, nargs="+", default=None, help="lattice bit widths")
-    bench.add_argument("--random-configs", type=int, default=None, help="draws for the random baseline")
-    bench.add_argument("--nmax", type=int, default=None, help="largest n for oracle-check instances")
+    bench.add_argument("--random-configs", type=int, default=None,
+                       help=f"draws for the random baseline; read by {_readers('random_configs')}")
+    bench.add_argument("--nmax", type=int, default=None,
+                       help=f"largest n for instances; read by {_readers('nmax')}")
     return parser
 
 

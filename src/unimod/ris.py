@@ -136,16 +136,6 @@ def snr(prob: BeamformingProblem, pv: PhaseVector, inst: RisInstance) -> SnrValu
     return SnrValue(linear, float(10.0 * np.log10(linear)))
 
 
-def instance_to_dict(inst: RisInstance) -> dict:
-    return {
-        "H_ris_bs": serialize.matrix_to_json(inst.h_ris_bs),
-        "h_ue_ris": serialize.vector_to_json(inst.h_ue_ris),
-        "h_d": None if inst.h_d is None else serialize.vector_to_json(inst.h_d),
-        "P": float(inst.power),
-        "sigma2": float(inst.sigma2),
-    }
-
-
 def instance_from_dict(doc: dict) -> RisInstance:
     if not isinstance(doc, dict):
         raise InvalidArgumentError("RIS instance document must be a JSON object")
@@ -164,7 +154,3 @@ def instance_from_dict(doc: dict) -> RisInstance:
 
 def load_instance(path) -> RisInstance:
     return instance_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_instance(path, inst: RisInstance) -> None:
-    serialize.dump_json(path, instance_to_dict(inst))

@@ -48,7 +48,6 @@ from .core import (
     as_complex_matrix,
     as_complex_vector,
     nearest_lattice,
-    norm_lp,
     normalize_p,
     row_norms,
     wrap_phase,
@@ -61,7 +60,8 @@ from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedNormE
 class SolveConfig:
     """Knobs for the alternating solvers.
 
-    `dps` present means discrete mode; absent means continuous mode.
+    The function called selects the mode: `solve_discrete` needs `dps` and
+    lifts onto its lattice, `solve_continuous` never reads it.
     """
 
     p: float = 2.0
@@ -352,9 +352,7 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
         cfg = SolveConfig(p=p, dps=dps)
     else:
         cfg = replace(cfg, p=p, dps=dps)
-    cont_cfg = replace(cfg, dps=None)
-
-    continuous = solve_continuous(a, cont_cfg, deterministic_init(a, p))
+    continuous = solve_continuous(a, cfg, deterministic_init(a, p))
     return _round_and_lift(a, cfg, continuous)
 
 
@@ -363,6 +361,7 @@ def _round_and_lift(a: np.ndarray, cfg: SolveConfig, continuous: SolveTrace) -> 
     onto cfg.dps, then lift. `a` is validated and cfg.p in {1, 2}; callers
     that lift one warm start onto several lattices call this once per lattice."""
     rounded = hard_round(continuous.phases, cfg.dps)
-    rounded_cost = norm_lp(a @ rounded.phasors(), cfg.p)
     lifted = solve_discrete(a, cfg, rounded)
-    return PipelineResult(lifted, continuous, rounded, rounded_cost)
+    # the lift's first cost is the rounded point's, and unlike norm_lp it
+    # does not underflow near 1e-170
+    return PipelineResult(lifted, continuous, rounded, float(lifted.costs[0]))

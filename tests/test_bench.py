@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,6 @@ from unimod.bench import (
     KINDS,
     ExperimentSpec,
     make_spec,
-    read_csv,
     run_experiment,
 )
 
@@ -29,8 +30,27 @@ SMALL = {
 }
 
 
-def rows_by(rows, col_idx, value):
-    return [r for r in rows if r[col_idx] == value]
+def read_csv(path) -> tuple[list[str], list[list]]:
+    """Parse a table the bench wrote; floats round-trip exactly."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        rows = []
+        for raw in reader:
+            parsed = []
+            for cell in raw:
+                if cell == "":
+                    parsed.append(None)
+                    continue
+                try:
+                    parsed.append(int(cell))
+                except ValueError:
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        parsed.append(cell)
+            rows.append(parsed)
+    return header, rows
 
 
 class TestSpec:
@@ -65,7 +85,7 @@ class TestSpec:
         ("convergence", "n_values"), ("convergence", "bits"),
         ("lifting-stat", "n_values"), ("lifting-stat", "bits"),
         ("snr-vs-n", "bits"), ("snr-cdf", "bits"), ("timing", "bits"),
-        ("quantization-gap", "n_values"), ("oracle-check", "n_values"),
+        ("quantization-gap", "n_values"),
     ])
     def test_rejects_second_value_of_unused_field(self, kind, field):
         # the experiment would run the first value only while its envelope
@@ -73,6 +93,22 @@ class TestSpec:
         assert len(getattr(make_spec(kind, "out", **{field: (1,)}), field)) == 1
         with pytest.raises(InvalidArgumentError, match=field):
             make_spec(kind, "out", **{field: (1, 3)})
+
+    @pytest.mark.parametrize("kind,field,value", [
+        pytest.param(kind, field, value, id=f"{kind}-{field}") for kind, field, value in [
+            ("convergence", "p", 1.0), ("lifting-stat", "random_configs", 5),
+            ("lifting-stat", "nmax", 3), ("quantization-gap", "random_configs", 7),
+            ("snr-cdf", "nmax", 3), ("timing", "nmax", 3),
+            ("oracle-check", "p", 1.0), ("oracle-check", "n_values", (1,)),
+        ]
+    ])
+    def test_rejects_unread_field_naming_it(self, kind, field, value):
+        # the experiment would ignore the value while its envelope recorded it
+        with pytest.raises(InvalidArgumentError, match=field):
+            make_spec(kind, "out", **{field: value})
+        # the field's default, also as a list, sets nothing
+        default = next(f.default for f in fields(ExperimentSpec) if f.name == field)
+        make_spec(kind, "out", **{field: list(default) if isinstance(default, tuple) else default})
 
     @pytest.mark.parametrize("kind,field", [
         ("snr-vs-n", "n_values"), ("snr-cdf", "n_values"), ("timing", "n_values"),
@@ -226,6 +262,13 @@ class TestOracleCheck:
         assert summary["linf_matches"] == summary["linf_trials"] == 25
         assert not (tmp_path / "oracle_check_failures.json").exists()
 
+    def test_no_linf_audit_without_a_width_up_to_2(self, tmp_path):
+        # the l-infinity audit draws from the spec's widths <= 2 and none other
+        envelope = run_experiment(make_spec("oracle-check", tmp_path, trials=4, bits=(3,)))
+        _, rows = read_csv(tmp_path / "oracle_check.csv")
+        assert [r[0] for r in rows] == ["das"] * 4
+        assert envelope["results"][0]["linf_trials"] == 0
+
     def test_mismatch_dumps_the_instance(self, tmp_path, monkeypatch):
         # a DaS that overstates its objective fails every das trial; serial,
         # so the trials run the patched function
@@ -255,6 +298,9 @@ class TestHarness:
         assert envelope["git_like_version"]
         assert envelope["spec"]["kind"] == kind
         experiment = EXPERIMENTS[kind]
+        # the spec lists the common fields and those the experiment reads
+        common = {"kind", "out_dir", "trials", "seed", "m", "variance"}
+        assert set(envelope["spec"]) == common | set(experiment.reads)
         on_disk = json.loads((tmp_path / f"{experiment.stem}.json").read_text())
         assert on_disk == envelope
         header, rows = read_csv(tmp_path / f"{experiment.stem}.csv")

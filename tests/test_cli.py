@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,27 @@ class TestBenchCommand:
         assert "bits" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args,fields", [
+        pytest.param(args, fields, id=" ".join(args)) for args, fields in [
+            (["convergence", "--p", "1"], ["p"]),
+            (["lifting-stat", "--random-configs", "5", "--nmax", "3"], ["random_configs", "nmax"]),
+            (["lifting-stat", "--p", "inf"], ["p"]),
+            (["quantization-gap", "--random-configs", "7"], ["random_configs"]),
+            (["oracle-check", "--p", "1", "--n-values", "3"], ["p", "n_values"]),
+            (["oracle-check", "--nmax", "20", "--m", "12", "--bits", "3"], ["nmax"]),
+            (["oracle-check", "--m", "12"], ["m"]),
+        ]
+    ])
+    def test_setting_the_experiment_cannot_run_exits_2_before_writing(
+            self, tmp_path, capsys, args, fields):
+        # each of these used to run and record a value it ignored or clamped
+        out = tmp_path / "out"
+        code = main(["bench", "--experiment", *args, "--trials", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(re.search(rf"\b{field}\b", err) for field in fields), err
+        assert not out.exists()
+
     def test_oracle_size_beyond_guard_exits_2_before_writing(self, tmp_path):
         out = tmp_path / "out"
         code = main(["bench", "--experiment", "oracle-check", "--bits", "4", "--trials", "20",
@@ -157,6 +179,15 @@ class TestBenchCommand:
         assert code == 0
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
         assert lines[0] == "trial,mode,p,iter,cost"
+
+    def test_bench_help_names_the_experiments_reading_a_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "300")  # no wrapping inside a name
+        assert main(["bench", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "read by lifting-stat\n" in out
+        assert "read by snr-vs-n, snr-cdf, timing\n" in out
+        assert "read by oracle-check\n" in out
+        assert "OPENBLAS_NUM_THREADS=1" in out
 
     def test_unknown_flag_exits_2(self):
         assert main(["solve", "x.json", "--frobnicate"]) == 2

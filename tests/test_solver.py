@@ -439,6 +439,12 @@ class TestDefaultPipeline:
         result = default_pipeline(a, DiscretePhaseSet(2), 2)
         assert result.final_cost >= result.rounded_cost - 1e-9
 
+    def test_rounded_cost_is_the_lifts_first_cost_at_tiny_scale(self):
+        # norm_lp's sum of squares underflows to 0 for |A x| near 1e-170
+        a = 1e-170 * sample_complex_gaussian(Rng(3), 8, 40, 1.0)
+        result = default_pipeline(a, DiscretePhaseSet(2), 2)
+        assert result.rounded_cost == result.trace.costs[0] > 0.0
+
     def test_p_inf_routed_away(self):
         with pytest.raises(UnsupportedNormError):
             default_pipeline(np.eye(2, dtype=complex), DiscretePhaseSet(1), math.inf)
