@@ -84,6 +84,7 @@ class ExperimentSpec:
     def __post_init__(self):
         experiment = _experiment(self.kind)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
+        object.__setattr__(self, "p", normalize_p(self.p))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         for name in ("trials", "random_configs", "nmax"):
@@ -101,7 +102,7 @@ class ExperimentSpec:
                   and getattr(self, f.name) != f.default]
         if unread:
             raise InvalidArgumentError(f"{self.kind} does not read {', '.join(unread)}")
-        if normalize_p(self.p) == math.inf:  # no experiment runs the p = inf solver
+        if self.p == math.inf:  # no experiment runs the p = inf solver
             raise InvalidArgumentError(f"{self.kind} takes p = 1 or 2, got p = inf")
         for name in ("n_values", "bits"):
             if name not in experiment.sweeps and len(getattr(self, name)) > 1:

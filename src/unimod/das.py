@@ -9,18 +9,21 @@ the circle into at most n * 2^B arcs, each contributing one candidate
 configuration, and the global optimum is the best candidate.
 
 The edges need no sort of their own. Edge k of element i sits at
-first_i + k*delta with first_i in (0, delta], so one stable argsort of the n
-first edges, repeated for each of the 2^B levels, lists all n * 2^B edges in
-ascending order. A sweep over the arcs then updates the running sum with one
-subtract-add per edge (a cumulative sum), so the whole search costs
-O(n log n + n * 2^B). An edge's increment needs the element's phasor just
-before the crossing, exp(j*(m*delta)) for an integer m < 2^(B+1), so one
-2^(B+1)-entry phasor table serves every edge. No transcendental function runs
-per edge, and since each entry is the same exp of the same m*delta, the
+first_i + k*delta with first_i in (0, delta], so the first edges in the
+order of first_i make up the lap (0, delta], and each later lap repeats it
+one step on. One lap is enough: crossing a whole lap moves every element one
+lattice step, which turns the coherent sum by delta and leaves its modulus
+alone, so lap k's candidates are lap 0's turned by k*delta. The sweep over
+lap 0 updates the running sum with one subtract-add per edge (a cumulative
+sum) and scores n candidates, so the search costs O(n log n + n) in time and
+O(n) in memory for every B. An edge's increment needs the element's phasor
+just before the crossing, exp(j*(m*delta)) for a lattice index m < 2^B, so
+one 2^B-entry phasor table serves every edge. No transcendental function
+runs per edge, and since each entry is the same exp of the same m*delta, the
 increments and the running sum keep the bits of a per-edge exp. Candidates
-whose objectives lie within a relative TIE_TOL of the best count as tied, and
-the one met first in the sweep wins; the choice therefore does not depend on
-the scale of v.
+whose objectives lie within a relative TIE_TOL of the best count as tied,
+and the one met first in the sweep wins; the choice therefore does not
+depend on the scale of v.
 
 `_das_indices` is the kernel: it takes a raw complex vector and returns int64
 lattice indices, with no validation and no PhaseVector, so its input must
@@ -68,32 +71,28 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     k0 = (m0 - shift) % levels
     first = tred + (m0 + 0.5) * delta          # first edge above 0, in (0, delta]
 
-    # edge k of element i lies in (k*delta, (k+1)*delta], so the sweep takes
-    # the levels one after another and, within a level, the order of `first`
-    order = np.argsort(first, kind="stable")
-    # table[m] = exp(j*(m*delta)); an element's index before its k-th
-    # crossing is k0 + k < 2*levels, and the crossing multiplies its phasor
-    # by exp(j*delta) = table[1]
-    table = np.exp(1j * (np.arange(2 * levels) * delta))
-    ks = np.arange(levels)[:, None]
-    d = c[order][None, :] * table[k0[order][None, :] + ks] * (table[1] - 1.0)
+    # lap 0 crosses the first edges in ascending order, ties in index order;
+    # with distinct keys every sort gives that order, and only equal keys
+    # need the slower stable one
+    order = np.argsort(first)
+    keys = first[order]
+    if np.any(keys[1:] == keys[:-1]):
+        order = np.argsort(first, kind="stable")
+    # table[m] = exp(j*(m*delta)); an element's index before its crossing is
+    # k0 < levels, and the crossing multiplies its phasor by table[1]
+    table = np.exp(1j * (np.arange(levels) * delta))
+    d = c[order] * table[k0[order]] * (table[1] - 1.0)
 
     # objs[e] is |S| of candidate e, the state after crossing edges 0..e-1
     s0 = complex(np.sum(c * table[k0]))
-    running = s0 + np.cumsum(d.ravel())
-    objs = np.abs(np.concatenate(([s0], running[:-1])))
+    objs = np.abs(np.concatenate(([s0], s0 + np.cumsum(d[:-1]))))
 
     best = objs.max()
     j = int(np.argmax(objs >= best * (1.0 - TIE_TOL)))
-    # edge e crosses element order[e % n_eff] for the (e // n_eff)-th time,
-    # so candidate j has crossed j // n_eff whole levels plus the first
-    # j % n_eff edges of the next one
-    laps, extra = divmod(j, nz.size)
-    counts = np.full(nz.size, laps, dtype=np.int64)
-    counts[order[:extra]] += 1
+    k0[order[:j]] += 1
 
     full = np.zeros(v.size, dtype=np.int64)
-    full[nz] = (k0 + counts) % levels
+    full[nz] = k0 % levels
     return full
 
 

@@ -156,9 +156,9 @@ def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2}."""
     if p == 2.0:
         cost = float(np.linalg.norm(w))
-        if cost == 0.0:
-            # the sum of squares underflows for |w| near 1e-170; only the
-            # zero vector has norm 0
+        if cost == 0.0 or cost == math.inf:
+            # the sum of squares underflows for |w| near 1e-170 and overflows
+            # near 1e170; only the zero vector has norm 0
             s = np.max(np.abs(w))
             cost = float(s * np.linalg.norm(w / s)) if s > 0.0 else 0.0
     else:
@@ -333,7 +333,12 @@ def deterministic_init(a, p) -> PhaseVector:
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
-    i_star = int(np.argmax(row_norms(a, 1.0 if p == 1.0 else 2.0)))
+    q = 1.0 if p == 1.0 else 2.0
+    norms = row_norms(a, q)
+    if not np.all(np.isfinite(norms)):
+        # the sums overflow near 1e170; a / max|a| has the same row order
+        norms = row_norms(a / np.max(np.abs(a)), q)
+    i_star = int(np.argmax(norms))
     return continuous_phase_step(np.conj(a[i_star, :]))
 
 

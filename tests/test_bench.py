@@ -185,6 +185,14 @@ class TestLiftingStat:
         assert summary["dominance_violations"] == 0
         assert summary["median_gain"] is not None and summary["median_gain"] > 0
 
+    @pytest.mark.parametrize("p", ["1", 1], ids=["str", "int"])
+    def test_envelope_records_p_as_a_float(self, tmp_path, p):
+        # the CLI's p goes through normalize_p; a spec built in code records
+        # the same 1.0
+        envelope = run_experiment(make_spec("lifting-stat", tmp_path, trials=2, p=p))
+        for doc in (envelope["spec"], envelope["results"][0]):
+            assert isinstance(doc["p"], float) and doc["p"] == 1.0
+
     def test_notes_name_the_continuous_reference(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=4)
         envelope = run_experiment(spec)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestDasMaximize:
     @pytest.mark.parametrize("n", [1000, 10000])
     @pytest.mark.parametrize("bits", [1, 2, 3, 4])
     def test_locally_optimal_at_large_n(self, n, bits):
-        # the running sum over n * 2^B edges must not drift: no single-element
+        # the running sum over the n edges must not drift: no single-element
         # change of the answer may raise the objective beyond rounding
         v = sample_complex_gaussian(Rng(82, n + bits), 1, n, 1.0).ravel()
         dps = DiscretePhaseSet(bits)
@@ -130,33 +131,46 @@ class TestDasMaximize:
             assert obj == pytest.approx(float(np.sum(np.abs(v))))
 
 
-def _per_edge_exp_indices(v, dps, polar=False):
+def _per_edge_exp_sweep(v, dps, polar=False, laps=None):
     """DaS with a per-edge exp: the increments and s0 each take exp of their
     phase products. c is conj(v), or with `polar` rebuilt from polar form as
-    it was before the phasor table."""
+    it was before the phasor table. The sweep runs `laps` laps of the n
+    edges, all 2^B by default. Returns the candidates' objectives, one row
+    per lap, and a function from a candidate's number to its indices."""
     mag = np.abs(v)
     nz = np.flatnonzero(mag > 0.0)
     c = np.conj(v[nz])
     if polar:
         c = mag[nz] * np.exp(1j * wrap_phase(np.angle(c)))
     delta, levels = dps.step, dps.levels
+    laps = levels if laps is None else laps
     tau = wrap_phase(np.angle(c))
     tred = np.mod(tau, delta)
     shift = np.rint((tau - tred) / delta).astype(np.int64)
     m0 = np.where(tred <= 0.5 * delta, 0, -1)
     k0 = (m0 - shift) % levels
     order = np.argsort(tred + (m0 + 0.5) * delta, kind="stable")
-    phase_before = (k0[order][None, :] + np.arange(levels)[:, None]) * delta
+    phase_before = (k0[order][None, :] + np.arange(laps)[:, None]) * delta
     d = c[order][None, :] * np.exp(1j * phase_before) * (np.exp(1j * delta) - 1.0)
     s0 = complex(np.sum(c * np.exp(1j * (k0 * delta))))
     objs = np.abs(np.concatenate(([s0], (s0 + np.cumsum(d.ravel()))[:-1])))
-    j = int(np.argmax(objs >= objs.max() * (1.0 - TIE_TOL)))
-    laps, extra = divmod(j, nz.size)
-    counts = np.full(nz.size, laps, dtype=np.int64)
-    counts[order[:extra]] += 1
-    full = np.zeros(v.size, dtype=np.int64)
-    full[nz] = (k0 + counts) % levels
-    return full
+
+    def indices(j):
+        laps_done, extra = divmod(j, nz.size)
+        counts = np.full(nz.size, laps_done, dtype=np.int64)
+        counts[order[:extra]] += 1
+        full = np.zeros(v.size, dtype=np.int64)
+        full[nz] = (k0 + counts) % levels
+        return full
+
+    return objs.reshape(laps, nz.size), indices
+
+
+def _per_edge_exp_indices(v, dps, polar=False, laps=None):
+    """Indices of the first candidate of the per-edge exp sweep whose
+    objective ties with its best."""
+    objs, indices = _per_edge_exp_sweep(v, dps, polar, laps)
+    return indices(int(np.argmax(objs.ravel() >= objs.max() * (1.0 - TIE_TOL))))
 
 
 class TestPhasorTableKernel:
@@ -202,7 +216,7 @@ class TestPhasorTableKernel:
         reference answers differently for v with its last entry turned by
         eta, or None. Between them a candidate's objective crosses the tie
         threshold, so the answer there rests on the running sum's last bits."""
-        ref = lambda eta: _per_edge_exp_indices(self.turned(v, eta), dps)
+        ref = lambda eta: _per_edge_exp_indices(self.turned(v, eta), dps, laps=1)
         low = ref(0.0)
         lo, hi = np.array([0.0, 1e-10]).view(np.int64)
         if np.array_equal(ref(1e-10), low):
@@ -216,8 +230,10 @@ class TestPhasorTableKernel:
         return np.array([lo, hi]).view(np.float64)
 
     def test_same_indices_at_the_tie_threshold(self):
-        # the per-edge exp on the kernel's own c: here an increment one ulp
-        # off changes the answer, so this pins the table's bits
+        # the per-edge exp on the kernel's own c, over the kernel's one lap:
+        # here an increment one ulp off changes the answer, so this pins the
+        # table's bits. Which lap holds the best objective moves the tie
+        # threshold by an ulp, so the all-laps sweep would flip elsewhere.
         boundaries = 0
         for k in range(40):
             g = np.random.default_rng([84, k])
@@ -230,5 +246,56 @@ class TestPhasorTableKernel:
             boundaries += 1
             for eta in (np.nextafter(etas[0], 0), *etas, np.nextafter(etas[1], 1)):
                 w = self.turned(v, eta)
-                assert np.array_equal(_das_indices(w, dps), _per_edge_exp_indices(w, dps))
+                assert np.array_equal(_das_indices(w, dps),
+                                      _per_edge_exp_indices(w, dps, laps=1))
         assert boundaries >= 10
+
+
+class TestOneLapSweep:
+    """The kernel sweeps lap 0 only: crossing a whole lap turns the coherent
+    sum by delta, so every later lap repeats lap 0's objectives."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "lattice", "partly-zero", "1e-13", "1e12"])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_every_lap_scores_as_lap_zero(self, family, bits):
+        dps = DiscretePhaseSet(bits)
+        for v in TestPhasorTableKernel.vectors(family, bits):
+            objs, _ = _per_edge_exp_sweep(v, dps)
+            assert np.all(np.abs(objs - objs[0]) <= TIE_TOL * objs.max())
+
+    @pytest.mark.parametrize("family", ["gaussian", "lattice", "partly-zero", "1e-150", "1e150"])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_objective_ties_with_the_all_laps_best(self, family, bits):
+        dps = DiscretePhaseSet(bits)
+        for v in TestPhasorTableKernel.vectors(family, bits):
+            objs, _ = _per_edge_exp_sweep(v, dps)
+            obj = abs(np.vdot(v, np.exp(1j * (_das_indices(v, dps) * dps.step))))
+            assert obj >= objs.max() * (1.0 - TIE_TOL)
+
+    def test_equal_first_edges_take_the_stable_order(self):
+        # lattice-aligned phases give many elements the same first edge. With
+        # magnitudes 1 and 1e-14 in one group, crossing only some of the
+        # group already ties with the best, so which elements the sweep
+        # crosses first decides the answer: lower index first
+        for k in range(60):
+            g = np.random.default_rng([85, k])
+            dps = DiscretePhaseSet(int(g.integers(1, 5)))
+            n = int(g.integers(8, 200))
+            mags = np.where(g.random(n) < 0.5, 1.0, 1e-14)
+            v = mags * np.exp(0.5j * dps.step * g.integers(0, 2 * dps.levels, n))
+            assert np.array_equal(_das_indices(v, dps), _per_edge_exp_indices(v, dps))
+
+    def test_memory_does_not_grow_with_bits(self):
+        # a sweep of all n * 2^B edges peaks near 900 * 16n bytes at B = 8;
+        # one lap needs about 10 * 16n. Counting bytes, not time, keeps the
+        # guard deterministic.
+        n = 4096
+        v = sample_complex_gaussian(Rng(86), 1, n, 1.0).ravel()
+        dps = DiscretePhaseSet(8)
+        tracemalloc.start()
+        try:
+            _das_indices(v, dps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 16 * n

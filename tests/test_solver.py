@@ -445,6 +445,24 @@ class TestDefaultPipeline:
         result = default_pipeline(a, DiscretePhaseSet(2), 2)
         assert result.rounded_cost == result.trace.costs[0] > 0.0
 
+    def test_huge_scale_matches_scale_one(self):
+        # the sums of squares overflow near 1e170: the l2 witness and the
+        # start's row norms rescale by the largest modulus instead of
+        # reading inf
+        a = sample_complex_gaussian(Rng(970_000), 32, 1000, 1.0)
+        with np.errstate(over="ignore"):
+            trace = solve_continuous(1e170 * a, SolveConfig(p=2), deterministic_init(1e170 * a, 2))
+            assert np.all(np.isfinite(trace.costs))
+            assert trace.termination == "converged"
+            for p in (1, 2):
+                assert deterministic_init(1e170 * a, p).phasors() == pytest.approx(
+                    deterministic_init(a, p).phasors(), abs=1e-12)
+                for bits in (1, 2):
+                    huge = default_pipeline(1e170 * a, DiscretePhaseSet(bits), p)
+                    unit = default_pipeline(a, DiscretePhaseSet(bits), p)
+                    assert huge.continuous_trace.termination == "converged"
+                    assert np.array_equal(huge.trace.phases.indices, unit.trace.phases.indices)
+
     def test_p_inf_routed_away(self):
         with pytest.raises(UnsupportedNormError):
             default_pipeline(np.eye(2, dtype=complex), DiscretePhaseSet(1), math.inf)
