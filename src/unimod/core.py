@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * phases are radians stored wrapped into [0, 2*pi),
 * the inner product is conjugate-linear in its first argument,
   <a, b> = sum_i conj(a_i) * b_i,
-* all floating point work is double precision.
+* results are computed in double precision; the oracles screen candidates
+  in single precision first and score the survivors in double precision.
 """
 
 from __future__ import annotations

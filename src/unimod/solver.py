@@ -218,16 +218,19 @@ def _alternate(a: np.ndarray, cfg: SolveConfig, state: np.ndarray, step, phasors
         s = step(ah @ z)
         return (s, *score(s))
 
-    z, cost = score(state)
-    costs = [cost]
     termination = "iteration-cap"
-    for _ in range(cfg.max_iterations):
-        state, z, cost = advance(f, score, state, z)
-        costs.append(cost)
-        # a fixed point repeats its cost exactly, so it stops here too
-        if costs[-1] - costs[-2] <= cfg.tolerance:
-            termination = "converged"
-            break
+    # near |w| = 1e170 the l2 witness's sum of squares overflows and
+    # _witness rescales; numpy need not warn on each such witness
+    with np.errstate(over="ignore"):
+        z, cost = score(state)
+        costs = [cost]
+        for _ in range(cfg.max_iterations):
+            state, z, cost = advance(f, score, state, z)
+            costs.append(cost)
+            # a fixed point repeats its cost exactly, so it stops here too
+            if costs[-1] - costs[-2] <= cfg.tolerance:
+                termination = "converged"
+                break
     return np.asarray(costs), termination, state, z
 
 
@@ -334,7 +337,8 @@ def deterministic_init(a, p) -> PhaseVector:
     a = as_complex_matrix(a)
     p = normalize_p(p)
     q = 1.0 if p == 1.0 else 2.0
-    norms = row_norms(a, q)
+    with np.errstate(over="ignore"):
+        norms = row_norms(a, q)
     if not np.all(np.isfinite(norms)):
         # the sums overflow near 1e170; a / max|a| has the same row order
         norms = row_norms(a / np.max(np.abs(a)), q)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from unimod import (
     sample_complex_gaussian,
     solve_linf,
 )
+from unimod import oracle
 from unimod.oracle import exhaustive_inner, exhaustive_norm, random_search
 
 
@@ -97,8 +100,24 @@ def evaluate(a, digits, dps, p):
     return np.linalg.norm(y, ord={1: 1, 2: 2, math.inf: np.inf}[p], axis=1)
 
 
+def oracle_input(kind, m, n, key):
+    """Tie-heavy (small integers at multiples of pi/4) or Gaussian with one
+    column 1e-9 of the rest, below single precision's resolution."""
+    g = np.random.default_rng(key)
+    if kind == "tied":
+        return g.integers(-2, 3, size=(m, n)) * np.exp(0.25j * np.pi * g.integers(0, 8, size=(m, n)))
+    a = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+    a[:, n // 2] *= 1e-9
+    return a
+
+
+#: the lattice size per bit count: a few thousand configurations each
+EXHAUSTIVE_N = {1: 10, 2: 6, 3: 4, 4: 3}
+
+
 class TestPhaseTableEquivalence:
-    """The oracles' phase table against exp(j * step * digits) per entry."""
+    """The oracles' phase table and single precision screen against scoring
+    every configuration in double precision with exp(j * step * digits)."""
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     @pytest.mark.parametrize("bits", [1, 2])
@@ -121,6 +140,37 @@ class TestPhaseTableEquivalence:
         res = random_search(a, dps, p, 3000, Rng(616))
         assert np.array_equal(res.phases.indices, digits[np.argmax(vals)])
         assert res.objective == pytest.approx(vals.max(), rel=1e-12)
+
+    # Tie-heavy inputs have many configurations within a few ulp of each
+    # other, so the winner is the reference's first hit only if the screen
+    # drops no configuration that could have won.
+
+    @pytest.mark.parametrize("kind", ["tied", "small-column"])
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_exhaustive_norm_screen(self, kind, p, bits):
+        n = EXHAUSTIVE_N[bits]
+        a = oracle_input(kind, 3, n, [614, bits])
+        dps = DiscretePhaseSet(bits)
+        # lexicographic, in C order like the oracle's own batches, so that
+        # both products round alike
+        digits = np.indices((dps.levels,) * n).reshape(n, -1).T.copy()
+        vals = evaluate(a, digits, dps, p)
+        ref = exhaustive_norm(a, dps, p)
+        assert np.array_equal(ref.phases.indices, digits[np.argmax(vals)])
+        assert abs(ref.objective - vals.max()) <= 4 * np.spacing(vals.max())
+
+    @pytest.mark.parametrize("kind", ["tied", "small-column"])
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_random_search_screen(self, kind, p, bits):
+        a = oracle_input(kind, 4, 30, [615, bits])
+        dps = DiscretePhaseSet(bits)
+        digits = Rng(616).generator.integers(0, dps.levels, size=(3000, 30))
+        vals = evaluate(a, digits, dps, p)
+        res = random_search(a, dps, p, 3000, Rng(616))
+        assert np.array_equal(res.phases.indices, digits[np.argmax(vals)])
+        assert abs(res.objective - vals.max()) <= 4 * np.spacing(vals.max())
 
 
 class TestRandomSearch:
@@ -154,3 +204,66 @@ class TestRandomSearch:
         res = default_pipeline(a, dps, 2)
         rnd = random_search(a, dps, 2, 2000, Rng(613))
         assert res.final_cost > rnd.objective
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_batch_size_does_not_change_the_result(self, p, monkeypatch):
+        a = sample_complex_gaussian(Rng(617), 8, 40, 1.0)
+        dps = DiscretePhaseSet(2)
+        results = []
+        for chunk in (7, 1024, 16384):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            results.append(random_search(a, dps, p, 5000, Rng(618)))
+        for res in results[1:]:
+            assert np.array_equal(res.phases.indices, results[0].phases.indices)
+            assert res.objective == results[0].objective
+
+    def test_peak_memory(self):
+        # scoring 10^4 configurations at 32 x 200 in 16384-row batches in
+        # double precision peaks near 51 MB; 1024-row batches screened in
+        # single precision need about 3.5 MB
+        a = sample_complex_gaussian(Rng(619), 32, 200, 1.0)
+        tracemalloc.start()
+        try:
+            random_search(a, DiscretePhaseSet(2), 2, 10_000, Rng(620))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+SCALES = (1e-170, 1e-160, 1.0, 1e160, 1e170)
+
+
+class TestExtremeScales:
+    """The objective scales with A and the winner does not move. Double
+    precision sums of squares flush to 0 near 1e-170 and overflow near
+    1e160, so the oracles score A / 2^e with max|A| in [2^(e-1), 2^e)."""
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_random_search(self, p):
+        a = sample_complex_gaussian(Rng(621), 32, 200, 1.0)
+        dps = DiscretePhaseSet(2)
+        unit = random_search(a, dps, p, 2000, Rng(622))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in SCALES:
+                res = random_search(s * a, dps, p, 2000, Rng(622))
+                assert np.array_equal(res.phases.indices, unit.phases.indices)
+                assert res.objective / s == pytest.approx(unit.objective, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_exhaustive_norm(self, p):
+        a = sample_complex_gaussian(Rng(623), 4, 8, 1.0)
+        dps = DiscretePhaseSet(2)
+        unit = exhaustive_norm(a, dps, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in SCALES:
+                res = exhaustive_norm(s * a, dps, p)
+                # turning every phase by one lattice step keeps the objective,
+                # so rounding picks among those turns; compare the turn with
+                # first digit 0
+                turned = (res.phases.indices - res.phases.indices[0]) % dps.levels
+                assert np.array_equal(
+                    turned, (unit.phases.indices - unit.phases.indices[0]) % dps.levels)
+                assert res.objective / s == pytest.approx(unit.objective, rel=1e-14)

@@ -463,6 +463,15 @@ class TestDefaultPipeline:
                     assert huge.continuous_trace.termination == "converged"
                     assert np.array_equal(huge.trace.phases.indices, unit.trace.phases.indices)
 
+    def test_huge_scale_does_not_warn(self):
+        # the overflowing sums of squares are rescued, so numpy's overflow
+        # warnings (381 of them on this call) only reported handled cases
+        a = sample_complex_gaussian(Rng(970_000), 32, 1000, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = default_pipeline(1e170 * a, DiscretePhaseSet(1), 2)
+        assert np.isfinite(result.final_cost)
+
     def test_p_inf_routed_away(self):
         with pytest.raises(UnsupportedNormError):
             default_pipeline(np.eye(2, dtype=complex), DiscretePhaseSet(1), math.inf)
