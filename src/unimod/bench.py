@@ -14,13 +14,14 @@ reproducible.
 Desk-scale trial counts are the defaults; the full-scale studies behind the
 shipped figures need nothing more than a larger --trials.
 
-Each worker process starts its own BLAS threads, which oversubscribe a small
-machine and can make a run several times slower: set OPENBLAS_NUM_THREADS=1.
+Worker processes run their BLAS on one thread, since the workers already
+fill the cores; OPENBLAS_NUM_THREADS, when set, decides instead.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import os
 import platform
@@ -175,6 +176,33 @@ def _worker_count() -> int:
     return cpus
 
 
+#: thread-count setters of the OpenBLAS builds that numpy wheels bundle
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's BLAS on one thread, so that the
+    workers' BLAS threads do not oversubscribe the cores. It reaches the
+    OpenBLAS bundled in numpy's wheel (numpy.libs), the library numpy
+    itself loaded, and does nothing when OPENBLAS_NUM_THREADS is set or no
+    such library or setter exists."""
+    if os.environ.get("OPENBLAS_NUM_THREADS"):
+        return
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
 def _map_trials(fn, spec: ExperimentSpec, tasks=None) -> tuple[list, int]:
     """Run the module-level worker `fn(spec, task)` over `tasks` (default: the
     trial indices) and concatenate the row lists it returns, in task order.
@@ -190,7 +218,7 @@ def _map_trials(fn, spec: ExperimentSpec, tasks=None) -> tuple[list, int]:
         workers = 1
         chunks = [fn(spec, task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             chunks = list(pool.map(fn, repeat(spec), tasks,
                                    chunksize=max(1, len(tasks) // (4 * workers))))
     return [row for rows in chunks for row in rows], workers

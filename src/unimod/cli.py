@@ -72,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", help="run a benchmark experiment",
-        description="Run one benchmark experiment; it rejects the flags it does not read. Each "
-                    "worker process starts its own BLAS threads: set OPENBLAS_NUM_THREADS=1.")
+        description="Run one benchmark experiment; it rejects the flags it does not read. Worker "
+                    "processes run BLAS on one thread unless OPENBLAS_NUM_THREADS is set.")
     bench.add_argument("--experiment", required=True, choices=KINDS)
     bench.add_argument("--out", required=True, help="output directory for CSV/JSON results")
     bench.add_argument("--trials", type=int, default=None, help="trial count (desk-scale default per experiment)")
@@ -132,6 +132,9 @@ def _cmd_solve(args) -> int:
             "objective": result.final_cost,
             "trace": [float(c) for c in result.trace.costs],
             "termination": result.trace.termination,
+            "iterations": result.trace.iterations,
+            "continuous_termination": result.continuous_trace.termination,
+            "continuous_iterations": result.continuous_trace.iterations,
             "unrounded_cost": result.unrounded_cost,
             "rounded_cost": result.rounded_cost,
         }

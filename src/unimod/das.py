@@ -20,7 +20,9 @@ O(n) in memory for every B. An edge's increment needs the element's phasor
 just before the crossing, exp(j*(m*delta)) for a lattice index m < 2^B, so
 one 2^B-entry phasor table serves every edge. No transcendental function
 runs per edge, and since each entry is the same exp of the same m*delta, the
-increments and the running sum keep the bits of a per-edge exp. Candidates
+increments and the running sum keep the bits of a per-edge exp. The
+products c_i*table[k0_i] serve twice: their sum is the candidate at psi = 0,
+and in sweep order, times table[1] - 1, they are the increments. Candidates
 whose objectives lie within a relative TIE_TOL of the best count as tied,
 and the one met first in the sweep wins; the choice therefore does not
 depend on the scale of v.
@@ -31,6 +33,12 @@ be finite. `das_maximize` validates its input once and wraps the kernel; the
 discrete solver calls the kernel directly on every iteration, and the
 l-infinity solver once per row.
 
+Each element's angle is reduced onto the lattice without a float modulo:
+`_wrap_angle` adds 2*pi to negative angles, and `_lattice_split` takes the
+remainder modulo delta with delta split in two terms (Cody and Waite) so
+that it is exact, bit for bit what np.mod gives. The O(n log n) argsort is
+the largest single pass of the kernel.
+
 The inner product here, as everywhere in this package, is conjugate-linear in
 the first argument. The region construction below follows the classical
 alignment form sum_i |v_i| * exp(j * (tau_i + Omega_i)); the kernel therefore
@@ -39,37 +47,91 @@ takes the angles of conj(v).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import DiscretePhaseSet, PhaseVector, _mod_two_pi, as_complex_vector
+from .core import TWO_PI, DiscretePhaseSet, PhaseVector, as_complex_vector
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
 #: best objective count as tied
 TIE_TOL = 1e-12
 
+#: widest lattice whose reduction `_lattice_split` does without np.mod; at
+#: B = 27 the 2^B phasor table alone takes 2 GB
+_SPLIT_MAX_BITS = 26
+
+
+def _wrap_angle(th: np.ndarray) -> np.ndarray:
+    """np.mod(th, 2*pi), bit for bit, for th in [-pi, pi] (the range of
+    np.angle): one add of 2*pi where th < 0, with no float modulo."""
+    tau = (th < 0.0) * TWO_PI
+    tau += th                                  # -0.0 becomes +0.0, as in np.mod
+    # a tiny negative th rounds up to exactly 2*pi
+    tau[tau >= TWO_PI] = 0.0
+    return tau
+
+
+def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, np.ndarray]:
+    """(tred, shift) with tred = np.mod(tau, delta), bit for bit, and
+    tau = shift*delta + tred exactly, for tau in [0, 2*pi).
+
+    q = floor(tau / delta) is the integer part or one above it, never below:
+    rounding is monotone and the integer part, below 2^B, is a float.
+    Writing delta = hi + lo with hi the top 53 - B bits of delta, q*hi and
+    q*lo are exact for q < 2^B <= 2^26, and so is tau - q*hi: for q >= 1
+    both terms are multiples of ulp(delta) and differ by less than 2^53 of
+    it. So (tau - q*hi) - q*lo is the exact remainder, rounded once.
+    Where q was one high that remainder is negative, and those elements are
+    recomputed with q - 1. Wider lattices fall back to np.mod.
+    """
+    delta, bits = dps.step, dps.bits
+    if bits > _SPLIT_MAX_BITS:
+        tred = np.mod(tau, delta)                  # fmod is exact, stays < delta
+        return tred, np.rint((tau - tred) / delta).astype(np.int64)
+    mant, exp = math.frexp(delta)
+    hi = math.ldexp(math.floor(math.ldexp(mant, 53 - bits)), exp - 53 + bits)
+    lo = delta - hi
+    q = tau / delta
+    np.floor(q, out=q)
+    tred = q * hi
+    np.subtract(tau, tred, out=tred)
+    tred -= q * lo
+    high = np.flatnonzero(tred < 0.0)
+    if high.size:
+        qh = q[high] - 1.0
+        q[high] = qh
+        tred[high] = (tau[high] - qh * hi) - qh * lo
+    return tred, q.astype(np.int64)
+
 
 def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
     raw complex vector `v`, 0 at its zero entries."""
-    mag = np.abs(v)
-    nz = np.flatnonzero(mag > 0.0)
-    if nz.size == 0:
-        raise DegenerateInputError("all magnitudes are zero")
-    c = np.conj(v[nz])
+    if v.all():
+        nz, c = None, np.conj(v)
+    else:
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            raise DegenerateInputError("all magnitudes are zero")
+        c = np.conj(v[nz])
 
     # Element i prefers Omega with angle(c_i) + Omega near the alignment
     # angle psi, so its center set is {angle(c_i) + k*delta} and its edges
     # sit half a step off the centers.
-    delta, levels = dps.step, dps.levels
-    tau = _mod_two_pi(np.angle(c))
-    tred = np.mod(tau, delta)                  # fmod is exact, stays < delta
-    shift = np.rint((tau - tred) / delta).astype(np.int64)
+    delta, mask = dps.step, dps.levels - 1
+    half = 0.5 * delta
+    tred, shift = _lattice_split(_wrap_angle(np.angle(c)), dps)
 
-    # candidate at psi = 0: nearest center, lower edge inclusive
-    m0 = np.where(tred <= 0.5 * delta, 0, -1)
-    k0 = (m0 - shift) % levels
-    first = tred + (m0 + 0.5) * delta          # first edge above 0, in (0, delta]
+    # candidate at psi = 0: the nearest center m0 = 0, or m0 = -1 past half a
+    # step (lower edge inclusive), so k0 = (m0 - shift) mod 2^B and the first
+    # edge above 0 is tred + (m0 + 0.5)*delta = tred +- half, in (0, delta]
+    past = tred > half
+    k0 = (-shift - past) & mask
+    first = past * -delta
+    first += half
+    first += tred
 
     # lap 0 crosses the first edges in ascending order, ties in index order;
     # with distinct keys every sort gives that order, and only equal keys
@@ -79,20 +141,23 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     if np.any(keys[1:] == keys[:-1]):
         order = np.argsort(first, kind="stable")
     # table[m] = exp(j*(m*delta)); an element's index before its crossing is
-    # k0 < levels, and the crossing multiplies its phasor by table[1]
-    table = np.exp(1j * (np.arange(levels) * delta))
-    d = c[order] * table[k0[order]] * (table[1] - 1.0)
+    # k0 < 2^B, and the crossing multiplies its phasor by table[1]
+    table = np.exp(1j * (np.arange(dps.levels) * delta))
+    ct = c * table[k0]
+    d = ct[order] * (table[1] - 1.0)
 
     # objs[e] is |S| of candidate e, the state after crossing edges 0..e-1
-    s0 = complex(np.sum(c * table[k0]))
+    s0 = complex(np.sum(ct))
     objs = np.abs(np.concatenate(([s0], s0 + np.cumsum(d[:-1]))))
 
     best = objs.max()
     j = int(np.argmax(objs >= best * (1.0 - TIE_TOL)))
     k0[order[:j]] += 1
-
+    k0 &= mask
+    if nz is None:
+        return k0
     full = np.zeros(v.size, dtype=np.int64)
-    full[nz] = k0 % levels
+    full[nz] = k0
     return full
 
 

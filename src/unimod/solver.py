@@ -306,18 +306,19 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
 
     The max over rows commutes with the max over configurations, so each
     row's inner product is maximized independently and the best row wins.
-    Zero rows are skipped; all-zero matrices are degenerate. Of rows with
-    equal objectives the first wins.
+    Zero rows, which the DaS kernel's own check for zero entries reports
+    as degenerate, are skipped; all-zero matrices are degenerate. Of rows
+    with equal objectives the first wins.
     """
     a = as_complex_matrix(a)
     table = np.exp(1j * dps.values)
     best: tuple[np.ndarray, int, float] | None = None
     for i in range(a.shape[0]):
-        row = a[i, :]
-        if not np.any(row):
+        v = np.conj(a[i, :])
+        try:
+            idx = _das_indices(v, dps)
+        except DegenerateInputError:
             continue
-        v = np.conj(row)
-        idx = _das_indices(v, dps)
         obj = float(np.abs(np.vdot(v, table[idx])))
         if best is None or obj > best[2]:
             best = (idx, i, obj)

@@ -1,7 +1,10 @@
 import csv
+import ctypes
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -51,6 +54,20 @@ def read_csv(path) -> tuple[list[str], list[list]]:
                         parsed.append(cell)
             rows.append(parsed)
     return header, rows
+
+
+#: the OpenBLAS bundled in numpy's wheel, which numpy itself loaded
+OPENBLAS = next((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"), None)
+
+
+def blas_threads(spec, task):
+    """Pool worker: the thread count of numpy's OpenBLAS, as one row."""
+    lib = ctypes.CDLL(str(OPENBLAS))
+    getter = (getattr(lib, "scipy_openblas_get_num_threads64_", None)
+              or lib.scipy_openblas_get_num_threads)
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return [[getter()]]
 
 
 class TestSpec:
@@ -358,6 +375,27 @@ class TestHarness:
         assert bench._worker_count() == 1
         monkeypatch.delenv("UNIMOD_THREADS")
         assert bench._worker_count() == 2
+
+    @pytest.mark.skipif(OPENBLAS is None, reason="numpy bundles no OpenBLAS")
+    def test_pool_workers_run_blas_on_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("UNIMOD_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        rows, workers = bench._map_trials(blas_threads, make_spec("lifting-stat", tmp_path, trials=4))
+        assert workers == 2
+        assert rows == [[1]] * 4
+
+    @pytest.mark.skipif(OPENBLAS is None, reason="numpy bundles no OpenBLAS")
+    def test_openblas_num_threads_set_by_the_user_wins(self):
+        # a fresh interpreter reads the variable when it loads OpenBLAS
+        code = ("from unimod import bench; import test_bench; "
+                "bench._one_blas_thread(); print(test_bench.blas_threads(None, 0)[0][0])")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join([str(Path(bench.__file__).parents[1]),
+                                              str(Path(__file__).parent)])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out.strip() == "2"
 
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNIMOD_THREADS", "lots")

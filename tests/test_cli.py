@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimod import SolveConfig
+from unimod import DiscretePhaseSet, SolveConfig, default_pipeline
 from unimod.cli import main
+from unimod.serialize import load_matrix_file
 
 DATA = Path(__file__).parent / "data"
 FIXTURE_3X5 = DATA / "matrix_3x5.json"
@@ -43,6 +44,21 @@ class TestSolve:
         assert set(payload) >= {"phases", "objective", "trace", "termination"}
         assert payload["trace"][-1] == pytest.approx(payload["objective"])
         assert payload["rounded_cost"] <= payload["objective"] + 1e-9
+
+    def test_reports_both_stages(self, tmp_path):
+        # a warm start stopped by the cap shows, though the lift converged
+        code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2", "--max-iter", "1")
+        assert code == 0
+        assert payload["continuous_termination"] == "iteration-cap"
+        assert payload["continuous_iterations"] == 1
+        assert payload["termination"] == "converged"
+        assert payload["iterations"] == len(payload["trace"]) - 1
+        code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2")
+        result = default_pipeline(load_matrix_file(FIXTURE_3X5), DiscretePhaseSet(2), 2)
+        assert payload["continuous_termination"] == result.continuous_trace.termination
+        assert payload["continuous_iterations"] == result.continuous_trace.iterations
+        assert payload["iterations"] == result.trace.iterations
+        assert payload["objective"] == result.final_cost
 
     def test_continuous_mode_without_bits(self, tmp_path):
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5))
@@ -187,7 +203,7 @@ class TestBenchCommand:
         assert "read by lifting-stat\n" in out
         assert "read by snr-vs-n, snr-cdf, timing\n" in out
         assert "read by oracle-check\n" in out
-        assert "OPENBLAS_NUM_THREADS=1" in out
+        assert "Worker processes run BLAS on one thread unless OPENBLAS_NUM_THREADS is set." in out
 
     def test_unknown_flag_exits_2(self):
         assert main(["solve", "x.json", "--frobnicate"]) == 2

@@ -12,7 +12,7 @@ from unimod import (
     sample_complex_gaussian,
     wrap_phase,
 )
-from unimod.das import TIE_TOL, _das_indices
+from unimod.das import TIE_TOL, _das_indices, _lattice_split, _wrap_angle
 from unimod.oracle import exhaustive_inner
 
 
@@ -205,6 +205,19 @@ class TestPhasorTableKernel:
             expected = _per_edge_exp_indices(v, dps, polar=True)
             assert np.array_equal(_das_indices(v, dps), expected)
 
+    @pytest.mark.parametrize("n", [1000, 10000])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_same_indices_at_large_n(self, n, bits):
+        # the sizes solve_linf and the lift sweep; 1e-13 is the scale of the
+        # tiny copies in the l-infinity benchmark workload
+        dps = DiscretePhaseSet(bits)
+        g = np.random.default_rng([89, n, bits])
+        gauss = g.standard_normal(n) + 1j * g.standard_normal(n)
+        lattice = g.integers(1, 4, n) * np.exp(0.5j * dps.step * g.integers(0, 2 * dps.levels, n))
+        partly_zero = np.where(g.random(n) < 0.3, 0.0, gauss)
+        for v in (gauss, lattice, partly_zero, 1e-13 * gauss, 1e-13 * lattice):
+            assert np.array_equal(_das_indices(v, dps), _per_edge_exp_indices(v, dps, laps=1))
+
     @staticmethod
     def turned(v, eta):
         out = v.copy()
@@ -299,3 +312,36 @@ class TestOneLapSweep:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 16 * n
+
+
+class TestLatticeReduction:
+    """The kernel wraps angles into [0, 2*pi) and reduces them modulo delta
+    without a float modulo; tau, tred and shift must be np.mod's, bit for
+    bit, or the first edges and so the sweep order would move."""
+
+    @staticmethod
+    def angles(bits):
+        g = np.random.default_rng([90, bits])
+        dense = g.uniform(-math.pi, math.pi, 100_000)
+        # every multiple of pi/2^k in [-pi, pi] and both its float neighbours:
+        # there a quotient rounds up to the next integer
+        k = min(bits, 12)
+        grid = np.arange(-2**k, 2**k + 1) * (math.pi / 2**k)
+        near = np.concatenate([grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf)])
+        special = [-0.0, -1e-300, -5e-324, math.pi, -math.pi]
+        return np.concatenate([dense, near[np.abs(near) <= math.pi], special])
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 16, 26, 27])
+    def test_same_bits_as_np_mod(self, bits):
+        # B = 27 takes the np.mod fallback
+        dps = DiscretePhaseSet(bits)
+        th = self.angles(bits)
+        tau_ref = wrap_phase(th)
+        tred_ref = np.mod(tau_ref, dps.step)
+        shift_ref = np.rint((tau_ref - tred_ref) / dps.step).astype(np.int64)
+        tau = _wrap_angle(th)
+        tred, shift = _lattice_split(tau, dps)
+        # compared as bit patterns, so that -0.0 and +0.0 differ
+        assert np.array_equal(tau.view(np.int64), tau_ref.view(np.int64))
+        assert np.array_equal(tred.view(np.int64), tred_ref.view(np.int64))
+        assert np.array_equal(shift, shift_ref)

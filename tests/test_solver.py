@@ -414,6 +414,36 @@ class TestSolveLinf:
         with pytest.raises(DegenerateInputError):
             solve_linf(np.zeros((2, 3), dtype=complex), DiscretePhaseSet(1))
 
+    @staticmethod
+    def row_by_row(a, dps):
+        """solve_linf spelled out: DaS on each nonzero row, first best wins."""
+        best = None
+        for i, row in enumerate(a):
+            if np.any(row):
+                pv, obj = das_maximize(np.conj(row), dps)
+                if best is None or obj > best[2]:
+                    best = (pv.indices, i, obj)
+        return best
+
+    @pytest.mark.parametrize("case", ["signed-zero-row", "zero-row-last", "partly-zero-row-wins"])
+    def test_zero_rows(self, case):
+        g = np.random.default_rng(19)
+        a = g.standard_normal((4, 12)) + 1j * g.standard_normal((4, 12))
+        if case == "signed-zero-row":
+            a[1] = complex(-0.0, -0.0)
+        elif case == "zero-row-last":
+            a[3] = 0.0
+        else:
+            a[2] *= 10.0
+            a[2, ::3] = complex(-0.0, 0.0)
+        dps = DiscretePhaseSet(2)
+        pv, row, obj = solve_linf(a, dps)
+        idx, ref_row, ref_obj = self.row_by_row(a, dps)
+        assert (row, obj) == (ref_row, ref_obj)
+        assert np.array_equal(pv.indices, idx)
+        if case == "partly-zero-row-wins":
+            assert row == 2 and np.all(pv.indices[::3] == 0)
+
 
 class TestDefaultPipeline:
     def test_single_row_hits_das_optimum(self):
