@@ -31,6 +31,7 @@ from .oracle import OracleResult, exhaustive_inner, exhaustive_norm, random_sear
 from .ris import (
     BeamformingProblem,
     RisInstance,
+    RisSolution,
     SnrValue,
     build_phi,
     build_problem,
@@ -57,7 +58,7 @@ __all__ = [
     "__version__",
     "BeamformingProblem", "DegenerateInputError", "DiscretePhaseSet",
     "InvalidArgumentError", "OracleResult", "PhaseVector", "PipelineResult",
-    "RisInstance", "Rng", "SizeLimitError", "SnrValue", "SolveConfig",
+    "RisInstance", "RisSolution", "Rng", "SizeLimitError", "SnrValue", "SolveConfig",
     "SolveTrace", "UnimodError", "UnsupportedNormError",
     "build_phi", "build_problem", "continuous_phase_step", "das_maximize",
     "default_pipeline", "derotate", "deterministic_init", "dual_witness",

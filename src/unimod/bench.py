@@ -165,8 +165,13 @@ def _lifting_gain(unrounded: float, rounded: float, lifted: float) -> float | No
 # plumbing
 
 def _worker_count() -> int:
-    """UNIMOD_THREADS if set, capped at the CPU count; else the CPU count."""
-    cpus = os.cpu_count() or 1
+    """UNIMOD_THREADS if set, capped at the usable CPUs; else the usable
+    CPUs: those of this process's affinity mask where the platform has one,
+    else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     env = os.environ.get("UNIMOD_THREADS")
     if env:
         try:
@@ -512,7 +517,11 @@ def _oracle_summary(spec: ExperimentSpec, rows) -> list:
 _CONTINUOUS_REFERENCE = "continuous reference: this package's alternating continuous solver"
 _SNR_CONVENTION = "SNR convention: transmit power 1, noise variance 1"
 _SNR_HEADER = ("n", "trial", "method", "objective", "snr_db")
-_SNR_NOTES = ("NLoS channels, i.i.d. complex Gaussian entries", _SNR_CONVENTION)
+_RANDOM_DRAW = ("random baseline: configuration k takes generator words k*W .. (k+1)*W - 1, "
+                "W = ceil(n w / 8), and digit i is the top B bits of the i-th little-endian "
+                "w-byte integer (w = 1 for B <= 8, else 2, 4 or 8); trees that drew with "
+                "Generator.integers agree in distribution, not draw for draw")
+_SNR_NOTES = ("NLoS channels, i.i.d. complex Gaussian entries", _SNR_CONVENTION, _RANDOM_DRAW)
 _SNR_READS = ("n_values", "bits", "random_configs")
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -547,7 +556,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         ("n", "method", "trials", "total_seconds", "mean_seconds", "mean_objective"),
         _timing_rows, _timing_summary,
         ("wall-clock fields vary run to run; mean_objective is reproducible",
-         "timers exclude channel generation and file I/O"),
+         "timers exclude channel generation and file I/O", _RANDOM_DRAW),
         dict(trials=20, m=32, n_values=(10, 50, 100, 200, 500, 1000), bits=(1,),
              random_configs=1000), reads=_SNR_READS, sweeps=("n_values",)),
     "oracle-check": Experiment(

@@ -146,14 +146,19 @@ def _cmd_solve_ris(args) -> int:
     inst = load_instance(args.instance)
     prob = build_problem(inst)
     cfg = SolveConfig(p=args.p, tolerance=args.tol, max_iterations=args.max_iter)
-    pv, objective = solve_ris(prob, DiscretePhaseSet(args.bits), cfg)
+    solution = solve_ris(prob, DiscretePhaseSet(args.bits), cfg)
+    pv, result = solution.phases, solution.pipeline
     value = snr(prob, pv, inst)
     payload = {
         "phases": _phases_payload(pv),
         "indices": [int(k) for k in pv.indices],
-        "objective": objective,
+        "objective": solution.objective,
         "snr_db": value.db,
         "snr_linear": value.linear,
+        "termination": result.trace.termination,
+        "iterations": result.trace.iterations,
+        "continuous_termination": result.continuous_trace.termination,
+        "continuous_iterations": result.continuous_trace.iterations,
     }
     _emit(payload, args.out)
     return EXIT_OK

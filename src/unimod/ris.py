@@ -102,20 +102,37 @@ def derotate(pv: PhaseVector, dps: DiscretePhaseSet) -> PhaseVector:
     return PhaseVector.from_indices(idx, dps)
 
 
+@dataclass(frozen=True)
+class RisSolution:
+    """A surface configuration and the pipeline run that found it; unpacks
+    as the pair (phases, objective)."""
+
+    phases: PhaseVector
+    pipeline: PipelineResult
+
+    @property
+    def objective(self) -> float:
+        return self.pipeline.final_cost
+
+    def __iter__(self):
+        return iter((self.phases, self.objective))
+
+
 def solve_ris(prob: BeamformingProblem, dps: DiscretePhaseSet,
-              cfg: SolveConfig | None = None) -> tuple[PhaseVector, float]:
+              cfg: SolveConfig | None = None) -> RisSolution:
     """Optimize the surface configuration through the default pipeline.
 
     Augmented problems are solved over N+1 phases and de-rotated so the
     auxiliary phase is 0; the norm objective is invariant under that global
-    rotation, so the reported objective is unchanged.
+    rotation, so the reported objective is unchanged. The pipeline result
+    tells how each stage ended.
     """
     p = cfg.p if cfg is not None else 2.0
-    result: PipelineResult = default_pipeline(prob.matrix, dps, p, cfg=cfg)
+    result = default_pipeline(prob.matrix, dps, p, cfg=cfg)
     pv = result.trace.phases
     if prob.augmented:
         pv = derotate(pv, dps)
-    return pv, result.final_cost
+    return RisSolution(pv, result)
 
 
 def snr(prob: BeamformingProblem, pv: PhaseVector, inst: RisInstance) -> SnrValue:

@@ -335,6 +335,7 @@ class TestHarness:
     @pytest.mark.parametrize("threads,workers", [("1", 1), ("2", 2)])
     def test_envelope_records_the_environment(self, tmp_path, monkeypatch, threads, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("UNIMOD_THREADS", threads)
         env = run_experiment(make_spec("lifting-stat", tmp_path, trials=4))["environment"]
         assert set(env) == {"python", "numpy", "cpu_count", "workers", "commit"}
@@ -367,8 +368,10 @@ class TestHarness:
             (tmp_path / "parallel/lifting_stat.csv").read_bytes()
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        # only the count is computed; no pool is started
+        # only the count is computed; no pool is started. Without an
+        # affinity mask the CPU count caps the workers
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setenv("UNIMOD_THREADS", "4096")
         assert bench._worker_count() == 2
         monkeypatch.setenv("UNIMOD_THREADS", "1")
@@ -376,9 +379,19 @@ class TestHarness:
         monkeypatch.delenv("UNIMOD_THREADS")
         assert bench._worker_count() == 2
 
+    def test_worker_count_capped_at_the_affinity_mask(self, monkeypatch):
+        # a mask of one CPU on a two-CPU machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("UNIMOD_THREADS", "4096")
+        assert bench._worker_count() == 1
+        monkeypatch.delenv("UNIMOD_THREADS")
+        assert bench._worker_count() == 1
+
     @pytest.mark.skipif(OPENBLAS is None, reason="numpy bundles no OpenBLAS")
     def test_pool_workers_run_blas_on_one_thread(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setenv("UNIMOD_THREADS", "2")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         rows, workers = bench._map_trials(blas_threads, make_spec("lifting-stat", tmp_path, trials=4))

@@ -8,6 +8,7 @@ import pytest
 
 from unimod import DiscretePhaseSet, SolveConfig, default_pipeline
 from unimod.cli import main
+from unimod.ris import build_problem, load_instance
 from unimod.serialize import load_matrix_file
 
 DATA = Path(__file__).parent / "data"
@@ -119,6 +120,24 @@ class TestSolveRis:
         step = 2 * math.pi / 4
         assert all(abs(ph - k * step) < 1e-12
                    for ph, k in zip(payload["phases"], payload["indices"]))
+
+    def test_reports_both_stages(self, tmp_path):
+        # augmented, so the stages are those of the N + 1 phase solve
+        instance = DATA / "ris_los.json"
+        code, payload = run_json(tmp_path, "solve-ris", str(instance), "--bits", "2",
+                                 "--max-iter", "1")
+        assert code == 0
+        assert payload["continuous_termination"] == "iteration-cap"
+        assert payload["continuous_iterations"] == 1
+        assert payload["termination"] == "converged"
+        code, payload = run_json(tmp_path, "solve-ris", str(instance), "--bits", "2")
+        result = default_pipeline(build_problem(load_instance(instance)).matrix,
+                                  DiscretePhaseSet(2), 2)
+        assert payload["continuous_termination"] == result.continuous_trace.termination
+        assert payload["continuous_iterations"] == result.continuous_trace.iterations
+        assert payload["termination"] == result.trace.termination
+        assert payload["iterations"] == result.trace.iterations
+        assert payload["objective"] == result.final_cost
 
     def test_missing_field_exits_2(self, tmp_path):
         rf = tmp_path / "ris.json"

@@ -111,6 +111,20 @@ def oracle_input(kind, m, n, key):
     return a
 
 
+def drawn_digits(rng, trials, n, bits):
+    """The digits random_search draws, rebuilt from its documented rule: each
+    configuration takes ceil(n w / 8) generator words, whose bytes, least
+    significant first, are read as little-endian w-byte integers (w = 1 for
+    B <= 8, else 2, 4 or 8); digit i is the top B bits of integer i."""
+    width = next(w for w in (1, 2, 4, 8) if bits <= 8 * w)
+    words = math.ceil(n * width / 8)
+    raw = rng.generator.bit_generator.random_raw(trials * words)
+    octets = (raw[:, None] >> (8 * np.arange(8, dtype=np.uint64))) & np.uint64(0xFF)
+    octets = octets.reshape(trials, 8 * words)[:, :n * width].reshape(trials, n, width)
+    ints = (octets << (8 * np.arange(width, dtype=np.uint64))).sum(axis=2, dtype=np.uint64)
+    return (ints >> np.uint64(8 * width - bits)).astype(np.int64)
+
+
 #: the lattice size per bit count: a few thousand configurations each
 EXHAUSTIVE_N = {1: 10, 2: 6, 3: 4, 4: 3}
 
@@ -135,7 +149,7 @@ class TestPhaseTableEquivalence:
     def test_random_search(self, p, bits):
         a = sample_complex_gaussian(Rng(615, bits), 4, 30, 1.0)
         dps = DiscretePhaseSet(bits)
-        digits = Rng(616).generator.integers(0, dps.levels, size=(3000, 30))
+        digits = drawn_digits(Rng(616), 3000, 30, bits)
         vals = evaluate(a, digits, dps, p)
         res = random_search(a, dps, p, 3000, Rng(616))
         assert np.array_equal(res.phases.indices, digits[np.argmax(vals)])
@@ -166,7 +180,7 @@ class TestPhaseTableEquivalence:
     def test_random_search_screen(self, kind, p, bits):
         a = oracle_input(kind, 4, 30, [615, bits])
         dps = DiscretePhaseSet(bits)
-        digits = Rng(616).generator.integers(0, dps.levels, size=(3000, 30))
+        digits = drawn_digits(Rng(616), 3000, 30, bits)
         vals = evaluate(a, digits, dps, p)
         res = random_search(a, dps, p, 3000, Rng(616))
         assert np.array_equal(res.phases.indices, digits[np.argmax(vals)])
@@ -205,10 +219,13 @@ class TestRandomSearch:
         rnd = random_search(a, dps, 2, 2000, Rng(613))
         assert res.final_cost > rnd.objective
 
-    @pytest.mark.parametrize("p", [1, 2, math.inf])
-    def test_batch_size_does_not_change_the_result(self, p, monkeypatch):
-        a = sample_complex_gaussian(Rng(617), 8, 40, 1.0)
-        dps = DiscretePhaseSet(2)
+    @pytest.mark.parametrize("p,n,bits", [
+        *(pytest.param(p, 40, 2, id=str(p)) for p in (1, 2, math.inf)),
+        # 37 digits leave bytes over at the end of every row of the draw
+        *(pytest.param(2, 37, bits, id=f"n37-B{bits}") for bits in (1, 3, 9))])
+    def test_batch_size_does_not_change_the_result(self, p, n, bits, monkeypatch):
+        a = sample_complex_gaussian(Rng(617), 8, n, 1.0)
+        dps = DiscretePhaseSet(bits)
         results = []
         for chunk in (7, 1024, 16384):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -216,6 +233,37 @@ class TestRandomSearch:
         for res in results[1:]:
             assert np.array_equal(res.phases.indices, results[0].phases.indices)
             assert res.objective == results[0].objective
+
+    @pytest.mark.parametrize("bits,first", [
+        (1, [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0]),
+        (2, [2, 3, 3, 2, 3, 3, 2, 2, 1, 2, 1, 0]),
+        (3, [5, 7, 6, 4, 7, 7, 4, 5, 2, 5, 3, 0]),
+        (9, [483, 291, 505, 367, 350, 48, 502, 270, 117, 223, 98, 57])])
+    def test_draw_is_pinned(self, bits, first):
+        # the first words of Rng(625) are 0xb793fcf991c0f1bf and
+        # 0x8733fb4b1867af51, so its bytes run bf f1 c0 91 f9 fc 93 b7 51 ...;
+        # at B = 9 the digits are the top 9 bits of 0xf1bf, 0x91c0, ...
+        a = sample_complex_gaussian(Rng(624), 2, 12, 1.0)
+        res = random_search(a, DiscretePhaseSet(bits), 2, 1, Rng(625))
+        assert res.phases.indices.tolist() == first
+
+    @pytest.mark.parametrize("bits,bound", [(1, 15.14), (2, 21.11), (3, 29.88), (4, 44.26)])
+    def test_draw_is_uniform(self, bits, bound):
+        # chi-square of 10^5 digits of one draw; the bounds are the 1 - 1e-4
+        # quantiles at 2^B - 1 degrees of freedom
+        n = 100_000
+        res = random_search(np.ones((1, n)), DiscretePhaseSet(bits), 2, 1, Rng(626, bits))
+        counts = np.bincount(res.phases.indices, minlength=1 << bits)
+        expected = n / (1 << bits)
+        assert np.sum((counts - expected) ** 2 / expected) < bound
+
+    @pytest.mark.parametrize("n,bits,words", [(37, 1, 5), (37, 3, 5), (37, 9, 10), (200, 2, 25)])
+    def test_generator_moves_by_whole_words(self, n, bits, words):
+        a = sample_complex_gaussian(Rng(627), 2, n, 1.0)
+        rng = Rng(628)
+        random_search(a, DiscretePhaseSet(bits), 2, 2500, rng)
+        after = Rng(628).generator.bit_generator.random_raw(2500 * words + 1)[-1]
+        assert rng.generator.bit_generator.random_raw() == after
 
     def test_peak_memory(self):
         # scoring 10^4 configurations at 32 x 200 in 16384-row batches in
