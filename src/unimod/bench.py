@@ -37,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .core import DiscretePhaseSet, Rng, norm_lp, normalize_p, sample_complex_gaussian
+from .core import (DiscretePhaseSet, Rng, as_complex_matrix, norm_lp, normalize_p,
+                   sample_complex_gaussian)
 from .das import das_maximize
 from .errors import InvalidArgumentError
 from .oracle import MAX_EXHAUSTIVE_BITS, exhaustive_inner, exhaustive_norm, random_search
@@ -46,6 +47,7 @@ from .serialize import dump_json, matrix_to_json, vector_to_json
 from .solver import (
     SolveConfig,
     _round_and_lift,
+    _warm_start,
     default_pipeline,
     deterministic_init,
     hard_round,
@@ -394,13 +396,14 @@ def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     """SNR loss of B-bit pipelines against the continuous solution."""
     rng = Rng(spec.seed, stream=trial)
     inst = _nlos_channel(rng, spec.n_values[0], spec.m, spec.variance)
-    a = build_problem(inst).matrix
+    a = as_complex_matrix(build_problem(inst).matrix)
+    ah = a.conj().T
     # one warm start, lifted onto each lattice as default_pipeline would
-    continuous = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
+    continuous = _warm_start(a, ah, SolveConfig(p=2))
     cont_db = _snr_db(continuous.final_cost, inst)
     rows = []
     for bits in spec.bits:
-        result = _round_and_lift(a, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
+        result = _round_and_lift(a, ah, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
         pipe_db = _snr_db(result.final_cost, inst)
         rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db))
     return rows

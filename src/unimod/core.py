@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -80,6 +81,20 @@ class DiscretePhaseSet:
     def values(self) -> np.ndarray:
         """All lattice phases in [0, 2*pi), ascending."""
         return np.arange(self.levels) * self.step
+
+    @property
+    def phasors(self) -> np.ndarray:
+        """exp(j * values), bit for bit: one read-only table per B, built on
+        first use and shared by every solver and oracle. Each B's table is
+        kept for the life of the process; all of B = 1 .. 16 take 2 MB."""
+        return _phasor_table(int(self.bits))
+
+
+@cache
+def _phasor_table(bits: int) -> np.ndarray:
+    table = np.exp(1j * DiscretePhaseSet(bits).values)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

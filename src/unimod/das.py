@@ -39,6 +39,13 @@ remainder modulo delta with delta split in two terms (Cody and Waite) so
 that it is exact, bit for bit what np.mod gives. The O(n log n) argsort is
 the largest single pass of the kernel.
 
+Nothing that depends only on B is rebuilt per call: the phasor table is
+`DiscretePhaseSet.phasors`, one read-only array per B with the bits of
+np.exp(1j * values), and the split of delta is cached per B. The candidate
+sums are built in one buffer: the psi = 0 sum, then the cumulative sum of
+the increments, then that sum added on, the same roundings as joining the
+two and with no copy.
+
 The inner product here, as everywhere in this package, is conjugate-linear in
 the first argument. The region construction below follows the classical
 alignment form sum_i |v_i| * exp(j * (tau_i + Omega_i)); the kernel therefore
@@ -48,6 +55,7 @@ takes the angles of conj(v).
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -73,6 +81,16 @@ def _wrap_angle(th: np.ndarray) -> np.ndarray:
     return tau
 
 
+@cache
+def _step_split(bits: int) -> tuple[float, float]:
+    """(hi, lo) with delta = hi + lo exactly and hi the top 53 - B bits of
+    the B-bit lattice step delta."""
+    delta = DiscretePhaseSet(bits).step
+    mant, exp = math.frexp(delta)
+    hi = math.ldexp(math.floor(math.ldexp(mant, 53 - bits)), exp - 53 + bits)
+    return hi, delta - hi
+
+
 def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, np.ndarray]:
     """(tred, shift) with tred = np.mod(tau, delta), bit for bit, and
     tau = shift*delta + tred exactly, for tau in [0, 2*pi).
@@ -86,19 +104,17 @@ def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, 
     Where q was one high that remainder is negative, and those elements are
     recomputed with q - 1. Wider lattices fall back to np.mod.
     """
-    delta, bits = dps.step, dps.bits
-    if bits > _SPLIT_MAX_BITS:
+    delta = dps.step
+    if dps.bits > _SPLIT_MAX_BITS:
         tred = np.mod(tau, delta)                  # fmod is exact, stays < delta
         return tred, np.rint((tau - tred) / delta).astype(np.int64)
-    mant, exp = math.frexp(delta)
-    hi = math.ldexp(math.floor(math.ldexp(mant, 53 - bits)), exp - 53 + bits)
-    lo = delta - hi
+    hi, lo = _step_split(int(dps.bits))
     q = tau / delta
     np.floor(q, out=q)
     tred = q * hi
     np.subtract(tau, tred, out=tred)
     tred -= q * lo
-    high = np.flatnonzero(tred < 0.0)
+    high = (tred < 0.0).nonzero()[0]
     if high.size:
         qh = q[high] - 1.0
         q[high] = qh
@@ -138,20 +154,23 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     # need the slower stable one
     order = np.argsort(first)
     keys = first[order]
-    if np.any(keys[1:] == keys[:-1]):
+    if (keys[1:] == keys[:-1]).any():
         order = np.argsort(first, kind="stable")
     # table[m] = exp(j*(m*delta)); an element's index before its crossing is
     # k0 < 2^B, and the crossing multiplies its phasor by table[1]
-    table = np.exp(1j * (np.arange(dps.levels) * delta))
+    table = dps.phasors
     ct = c * table[k0]
     d = ct[order] * (table[1] - 1.0)
 
-    # objs[e] is |S| of candidate e, the state after crossing edges 0..e-1
-    s0 = complex(np.sum(ct))
-    objs = np.abs(np.concatenate(([s0], s0 + np.cumsum(d[:-1]))))
+    # sums[e] is S of candidate e, the state after crossing edges 0..e-1
+    sums = np.empty_like(d)
+    sums[0] = ct.sum()
+    np.cumsum(d[:-1], out=sums[1:])
+    sums[1:] += sums[0]
+    objs = np.abs(sums)
 
     best = objs.max()
-    j = int(np.argmax(objs >= best * (1.0 - TIE_TOL)))
+    j = int((objs >= best * (1.0 - TIE_TOL)).argmax())
     k0[order[:j]] += 1
     k0 &= mask
     if nz is None:

@@ -79,7 +79,7 @@ def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
     """Maximum of |<v, exp(j*Omega)>| by enumerating all of Delta^n."""
     v = as_complex_vector(v)
     total = _guard(v.size, dps)
-    phase_table = np.exp(1j * dps.values)
+    phase_table = dps.phasors
 
     # grow the sum one element at a time; axis order keeps element 0 the
     # most significant digit of the flat index
@@ -146,7 +146,7 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, batches) -> tuple[np.n
     e = min(max(int(np.frexp(np.max(np.abs(a)))[1]), -1023), 1023)
     at = (a * math.ldexp(1.0, -e)).T.copy()
     at32 = at.astype(np.complex64)
-    phase_table = np.exp(1j * dps.values)
+    phase_table = dps.phasors
     table32 = phase_table.astype(np.complex64)
     c = 4 * (n + 4) * _U32 * np.abs(at).sum(axis=0) + 2.0 ** -60
     big_e = float(np.linalg.norm(c, p))

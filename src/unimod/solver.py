@@ -12,12 +12,23 @@ recover rounding loss, never add to it.
 
 Both modes share one loop, `_alternate`, that works on raw complex arrays.
 The public solvers validate their input and build PhaseVectors once, outside
-it. Inside, A^H is formed once per solve, the witness and the cost come from
-w = A x with plain numpy, and the iterate is carried in its cheapest form:
-phasors x = u / |u| in continuous mode (1 where u == 0), lattice indices from
-the divide-and-sort kernel in discrete mode. The loop stops once an
-iteration raises the cost by at most the tolerance; an exact fixed point
-raises it by nothing.
+it, and then call private kernels on raw arrays. `default_pipeline` validates
+A once and forms A^H once for all of its stages: its warm start, rounding
+and lift run on those kernels, not through the public solvers, and give the
+same bits as composing the public functions. Inside the loop the witness and
+the cost come from w = A x with plain numpy, and the iterate is carried in
+its cheapest form: phasors x = u / |u| in continuous mode (1 where u == 0),
+lattice indices from the divide-and-sort kernel in discrete mode. The loop
+stops once an iteration raises the cost by at most the tolerance; an exact
+fixed point raises it by nothing.
+
+The map steps avoid numpy's slow paths without changing a bit. x = u / |u|
+is a plain division unless u has a zero entry: a division masked with
+`where=` runs the same arithmetic through a loop about twice as slow, and
+is kept for the zero entries, which get 1. Multiplying by 1/|u| would be
+cheaper, but it is other arithmetic and flips the sign of some zero parts.
+The l2 cost is np.linalg.norm's own formula, sqrt(re.re + im.im), without
+its wrapper.
 
 An iteration of the discrete mode is one map evaluation: a witness step and
 a divide-and-sort step. An iteration of the continuous mode is one SQUAREM
@@ -45,6 +56,7 @@ from .core import (
     TWO_PI,
     DiscretePhaseSet,
     PhaseVector,
+    _mod_two_pi,
     as_complex_matrix,
     as_complex_vector,
     nearest_lattice,
@@ -142,20 +154,30 @@ def continuous_phase_step(u) -> PhaseVector:
     Achieves |<u, exp(j*Omega)>| = ||u||_1, the continuous inner-product
     optimum. Zero entries get phase 0.
     """
-    u = as_complex_vector(u)
-    ang = np.where(np.abs(u) > 0, np.angle(u), 0.0)
-    return PhaseVector(wrap_phase(ang))
+    return PhaseVector(_aligned_phases(as_complex_vector(u)))
+
+
+def _aligned_phases(u: np.ndarray) -> np.ndarray:
+    """angle(u) wrapped into [0, 2*pi), 0 where u == 0, for a finite u."""
+    return _mod_two_pi(np.where(np.abs(u) > 0, np.angle(u), 0.0))
 
 
 def _unit(v: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """v / |v| elementwise, with 1 where v == 0; `mod` is |v|."""
+    """v / |v| elementwise, with 1 where v == 0; `mod` is |v|.
+
+    Both branches run numpy's one complex-by-real division loop, so they
+    agree bit for bit; only a v with a zero entry pays for the masked one."""
+    if mod[mod.argmin()] > 0.0:
+        return v / mod
     return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
 
 
 def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2}."""
     if p == 2.0:
-        cost = float(np.linalg.norm(w))
+        # np.linalg.norm(w) by its own formula, without the wrapper
+        re, im = w.real, w.imag
+        cost = math.sqrt(re.dot(re) + im.dot(im))
         if cost == 0.0 or cost == math.inf:
             # the sum of squares underflows for |w| near 1e-170 and overflows
             # near 1e170; only the zero vector has norm 0
@@ -163,7 +185,7 @@ def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
             cost = float(s * np.linalg.norm(w / s)) if s > 0.0 else 0.0
     else:
         mod = np.abs(w)
-        cost = float(np.sum(mod))
+        cost = float(mod.sum())
     if cost == 0.0:
         raise DegenerateInputError("w = A exp(j*Omega) is zero and has no dual witness")
     return (w / cost if p == 2.0 else _unit(w, mod)), cost
@@ -193,8 +215,9 @@ def _as_phase_vector(omega0) -> PhaseVector:
     return PhaseVector.from_values(omega0)
 
 
-def _alternate(a: np.ndarray, cfg: SolveConfig, state: np.ndarray, step, phasors, advance):
-    """Shared alternating loop on raw arrays.
+def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarray, step,
+               phasors, advance):
+    """Shared alternating loop on raw arrays; `ah` is a.conj().T.
 
     `state` is the iterate in its mode's own form, `phasors(state)` gives
     exp(j*Omega) and `step(u)` maps u = A^H z to the next state. With them
@@ -208,7 +231,6 @@ def _alternate(a: np.ndarray, cfg: SolveConfig, state: np.ndarray, step, phasors
         raise UnsupportedNormError("p = inf has an exact non-iterative solver, use solve_linf")
     if state.size != a.shape[1]:
         raise InvalidArgumentError("starting point length does not match the matrix")
-    ah = a.conj().T
     p = cfg.p
 
     def score(s):
@@ -271,11 +293,16 @@ def solve_discrete(a, cfg: SolveConfig, omega0) -> SolveTrace:
     a = as_complex_matrix(a)
     if cfg.dps is None:
         raise InvalidArgumentError("solve_discrete needs a DiscretePhaseSet in the config")
+    return _lift(a, a.conj().T, cfg, _lattice_phase_vector(omega0, cfg.dps))
+
+
+def _lift(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, pv0: PhaseVector) -> SolveTrace:
+    """Kernel of `solve_discrete` for a validated `a`, its `ah` = a.conj().T
+    and a start `pv0` with indices on cfg.dps."""
     dps = cfg.dps
-    pv0 = _lattice_phase_vector(omega0, dps)
-    table = np.exp(1j * dps.values)
+    table = dps.phasors
     costs, termination, idx, z = _alternate(
-        a, cfg, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k], _map_step)
+        a, ah, cfg, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k], _map_step)
     return SolveTrace(costs, termination, PhaseVector.from_indices(idx, dps), z)
 
 
@@ -288,9 +315,14 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
     each iteration a SQUAREM cycle of three steps.
     """
     a = as_complex_matrix(a)
-    pv0 = _as_phase_vector(omega0)
+    return _align(a, a.conj().T, cfg, _as_phase_vector(omega0).phasors())
+
+
+def _align(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> SolveTrace:
+    """Kernel of `solve_continuous` for a validated `a`, its `ah` = a.conj().T
+    and starting phasors `x0`."""
     costs, termination, x, z = _alternate(
-        a, cfg, pv0.phasors(), lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle)
+        a, ah, cfg, x0, lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle)
     return SolveTrace(costs, termination, PhaseVector(wrap_phase(np.angle(x))), z)
 
 
@@ -311,7 +343,7 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
     with equal objectives the first wins.
     """
     a = as_complex_matrix(a)
-    table = np.exp(1j * dps.values)
+    table = dps.phasors
     best: tuple[np.ndarray, int, float] | None = None
     for i in range(a.shape[0]):
         v = np.conj(a[i, :])
@@ -335,16 +367,19 @@ def deterministic_init(a, p) -> PhaseVector:
     otherwise. The indicator e_i* is a unit vector in every dual norm, and for
     a single-row matrix this start is already the continuous optimum.
     """
-    a = as_complex_matrix(a)
-    p = normalize_p(p)
+    return PhaseVector(_init_phases(as_complex_matrix(a), normalize_p(p)))
+
+
+def _init_phases(a: np.ndarray, p: float) -> np.ndarray:
+    """Kernel of `deterministic_init` for a validated `a` and a p through
+    `normalize_p`: the starting phases."""
     q = 1.0 if p == 1.0 else 2.0
     with np.errstate(over="ignore"):
         norms = row_norms(a, q)
     if not np.all(np.isfinite(norms)):
         # the sums overflow near 1e170; a / max|a| has the same row order
         norms = row_norms(a / np.max(np.abs(a)), q)
-    i_star = int(np.argmax(norms))
-    return continuous_phase_step(np.conj(a[i_star, :]))
+    return _aligned_phases(np.conj(a[int(np.argmax(norms)), :]))
 
 
 def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None) -> PipelineResult:
@@ -352,7 +387,8 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
 
     The lift runs the discrete alternation from the hard-rounded point.
     Monotonicity guarantees its final cost is at least the rounded cost, so it
-    can only recover quantization loss.
+    can only recover quantization loss. A is validated once, here; the steps
+    run on their kernels and share one A^H.
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
@@ -362,16 +398,25 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
         cfg = SolveConfig(p=p, dps=dps)
     else:
         cfg = replace(cfg, p=p, dps=dps)
-    continuous = solve_continuous(a, cfg, deterministic_init(a, p))
-    return _round_and_lift(a, cfg, continuous)
+    ah = a.conj().T
+    return _round_and_lift(a, ah, cfg, _warm_start(a, ah, cfg))
 
 
-def _round_and_lift(a: np.ndarray, cfg: SolveConfig, continuous: SolveTrace) -> PipelineResult:
+def _warm_start(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig) -> SolveTrace:
+    """The pipeline's continuous stage, `solve_continuous` from
+    `deterministic_init`, for a validated `a`, its `ah` = a.conj().T and
+    cfg.p in {1, 2}."""
+    return _align(a, ah, cfg, np.exp(1j * _init_phases(a, cfg.p)))
+
+
+def _round_and_lift(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig,
+                    continuous: SolveTrace) -> PipelineResult:
     """The pipeline after its warm start: hard-round the continuous solution
-    onto cfg.dps, then lift. `a` is validated and cfg.p in {1, 2}; callers
-    that lift one warm start onto several lattices call this once per lattice."""
+    onto cfg.dps, then lift. `a` is validated, `ah` is a.conj().T and cfg.p
+    in {1, 2}; callers that lift one warm start onto several lattices call
+    this once per lattice."""
     rounded = hard_round(continuous.phases, cfg.dps)
-    lifted = solve_discrete(a, cfg, rounded)
+    lifted = _lift(a, ah, cfg, rounded)
     # the lift's first cost is the rounded point's, and unlike norm_lp it
     # does not underflow near 1e-170
     return PipelineResult(lifted, continuous, rounded, float(lifted.costs[0]))

@@ -89,6 +89,20 @@ class TestDiscretePhaseSet:
         dps = DiscretePhaseSet(5)
         assert np.all(dps.values >= 0) and np.all(dps.values < TWO_PI)
 
+    def test_phasors_are_exp_of_values(self):
+        for bits in range(1, 17):
+            dps = DiscretePhaseSet(bits)
+            ref = np.exp(1j * dps.values)
+            assert np.array_equal(dps.phasors.view(np.uint64), ref.view(np.uint64))
+            # one table per B, shared by every lattice of that width
+            assert DiscretePhaseSet(bits).phasors is dps.phasors
+
+    def test_phasors_are_read_only(self):
+        table = DiscretePhaseSet(3).phasors
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        assert table[0] == 1.0
+
     def test_bad_bits(self):
         with pytest.raises(InvalidArgumentError):
             DiscretePhaseSet(0)

@@ -25,7 +25,9 @@ from unimod import (
     solve_linf,
     wrap_phase,
 )
+from unimod import solver
 from unimod.oracle import exhaustive_norm
+from unimod.solver import _unit, _witness
 
 
 def zero_start(n, dps):
@@ -311,6 +313,64 @@ class TestKernelEquivalence:
         assert np.array_equal(trace.phases.indices, pv.indices)
 
 
+def bits_of(x):
+    """Bit patterns of a float or complex array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestMapStepFastPaths:
+    """The map steps' arithmetic against the numpy calls it replaced, bit for bit."""
+
+    #: real and imaginary parts: signed zeros, subnormals, 1e+-170 and plain values
+    PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e-170, -1e-170,
+             1.0, -2.5, 3.7e-5, 1e170, -1e170)
+
+    @classmethod
+    def special_entries(cls):
+        v = np.array([complex(re, im) for re in cls.PARTS for im in cls.PARTS])
+        # drop v == 0, and the moduli below 2^-1024 (5.6e-309): numpy's
+        # division forms 1/|v|, which is inf there, and returns inf or nan
+        return v[np.abs(v) >= 1e-308]
+
+    @staticmethod
+    def masked_divide(v):
+        mod = np.abs(v)
+        return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
+
+    @pytest.mark.parametrize("n", [1, 32, 1000, 1001])
+    @pytest.mark.parametrize("with_zero", [False, True])
+    def test_unit_is_the_masked_divide(self, n, with_zero):
+        special = self.special_entries()
+        g = np.random.default_rng([31, n])
+        for scale in (1e-170, 1.0, 1e170):
+            gauss = scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
+            # the special entries in turn, each among Gaussian ones
+            for start in range(0, special.size, n):
+                v = gauss.copy()
+                chunk = special[start:start + n]
+                v[g.permutation(n)[:chunk.size]] = chunk
+                if with_zero:
+                    v[g.integers(n)] = 0.0
+                assert np.array_equal(bits_of(_unit(v, np.abs(v))), bits_of(self.masked_divide(v)))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1.0, 1e150, 1e170])
+    def test_l2_witness_cost_is_the_norm(self, scale):
+        g = np.random.default_rng(32)
+        for m in (1, 32, 100):
+            w = scale * (g.standard_normal(2 * m) + 1j * g.standard_normal(2 * m))
+            for x in (w[:m], w[::2]):             # contiguous and strided
+                with np.errstate(over="ignore"):
+                    z, cost = _witness(x, 2.0)
+                    ref = float(np.linalg.norm(x))
+                if ref in (0.0, math.inf):
+                    # the sum of squares under- or overflows: the rescue
+                    s = np.max(np.abs(x))
+                    ref = float(s * np.linalg.norm(x / s))
+                    assert scale in (1e-170, 1e170)
+                assert np.float64(cost).view(np.uint64) == np.float64(ref).view(np.uint64)
+                assert np.array_equal(bits_of(z), bits_of(x / ref))
+
+
 class TestHardRound:
     def test_circular_nearest(self):
         pv = hard_round(PhaseVector(np.array([0.4 * math.pi, 1.6 * math.pi])),
@@ -505,6 +565,30 @@ class TestDefaultPipeline:
     def test_p_inf_routed_away(self):
         with pytest.raises(UnsupportedNormError):
             default_pipeline(np.eye(2, dtype=complex), DiscretePhaseSet(1), math.inf)
+
+    def test_validates_a_once(self, monkeypatch):
+        calls = []
+        validate = solver.as_complex_matrix
+
+        def counted(a):
+            calls.append(a)
+            return validate(a)
+
+        monkeypatch.setattr(solver, "as_complex_matrix", counted)
+        default_pipeline(sample_complex_gaussian(Rng(28), 8, 60, 1.0), DiscretePhaseSet(2), 2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_matches_the_public_composition(self, p, bits):
+        a = sample_complex_gaussian(Rng(29, bits), 8, 60, 1.0)
+        dps = DiscretePhaseSet(bits)
+        result = default_pipeline(a, dps, p)
+        cont = solve_continuous(a, SolveConfig(p=p), deterministic_init(a, p))
+        lifted = solve_discrete(a, SolveConfig(p=p, dps=dps), hard_round(cont.phases, dps))
+        assert np.array_equal(result.trace.phases.indices, lifted.phases.indices)
+        assert np.array_equal(result.continuous_trace.costs, cont.costs)
+        assert np.array_equal(result.trace.costs, lifted.costs)
 
 
 class TestMonotonicityProperty:
