@@ -162,14 +162,29 @@ def _aligned_phases(u: np.ndarray) -> np.ndarray:
     return _mod_two_pi(np.where(np.abs(u) > 0, np.angle(u), 0.0))
 
 
+#: at or below it 1 / |u| overflows, and so does numpy's complex division by |u|
+_TINY = math.ldexp(1.0, -1024)
+
+#: scales every modulus up to 2^-1024 into the normal range, exactly
+_UP = math.ldexp(1.0, 600)
+
+
 def _unit(v: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """v / |v| elementwise, with 1 where v == 0; `mod` is |v|.
 
     Both branches run numpy's one complex-by-real division loop, so they
-    agree bit for bit; only a v with a zero entry pays for the masked one."""
-    if mod[mod.argmin()] > 0.0:
+    agree bit for bit; only a v with an entry of modulus at most 2^-1024
+    pays for the masked one. That loop forms 1 / |v|, which overflows for
+    those entries, so a nonzero one is scaled up by 2^600 first, exactly,
+    and divided by its own modulus."""
+    if mod[mod.argmin()] > _TINY:
         return v / mod
-    return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
+    x = np.divide(v, mod, out=np.ones_like(v), where=mod > _TINY)
+    tiny = (mod > 0.0) & (mod <= _TINY)
+    if tiny.any():
+        t = v[tiny] * _UP
+        x[tiny] = t / np.abs(t)
+    return x
 
 
 def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
@@ -182,6 +197,10 @@ def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
             # the sum of squares underflows for |w| near 1e-170 and overflows
             # near 1e170; only the zero vector has norm 0
             s = np.max(np.abs(w))
+            if 0.0 < s <= _TINY:
+                # 1 / s and 1 / cost overflow; w * 2^600 has the same witness
+                z, cost = _witness(w * _UP, p)
+                return z, cost / _UP
             cost = float(s * np.linalg.norm(w / s)) if s > 0.0 else 0.0
     else:
         mod = np.abs(w)

@@ -243,6 +243,22 @@ class TestSnrStudies:
             pct = entry["percentiles_db"]
             assert pct["5"] <= pct["50"] <= pct["95"]
 
+    @pytest.mark.parametrize("vals", [
+        pytest.param([3.25], id="one-row"),
+        pytest.param([1.5, -0.25, 1.5, 1.5, 7.0, -0.25], id="ties"),
+        pytest.param(list(np.random.default_rng(630).normal(10.0, 4.0, 7)), id="odd"),
+        pytest.param(list(np.random.default_rng(631).normal(10.0, 4.0, 200)), id="200")])
+    def test_snr_cdf_percentiles_match_single_calls(self, vals):
+        # the summary takes all five percentiles in one call; each must be
+        # the bits of its own single-q call
+        rows = [(25, t, method, 0.0, v + k)
+                for t, v in enumerate(vals) for k, method in enumerate(bench._SNR_METHODS)]
+        for k, entry in enumerate(bench._snr_cdf_summary(None, rows)):
+            shifted = [v + k for v in vals]
+            for q, got in entry["percentiles_db"].items():
+                want = float(np.percentile(sorted(shifted), int(q)))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestQuantizationGap:
     def test_gap_shrinks_with_bits(self, tmp_path):

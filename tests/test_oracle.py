@@ -219,20 +219,39 @@ class TestRandomSearch:
         rnd = random_search(a, dps, 2, 2000, Rng(613))
         assert res.final_cost > rnd.objective
 
-    @pytest.mark.parametrize("p,n,bits", [
-        *(pytest.param(p, 40, 2, id=str(p)) for p in (1, 2, math.inf)),
+    @pytest.mark.parametrize("p,n,bits,kind", [
+        *(pytest.param(p, 40, 2, "gaussian", id=str(p)) for p in (1, 2, math.inf)),
         # 37 digits leave bytes over at the end of every row of the draw
-        *(pytest.param(2, 37, bits, id=f"n37-B{bits}") for bits in (1, 3, 9))])
-    def test_batch_size_does_not_change_the_result(self, p, n, bits, monkeypatch):
-        a = sample_complex_gaussian(Rng(617), 8, n, 1.0)
+        *(pytest.param(2, 37, bits, "gaussian", id=f"n37-B{bits}") for bits in (1, 3, 9)),
+        # the width of the snr-cdf problems, whose last default batch is short
+        pytest.param(2, 200, 2, "gaussian", id="n200-default-chunk"),
+        *(pytest.param(p, 10, 1, "equal-columns", id=f"equal-columns-{p}")
+          for p in (1, 2, math.inf))])
+    def test_batch_size_does_not_change_the_result(self, p, n, bits, kind, monkeypatch):
         dps = DiscretePhaseSet(bits)
+        if kind == "gaussian":
+            a = sample_complex_gaussian(Rng(617), 8, n, 1.0)
+        else:
+            # equal real columns of small integers: a configuration scores
+            # |#0 - #1| times a fixed norm, exactly, so all digits 0 and all
+            # digits 1 tie for the best
+            a = np.repeat(np.random.default_rng(632).integers(1, 5, (8, 1)) * 1.0, n, axis=1)
+        default = oracle._CHUNK
         results = []
-        for chunk in (7, 1024, 16384):
+        for chunk in (7, default, 1024, 16384):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             results.append(random_search(a, dps, p, 5000, Rng(618)))
         for res in results[1:]:
             assert np.array_equal(res.phases.indices, results[0].phases.indices)
             assert res.objective == results[0].objective
+        if kind == "equal-columns":
+            digits = drawn_digits(Rng(618), 5000, n, bits)
+            score = np.abs(n - 2 * digits.sum(axis=1))
+            hits = np.flatnonzero(score == score.max())
+            for chunk in (7, default):
+                # the tied draws fall in different batches
+                assert np.unique(hits // chunk).size > 1
+            assert np.array_equal(results[0].phases.indices, digits[hits[0]])
 
     @pytest.mark.parametrize("bits,first", [
         (1, [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0]),
@@ -277,6 +296,18 @@ class TestRandomSearch:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_peak_memory_of_the_workspace(self):
+        # one reused workspace of 512-row batches peaks near 2.1 MB; a fresh
+        # set of arrays per 1024-row batch peaked near 3.5 MB
+        a = sample_complex_gaussian(Rng(619), 32, 200, 1.0)
+        tracemalloc.start()
+        try:
+            random_search(a, DiscretePhaseSet(2), 2, 10_000, Rng(620))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
 
 
 SCALES = (1e-170, 1e-160, 1.0, 1e160, 1e170)

@@ -371,6 +371,50 @@ class TestMapStepFastPaths:
                 assert np.array_equal(bits_of(z), bits_of(x / ref))
 
 
+class TestSubnormalModuli:
+    """Moduli at or below 2^-1024, where 1/|u| and numpy's complex division
+    by |u| overflow."""
+
+    def test_unit_gives_unit_phasors(self):
+        tiny = np.array([5e-324, -5e-324j, 3e-310 - 4e-310j, 1e-309 + 5e-324j,
+                         complex(math.ldexp(1.0, -1024), 0.0)])
+        v = np.concatenate([tiny, [0.0, 2.0 - 1j, 1e-308j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _unit(v, np.abs(v))
+        assert np.abs(np.abs(x[:5]) - 1.0).max() <= 4e-16
+        assert np.allclose(np.angle(x[:5]), np.angle(tiny), rtol=0, atol=1e-15)
+        # the other entries keep the division's bits, and 1 at zero
+        assert np.array_equal(bits_of(x[5:]), bits_of(TestMapStepFastPaths.masked_divide(v[5:])))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_witness_of_a_subnormal_w(self, p):
+        w = (np.arange(1, 33) + 1j * np.arange(32)) * 1e-312
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, cost = _witness(w, float(p))
+        assert cost == pytest.approx(norm_lp(w * 1e300, p) * 1e-300, rel=1e-12)
+        # Holder equality: unit dual norm and <z, w> = ||w||_p
+        assert np.linalg.norm(z, {1: np.inf, 2: 2}[p]) == pytest.approx(1.0, rel=1e-15)
+        assert np.vdot(z, w * 1e300).real == pytest.approx(cost * 1e300, rel=1e-12)
+
+    def test_pipeline_with_a_subnormal_column(self):
+        # A^H z has a modulus near 1e-310 in entry 3: the warm start used to
+        # score NaN from its first cycle and run to the iteration cap
+        a = sample_complex_gaussian(Rng(5), 8, 40, 1.0)
+        a[:, 3] *= 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = default_pipeline(a, DiscretePhaseSet(2), 2)
+        for trace in (res.continuous_trace, res.trace):
+            assert np.isfinite(trace.costs).all()
+            assert trace.termination == "converged"
+        zeroed = a.copy()
+        zeroed[:, 3] = 0.0
+        assert res.final_cost == pytest.approx(default_pipeline(zeroed, DiscretePhaseSet(2), 2).final_cost,
+                                               rel=1e-9)
+
+
 class TestHardRound:
     def test_circular_nearest(self):
         pv = hard_round(PhaseVector(np.array([0.4 * math.pi, 1.6 * math.pi])),
