@@ -222,7 +222,7 @@ def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
     return OracleResult(PhaseVector.from_indices(idx, dps), best, total)
 
 
-def _random_digits(random_raw, out: np.ndarray, bits: int) -> np.ndarray:
+def _random_digits(random_raw, out: np.ndarray, bits: int) -> None:
     """Fill `out` with configurations of lattice digits, one per row,
     ceil(n w / 8) generator words each: digit i is the top B bits of the
     row's i-th little-endian w-byte integer, and the bytes left over at the
@@ -236,7 +236,6 @@ def _random_digits(random_raw, out: np.ndarray, bits: int) -> np.ndarray:
     u = random_raw(rows * -(-n * width // 8)).astype("<u8", copy=False).view(f"<u{width}")
     u >>= 8 * width - bits
     out[...] = u.reshape(rows, -1)[:, :n]
-    return out
 
 
 def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleResult:
