@@ -320,7 +320,8 @@ def _lifting_trial(spec: ExperimentSpec, trial: int) -> list:
     a = sample_complex_gaussian(rng, spec.m, spec.n_values[0], spec.variance)
     result = default_pipeline(a, DiscretePhaseSet(spec.bits[0]), spec.p)
     costs = (result.unrounded_cost, result.rounded_cost, result.final_cost)
-    return [(trial, *costs, _lifting_gain(*costs))]
+    warm = result.continuous_trace
+    return [(trial, *costs, _lifting_gain(*costs), warm.termination, warm.iterations)]
 
 
 def _lifting_summary(spec: ExperimentSpec, rows) -> list:
@@ -332,6 +333,7 @@ def _lifting_summary(spec: ExperimentSpec, rows) -> list:
         "median_gain": float(np.median(gains)) if gains else None,
         "strict_improvements": sum(1 for r in rows if r[3] > r[2] + GAIN_EPS),
         "dominance_violations": sum(1 for r in rows if r[3] < r[2] - 1e-9),
+        "continuous_cap_hits": sum(1 for r in rows if r[5] == "iteration-cap"),
     }]
 
 
@@ -406,7 +408,8 @@ def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     for bits in spec.bits:
         result = _round_and_lift(a, ah, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
         pipe_db = _snr_db(result.final_cost, inst)
-        rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db))
+        rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db,
+                     continuous.termination, continuous.iterations))
     return rows
 
 
@@ -521,10 +524,14 @@ def _oracle_summary(spec: ExperimentSpec, rows) -> list:
 _CONTINUOUS_REFERENCE = "continuous reference: this package's alternating continuous solver"
 _SNR_CONVENTION = "SNR convention: transmit power 1, noise variance 1"
 _SNR_HEADER = ("n", "trial", "method", "objective", "snr_db")
+_WARM_START_HEADER = ("continuous_termination", "continuous_iterations")
 _RANDOM_DRAW = ("random baseline: configuration k takes generator words k*W .. (k+1)*W - 1, "
-                "W = ceil(n w / 8), and digit i is the top B bits of the i-th little-endian "
-                "w-byte integer (w = 1 for B <= 8, else 2, 4 or 8); trees that drew with "
-                "Generator.integers agree in distribution, not draw for draw")
+                "whose bytes are read least significant first; for B <= 8 each byte packs "
+                "d = floor(8 / B) digits, top bits first, W = ceil(ceil(n / d) / 8) and digit i "
+                "is (byte[i // d] >> (8 - B (i % d + 1))) & (2^B - 1); for wider lattices "
+                "W = ceil(n w / 8) and digit i is the top B bits of the i-th little-endian "
+                "w-byte integer (w = 2, 4 or 8); trees that drew one byte per digit for B <= 4, "
+                "or drew with Generator.integers, agree in distribution, not draw for draw")
 _SNR_NOTES = ("NLoS channels, i.i.d. complex Gaussian entries", _SNR_CONVENTION, _RANDOM_DRAW)
 _SNR_READS = ("n_values", "bits", "random_configs")
 
@@ -537,7 +544,7 @@ EXPERIMENTS: dict[str, Experiment] = {
          "a discrete iteration one map evaluation"),
         dict(trials=3, m=10, n_values=(100,), bits=(2,)), reads=("n_values", "bits")),
     "lifting-stat": Experiment(
-        "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain"),
+        "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain", *_WARM_START_HEADER),
         partial(_map_trials, _lifting_trial), _lifting_summary,
         (_CONTINUOUS_REFERENCE, "gain is empty when the rounding loss is below 1e-12"),
         dict(trials=500, m=10, n_values=(100,), bits=(1,)), reads=("p", "n_values", "bits")),
@@ -551,7 +558,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         reads=_SNR_READS, sweeps=("n_values",)),
     "quantization-gap": Experiment(
         "quantization_gap",
-        ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db"),
+        ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db", *_WARM_START_HEADER),
         partial(_map_trials, _gap_trial), _gap_summary, (_CONTINUOUS_REFERENCE, _SNR_CONVENTION),
         dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)),
         reads=("n_values", "bits"), sweeps=("bits",)),

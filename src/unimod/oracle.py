@@ -10,23 +10,29 @@ values in tests are unique. Configurations are evaluated by indexing a
 table of the 2^B lattice phasors, never by calling exp per entry.
 
 Random search draws each configuration from whole 64-bit words of the Rng's
-Philox generator (`bit_generator.random_raw`): ceil(n w / 8) words per
-configuration, read as little-endian unsigned integers of w bytes, with
-w = 1 for B <= 8 and 2, 4 or 8 for wider lattices. Digit i is the top B bits
-of integer i, and the bytes left over at the end of a configuration are
-dropped. Every bit of Philox output is uniform, so the digits are uniform
-on the lattice; one byte per digit takes a quarter of the words a bounded
-integer draw does, and the draw of a configuration does not depend on the
-batch it falls in. The rule replaced a `Generator.integers(0, 2^B)` draw:
-random-baseline numbers from trees with that draw agree in distribution,
-not draw for draw.
+Philox generator (`bit_generator.random_raw`), whose bytes are read least
+significant first. For B <= 8 each byte packs d = floor(8 / B) digits, top
+bits first: a configuration takes W = ceil(ceil(n / d) / 8) words, and digit
+i is (byte[i // d] >> (8 - B (i % d + 1))) & (2^B - 1) of its first
+ceil(n / d) bytes. For wider lattices a configuration takes ceil(n w / 8)
+words read as little-endian integers of w = 2, 4 or 8 bytes, and digit i is
+the top B bits of integer i. Digits and bytes left over at the end of a
+configuration are dropped. Every bit of Philox output is uniform and
+independent of the others, so the digits are uniform and independent on the
+lattice, and the draw of a configuration does not depend on the batch it
+falls in. The rule replaced one byte per digit for B <= 4 (B = 5 .. 8 read
+the same digits either way), which in turn replaced a
+`Generator.integers(0, 2^B)` draw: random-baseline numbers from trees with
+either earlier rule agree in distribution, not draw for draw.
 
 Both searches share one scan. It divides A by a power of two near max|A|,
 which is exact, so the arithmetic is the same at every scale of A and no
 sum of squares overflows or flushes to zero near 1e170 or 1e-170. It works
 in one workspace per call, sized to stay in L2 cache and reused for every
-batch of 512 configurations: their digits, phasors and products are written
-in place, not allocated per batch. Each batch is screened in single
+batch of 512 configurations: their codes (one generator byte or one digit
+each), phasors and products are written in place, not allocated per batch;
+a code's phasors come from one row of a table of all codes, so a byte
+needs no unpacking. Each batch is screened in single
 precision, and only the configurations whose screen score is within a
 worst-case rounding bound of the best screen score so far are scored again
 in double precision; a batch with none is not scored again. The bound
@@ -101,25 +107,42 @@ def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
     return OracleResult(PhaseVector.from_indices(idx, dps), objective, total)
 
 
+def _byte_digits(bits: int) -> np.ndarray:
+    """The (256, floor(8 / B)) intp table whose row b holds the lattice
+    digits packed in byte b, top bits first, for B <= 8."""
+    shifts = 8 - bits * np.arange(1, 8 // bits + 1)
+    return (np.arange(256)[:, None] >> shifts) & ((1 << bits) - 1)
+
+
 def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
-          fill) -> tuple[np.ndarray, float]:
+          fill, byte_digits: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Best configuration and objective ||A exp(j*Omega)||_p over `total`
-    lattice index rows; the first hit wins ties. `fill(start, out)` writes
-    rows start, start + 1, ... into the intp array `out`.
+    configurations; the first hit wins ties. `fill(start, out)` writes the
+    codes of configurations start, start + 1, ... into the rows of `out`.
+    With `byte_digits` None a code is one lattice digit and `out` is intp
+    with n columns; else a code is a byte that packs the d digits of its row
+    of the (256, d) table `byte_digits`, and `out` is uint8 with
+    nc = ceil(n / d) columns, of which the first n digits count.
 
     Each batch is screened in single precision and only the configurations
     that can still win are scored in double precision. The result is that of
     scoring every configuration in double precision.
 
-    Workspace. One call allocates the batch's digits (intp), phasors and
-    screen products (complex64) once and reuses them for every batch: the
-    digits are filled in place, the phasors gathered with
-    np.take(..., out=, mode="clip") (the digits are in range by
-    construction, and the default mode="raise" makes numpy buffer the call)
-    and the products written by np.matmul(..., out=). At `_CHUNK` = 512 rows
-    and 32 x 200 the workspace is 1.7 MB, inside the 2 MB per-core L2 cache
-    of the x86-64 host it was sized on; there 1024 rows, twice that, ran
-    about 20 % slower per configuration, and 256 rows about as fast as 512.
+    Workspace. One call allocates the batch's codes, phasors and screen
+    products (complex64) once and reuses them for every batch: the codes
+    are filled in place, the phasors gathered a row of d per code from a
+    table of every code's phasors with np.take(..., axis=0, out=,
+    mode="clip") (the codes are in range by construction, and the default
+    mode="raise" makes numpy buffer the call) and the products written by
+    np.matmul(..., out=). The phasor rows are n' = nc d <= n + 7 wide; the
+    digits past n pad the last code and meet zero rows of A^T, so they add
+    exact zeros to the screen products; the digits of the configurations
+    kept for the double precision score come from a table of every code's
+    digits, and only the first n count. At `_CHUNK` = 512 rows, 32 x 200 and
+    B = 2 the workspace is 0.95 MB (1.7 MB with a digit per code), inside
+    the 2 MB per-core L2 cache of the x86-64 host it was sized on; there
+    1024 rows ran about 20 % slower per configuration than 512 with a digit
+    per code, and 256 rows about as fast as 512.
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023). Multiplying by 2^-e is exact, float32 neither
@@ -128,19 +151,22 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
 
     Bound. Fix a configuration with exact unit phasors x. Let y = (a/s) x,
     V = ||y||_p, F its double precision score, y' the single precision
-    product of the rounded phasors and the rounded a/s, and w = fl(||y'||_p)
-    its single precision score. With u = 2^-24, rounding the inputs costs
-    2u |a_mi| / s per term, a complex product sqrt(2) gamma_2 and a complex
-    sum of n terms sqrt(2) gamma_(n-1) times the sum of the moduli, in any
-    order and with or without fused multiply-adds (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6;
-    gamma_k = k u / (1 - k u)). For n below 2^20 that gives
-        |y'_m - y_m| <= 2 (n + 4) u sum_i |a_mi| / s.
-    The same analysis in double precision, the norm included, bounds
-    |F - V| by a 2^-28 share of that. Entries, products, partial sums and
-    squares below the float32 range may be flushed to zero; 2^-61 per row
-    covers that for n below 2^60. With
-        c_m = 4 (n + 4) u sum_i |a_mi| / s + 2^-60,   E = ||c||_p,
+    product of the n' rounded phasors and the rounded a/s with its zero
+    rows, and w = fl(||y'||_p) its single precision score. With u = 2^-24,
+    rounding the inputs costs 2u |a_mi| / s per term, a complex product
+    sqrt(2) gamma_2 and a complex sum of n' terms sqrt(2) gamma_(n'-1) times
+    the sum of the moduli, in any order and with or without fused
+    multiply-adds (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.1 and 3.6; gamma_k = k u / (1 - k u)). For n' below
+    2^20 that gives
+        |y'_m - y_m| <= 2 (n' + 4) u sum_i |a_mi| / s,
+    where the padded terms have a_mi = 0. Counting them only widens the
+    bound; that exact zeros add no rounding is not relied on. The same
+    analysis in double precision, over the n unpadded terms and the norm
+    included, bounds |F - V| by a 2^-28 share of that. Entries, products,
+    partial sums and squares below the float32 range may be flushed to zero;
+    2^-61 per row covers that for n' below 2^60. With
+        c_m = 4 (n' + 4) u sum_i |a_mi| / s + 2^-60,   E = ||c||_p,
     each of |(||y'||_p) - V| and |F - V| is at most E / 2, since lp norms
     are monotone, so |(||y'||_p) - F| <= E. The float32 norm itself is off
     by at most rho0 = 2 (m + 2) u relative: up to m + 2 roundings of
@@ -171,15 +197,22 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     # clamped so that 2^e and 2^-e are both doubles
     e = min(max(int(np.frexp(np.max(np.abs(a)))[1]), -1023), 1023)
     at = (a * math.ldexp(1.0, -e)).T.copy()
-    at32 = at.astype(np.complex64)
     phase_table = dps.phasors
-    table32 = phase_table.astype(np.complex64)
-    c = 4 * (n + 4) * _U32 * np.abs(at).sum(axis=0) + 2.0 ** -60
+    if byte_digits is None:
+        code_digits, code_type = np.arange(dps.levels)[:, None], np.intp
+    else:
+        code_digits, code_type = byte_digits, np.uint8
+    d = code_digits.shape[1]
+    nc = -(-n // d)
+    code_phasors = phase_table.astype(np.complex64)[code_digits]
+    at32 = np.zeros((nc * d, m), dtype=np.complex64)
+    at32[:n] = at
+    c = 4 * (nc * d + 4) * _U32 * np.abs(at).sum(axis=0) + 2.0 ** -60
     big_e = float(np.linalg.norm(c, p))
     rho = 4 * (m + 2) * _U32
     rows = min(total, _CHUNK)
-    digits_ws = np.empty((rows, n), dtype=np.intp)
-    x_ws = np.empty((rows, n), dtype=np.complex64)
+    codes_ws = np.empty((rows, nc), dtype=code_type)
+    x_ws = np.empty((rows, nc * d), dtype=np.complex64)
     y_ws = np.empty((rows, m), dtype=np.complex64)
     w_ws = np.empty(rows, dtype=np.float32)
     w_star = -1.0
@@ -187,9 +220,9 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     best_idx: np.ndarray | None = None
     for start in range(0, total, rows):
         k = min(rows, total - start)
-        digits, x32, y32, w = digits_ws[:k], x_ws[:k], y_ws[:k], w_ws[:k]
-        fill(start, digits)
-        np.take(table32, digits, out=x32, mode="clip")
+        codes, x32, y32, w = codes_ws[:k], x_ws[:k], y_ws[:k], w_ws[:k]
+        fill(start, codes)
+        np.take(code_phasors, codes, axis=0, out=x32.reshape(k, nc, d), mode="clip")
         np.matmul(x32, at32, out=y32)
         if p == 2.0:
             parts = y32.view(np.float32)
@@ -202,7 +235,7 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
         if top < bar:
             continue
         # compared in float64: a float32 threshold could round up past the bound
-        kept = digits[w >= np.float64(bar)]
+        kept = code_digits[codes[w >= np.float64(bar)]].reshape(-1, nc * d)[:, :n]
         x = phase_table[kept if kept.shape[0] > 1 else np.repeat(kept, 2, axis=0)]
         vals = row_norms(x @ at, p)
         local = int(np.argmax(vals))
@@ -222,17 +255,26 @@ def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
     return OracleResult(PhaseVector.from_indices(idx, dps), best, total)
 
 
-def _random_digits(random_raw, out: np.ndarray, bits: int) -> None:
-    """Fill `out` with configurations of lattice digits, one per row,
-    ceil(n w / 8) generator words each: digit i is the top B bits of the
-    row's i-th little-endian w-byte integer, and the bytes left over at the
-    end of a row are dropped.
+def _random_bytes(random_raw, out: np.ndarray) -> None:
+    """Fill `out` with generator bytes, one configuration per row,
+    ceil(nc / 8) words each, least significant byte first; the bytes left
+    over at the end of a row are dropped.
 
-    The digits go into the scan's workspace; only the generator words,
-    about an eighth of the digits' bytes for B <= 8, are allocated per
-    batch, and they are freed on return."""
+    The bytes go into the scan's workspace; only the generator words are
+    allocated per batch, and they are freed on return."""
+    rows, nc = out.shape
+    words = -(-nc // 8)
+    raw = random_raw(rows * words).astype("<u8", copy=False)
+    out[...] = raw.view(np.uint8).reshape(rows, 8 * words)[:, :nc]
+
+
+def _random_digits(random_raw, out: np.ndarray, bits: int) -> None:
+    """Fill `out` with configurations of lattice digits for B > 8, one per
+    row, ceil(n w / 8) generator words each: digit i is the top B bits of
+    the row's i-th little-endian w-byte integer, w = 2, 4 or 8, and the
+    bytes left over at the end of a row are dropped."""
     rows, n = out.shape
-    width = 1 << max(0, (bits - 1).bit_length() - 3)  # 1 for B <= 8, else 2, 4 or 8
+    width = 1 << ((bits - 1).bit_length() - 3)
     u = random_raw(rows * -(-n * width // 8)).astype("<u8", copy=False).view(f"<u{width}")
     u >>= 8 * width - bits
     out[...] = u.reshape(rows, -1)[:, :n]
@@ -241,18 +283,24 @@ def _random_digits(random_raw, out: np.ndarray, bits: int) -> None:
 def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleResult:
     """Best objective among `trials` uniform random lattice configurations.
 
-    Configuration k takes its digits from generator words k*W .. (k+1)*W - 1,
-    W = ceil(n w / 8): the top B bits of successive little-endian w-byte
-    integers, w = 1 for B <= 8 and else 2, 4 or 8 (see the module docstring).
-    The generator advances by exactly trials * W words. Trees that drew the
-    digits with `Generator.integers` give other draws from the same
-    distribution.
+    Configuration k takes its digits from generator words k*W .. (k+1)*W - 1
+    (see the module docstring). For B <= 8, W = ceil(ceil(n / d) / 8) and
+    each byte, least significant first, packs d = floor(8 / B) digits, top
+    bits first; for wider lattices, W = ceil(n w / 8) and the digits are the
+    top B bits of successive little-endian w-byte integers, w = 2, 4 or 8.
+    The generator advances by exactly trials * W words. Trees that drew one
+    byte per digit for B <= 4, or drew the digits with `Generator.integers`,
+    give other draws from the same distribution.
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     raw = rng.generator.bit_generator.random_raw
-    idx, best = _scan(a, dps, p, trials,
-                      lambda start, out: _random_digits(raw, out, dps.bits))
+    if dps.bits <= 8:
+        idx, best = _scan(a, dps, p, trials, lambda start, out: _random_bytes(raw, out),
+                          _byte_digits(dps.bits))
+    else:
+        idx, best = _scan(a, dps, p, trials,
+                          lambda start, out: _random_digits(raw, out, dps.bits))
     return OracleResult(PhaseVector.from_indices(idx, dps), best, trials)

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimod import InvalidArgumentError
+from unimod import (DiscretePhaseSet, InvalidArgumentError, Rng, build_problem,
+                    default_pipeline, sample_complex_gaussian)
 from unimod import bench
 from unimod.bench import (
     EXPERIMENTS,
@@ -210,6 +211,24 @@ class TestLiftingStat:
         for doc in (envelope["spec"], envelope["results"][0]):
             assert isinstance(doc["p"], float) and doc["p"] == 1.0
 
+    def test_rows_end_with_how_the_warm_start_ended(self, tmp_path):
+        spec = make_spec("lifting-stat", tmp_path, trials=3, p=1)
+        run_experiment(spec)
+        header, rows = read_csv(tmp_path / "lifting_stat.csv")
+        assert header[-2:] == ["continuous_termination", "continuous_iterations"]
+        for r in rows:
+            a = sample_complex_gaussian(Rng(spec.seed, stream=r[0]), spec.m, spec.n_values[0],
+                                        spec.variance)
+            warm = default_pipeline(a, DiscretePhaseSet(spec.bits[0]), 1).continuous_trace
+            assert r[-2:] == [warm.termination, warm.iterations]
+
+    def test_summary_counts_warm_starts_at_the_cap(self):
+        rows = [(t, 3.0, 2.0, 2.5, 0.5, end, its) for t, (end, its) in enumerate(
+            [("converged", 40), ("iteration-cap", 500), ("converged", 12),
+             ("iteration-cap", 500)])]
+        spec = make_spec("lifting-stat", "out", trials=4)
+        assert bench._lifting_summary(spec, rows)[0]["continuous_cap_hits"] == 2
+
     def test_notes_name_the_continuous_reference(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=4)
         envelope = run_experiment(spec)
@@ -267,6 +286,19 @@ class TestQuantizationGap:
         gaps = {r["bits"]: r["mean_gap_db"] for r in envelope["results"]}
         assert gaps[1] > gaps[2] > gaps[4]
         assert gaps[4] < 0.2
+
+    def test_rows_end_with_how_the_warm_start_ended(self, tmp_path):
+        spec = make_spec("quantization-gap", tmp_path, trials=2, n_values=(30,), m=4,
+                         bits=(1, 3))
+        run_experiment(spec)
+        header, rows = read_csv(tmp_path / "quantization_gap.csv")
+        assert header[-2:] == ["continuous_termination", "continuous_iterations"]
+        for r in rows:
+            inst = bench._nlos_channel(Rng(spec.seed, stream=r[0]), 30, 4, spec.variance)
+            a = build_problem(inst).matrix
+            # every lattice of a trial is lifted from its one warm start
+            warm = default_pipeline(a, DiscretePhaseSet(r[1]), 2).continuous_trace
+            assert r[-2:] == [warm.termination, warm.iterations]
 
 
 class TestTiming:

@@ -112,15 +112,28 @@ def oracle_input(kind, m, n, key):
 
 
 def drawn_digits(rng, trials, n, bits):
-    """The digits random_search draws, rebuilt from its documented rule: each
-    configuration takes ceil(n w / 8) generator words, whose bytes, least
-    significant first, are read as little-endian w-byte integers (w = 1 for
-    B <= 8, else 2, 4 or 8); digit i is the top B bits of integer i."""
-    width = next(w for w in (1, 2, 4, 8) if bits <= 8 * w)
-    words = math.ceil(n * width / 8)
+    """The digits random_search draws, rebuilt from its documented rule. The
+    bytes of the generator words are read least significant first. For
+    B <= 8 a configuration takes W = ceil(ceil(n / d) / 8) words and digit i
+    is (byte[i // d] >> (8 - B (i % d + 1))) & (2^B - 1), d = floor(8 / B);
+    else it takes ceil(n w / 8) words, read as little-endian w-byte integers
+    (w = 2, 4 or 8), and digit i is the top B bits of integer i."""
+    if bits <= 8:
+        per_byte = 8 // bits
+        used = math.ceil(n / per_byte)
+        words = math.ceil(used / 8)
+    else:
+        width = next(w for w in (2, 4, 8) if bits <= 8 * w)
+        words = math.ceil(n * width / 8)
     raw = rng.generator.bit_generator.random_raw(trials * words)
     octets = (raw[:, None] >> (8 * np.arange(8, dtype=np.uint64))) & np.uint64(0xFF)
-    octets = octets.reshape(trials, 8 * words)[:, :n * width].reshape(trials, n, width)
+    octets = octets.reshape(trials, 8 * words)
+    if bits <= 8:
+        i = np.arange(n)
+        shifts = (8 - bits * (i % per_byte + 1)).astype(np.uint64)
+        digits = (octets[:, i // per_byte] >> shifts) & np.uint64((1 << bits) - 1)
+        return digits.astype(np.int64)
+    octets = octets[:, :n * width].reshape(trials, n, width)
     ints = (octets << (8 * np.arange(width, dtype=np.uint64))).sum(axis=2, dtype=np.uint64)
     return (ints >> np.uint64(8 * width - bits)).astype(np.int64)
 
@@ -145,7 +158,7 @@ class TestPhaseTableEquivalence:
         assert ref.objective == pytest.approx(vals.max(), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
-    @pytest.mark.parametrize("bits", [1, 3])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9])
     def test_random_search(self, p, bits):
         a = sample_complex_gaussian(Rng(615, bits), 4, 30, 1.0)
         dps = DiscretePhaseSet(bits)
@@ -176,7 +189,7 @@ class TestPhaseTableEquivalence:
 
     @pytest.mark.parametrize("kind", ["tied", "small-column"])
     @pytest.mark.parametrize("p", [1, 2, math.inf])
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9])
     def test_random_search_screen(self, kind, p, bits):
         a = oracle_input(kind, 4, 30, [615, bits])
         dps = DiscretePhaseSet(bits)
@@ -254,14 +267,18 @@ class TestRandomSearch:
             assert np.array_equal(results[0].phases.indices, digits[hits[0]])
 
     @pytest.mark.parametrize("bits,first", [
-        (1, [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0]),
-        (2, [2, 3, 3, 2, 3, 3, 2, 2, 1, 2, 1, 0]),
-        (3, [5, 7, 6, 4, 7, 7, 4, 5, 2, 5, 3, 0]),
-        (9, [483, 291, 505, 367, 350, 48, 502, 270, 117, 223, 98, 57])])
+        (1, [1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        (2, [2, 3, 3, 3, 3, 3, 0, 1, 3, 0, 0, 0]),
+        (3, [5, 7, 7, 4, 6, 0, 4, 4, 7, 6, 7, 7]),
+        (9, [483, 291, 505, 367, 350, 48, 502, 270, 117, 223, 98, 57]),
+        # one digit per byte, as the top B bits
+        (5, [23, 30, 24, 18, 31, 31, 18, 22, 10, 21, 12, 3])])
     def test_draw_is_pinned(self, bits, first):
         # the first words of Rng(625) are 0xb793fcf991c0f1bf and
         # 0x8733fb4b1867af51, so its bytes run bf f1 c0 91 f9 fc 93 b7 51 ...;
-        # at B = 9 the digits are the top 9 bits of 0xf1bf, 0x91c0, ...
+        # for B <= 8 each byte packs floor(8 / B) digits, top bits first
+        # (0xbf = 10 11 11 11 gives 2, 3, 3, 3 at B = 2); at B = 9 the digits
+        # are the top 9 bits of 0xf1bf, 0x91c0, ...
         a = sample_complex_gaussian(Rng(624), 2, 12, 1.0)
         res = random_search(a, DiscretePhaseSet(bits), 2, 1, Rng(625))
         assert res.phases.indices.tolist() == first
@@ -276,7 +293,18 @@ class TestRandomSearch:
         expected = n / (1 << bits)
         assert np.sum((counts - expected) ** 2 / expected) < bound
 
-    @pytest.mark.parametrize("n,bits,words", [(37, 1, 5), (37, 3, 5), (37, 9, 10), (200, 2, 25)])
+    def test_digits_of_a_byte_are_jointly_uniform(self):
+        # chi-square of the 256 values of the four B = 2 digits that share
+        # a byte, over 10^5 bytes of one draw; 347.65 is the 1 - 1e-4
+        # quantile at 255 degrees of freedom
+        n = 100_000
+        res = random_search(np.ones((1, 4 * n)), DiscretePhaseSet(2), 2, 1, Rng(629))
+        cells = res.phases.indices.reshape(n, 4) @ np.array([64, 16, 4, 1])
+        counts = np.bincount(cells, minlength=256)
+        expected = n / 256
+        assert np.sum((counts - expected) ** 2 / expected) < 347.65
+
+    @pytest.mark.parametrize("n,bits,words", [(37, 1, 1), (37, 3, 3), (37, 9, 10), (200, 2, 7)])
     def test_generator_moves_by_whole_words(self, n, bits, words):
         a = sample_complex_gaussian(Rng(627), 2, n, 1.0)
         rng = Rng(628)
@@ -298,8 +326,10 @@ class TestRandomSearch:
         assert peak < 8 * 2 ** 20
 
     def test_peak_memory_of_the_workspace(self):
-        # one reused workspace of 512-row batches peaks near 2.1 MB; a fresh
-        # set of arrays per 1024-row batch peaked near 3.5 MB
+        # one reused workspace of 512-row batches, with a generator byte of
+        # four digits per code, peaks near 1.3 MB; with an intp digit per
+        # code it peaked near 1.95 MB, and a fresh set of arrays per
+        # 1024-row batch near 3.5 MB
         a = sample_complex_gaussian(Rng(619), 32, 200, 1.0)
         tracemalloc.start()
         try:
@@ -307,7 +337,7 @@ class TestRandomSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 2 ** 20
+        assert peak < 1.6 * 2 ** 20
 
 
 SCALES = (1e-170, 1e-160, 1.0, 1e160, 1e170)

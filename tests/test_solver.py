@@ -597,6 +597,18 @@ class TestDefaultPipeline:
                     assert huge.continuous_trace.termination == "converged"
                     assert np.array_equal(huge.trace.phases.indices, unit.trace.phases.indices)
 
+    def test_lift_at_scale_1e6_converges_like_scale_one(self):
+        # a lift that stopped only on an absolute |delta cost| could cycle at
+        # large scale between two configurations one ulp apart, up to the
+        # iteration cap; both lifts end on a fixed point after 12 iterations
+        a = sample_complex_gaussian(Rng(970_000), 32, 1000, 1.0)
+        unit = default_pipeline(a, DiscretePhaseSet(1), 2)
+        large = default_pipeline(1e6 * a, DiscretePhaseSet(1), 2)
+        for result in (unit, large):
+            assert result.trace.termination == "converged"
+            assert result.trace.iterations == 12
+        assert np.array_equal(large.trace.phases.indices, unit.trace.phases.indices)
+
     def test_huge_scale_does_not_warn(self):
         # the overflowing sums of squares are rescued, so numpy's overflow
         # warnings (381 of them on this call) only reported handled cases
