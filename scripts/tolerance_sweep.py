@@ -1,0 +1,121 @@
+"""Sweep SolveConfig.tolerance: iterations of both pipeline stages against
+the lifted cost.
+
+Two problem families, each run through `default_pipeline` at every
+tolerance:
+
+* pipeline-n1000: 48 matrices of 32 x 1000 CN(0, 1) entries from numpy
+  keyed by [11, i], with operation i taking the (p, B) pair i % 8 of the
+  benchmark's round (B = 1..4, p = 1, 2 within each B);
+* snr-cdf: 40 NLoS RIS problems of the snr-cdf study, 32 x 200 with
+  Rng(31337, t), p = 2, B = 2.
+
+Each tolerance is compared with a reference: the first tolerance of the
+list, or the first tolerance of a `--baseline` file that an earlier run of
+this script wrote (for instance on another tree). The summary gives per
+family and tolerance the mean warm-start cycles and lift iterations, the
+warm starts that hit the cap, how many lifted index vectors equal the
+reference's, and the lifted cost's shift from the reference in dB
+(20 log10 of the cost ratio, so dB of SNR).
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 scripts/tolerance_sweep.py \\
+        --tolerances 1e-12 1e-11 1e-10 1e-9 1e-8 1e-7 1e-6 --out sweep.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+
+import numpy as np
+
+from unimod import (
+    DiscretePhaseSet,
+    RisInstance,
+    Rng,
+    SolveConfig,
+    build_problem,
+    default_pipeline,
+    sample_complex_gaussian,
+)
+
+ROUND = tuple((p, bits) for bits in (1, 2, 3, 4) for p in (1, 2))
+
+
+def pipeline_problems(count: int):
+    for i in range(count):
+        g = np.random.default_rng([11, i])
+        a = (g.standard_normal((32, 1000)) + 1j * g.standard_normal((32, 1000))) / math.sqrt(2)
+        yield (i, *ROUND[i % len(ROUND)], a)
+
+
+def snr_problems(count: int):
+    for t in range(count):
+        rng = Rng(31337, t)
+        h = sample_complex_gaussian(rng, 200, 32, 1.0)
+        h_ue = sample_complex_gaussian(rng, 1, 200, 1.0).ravel()
+        yield t, 2, 2, build_problem(RisInstance(h, h_ue)).matrix
+
+
+def run(problems, tolerances) -> dict:
+    """Per tolerance, one record per problem."""
+    records = {str(tol): [] for tol in tolerances}
+    for key, p, bits, a in problems:
+        dps = DiscretePhaseSet(bits)
+        for tol in tolerances:
+            res = default_pipeline(a, dps, p, SolveConfig(tolerance=tol))
+            records[str(tol)].append({
+                "problem": key, "p": p, "bits": bits,
+                "cycles": res.continuous_trace.iterations,
+                "cycles_end": res.continuous_trace.termination,
+                "lift_iterations": res.trace.iterations,
+                "lifted": res.final_cost,
+                "indices": hashlib.sha256(res.trace.phases.indices.tobytes()).hexdigest()[:16],
+            })
+    return records
+
+
+def summarize(records: dict, reference: list) -> dict:
+    out = {}
+    for tol, recs in records.items():
+        shift = [20 * math.log10(r["lifted"] / b["lifted"]) for r, b in zip(recs, reference)]
+        out[tol] = {
+            "warm_start_cycles_mean": float(np.mean([r["cycles"] for r in recs])),
+            "lift_iterations_mean": float(np.mean([r["lift_iterations"] for r in recs])),
+            "warm_start_cap_hits": sum(r["cycles_end"] == "iteration-cap" for r in recs),
+            "identical_indices": sum(r["indices"] == b["indices"] for r, b in zip(recs, reference)),
+            "problems": len(recs),
+            "lifted_db_shift_min": min(shift),
+            "lifted_db_shift_median": float(np.median(shift)),
+            "lifted_db_shift_max": max(shift),
+        }
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tolerances", type=float, nargs="+", required=True)
+    parser.add_argument("--baseline", help="records JSON of an earlier run; its first "
+                        "tolerance is the reference")
+    parser.add_argument("--out", required=True, help="where to write records and summary")
+    args = parser.parse_args()
+
+    families = {"pipeline-n1000": pipeline_problems(48), "snr-cdf": snr_problems(40)}
+    records = {name: run(problems, args.tolerances) for name, problems in families.items()}
+    if args.baseline:
+        with open(args.baseline) as f:
+            base = json.load(f)["records"]
+        references = {name: next(iter(base[name].values())) for name in records}
+    else:
+        references = {name: next(iter(recs.values())) for name, recs in records.items()}
+    summary = {name: summarize(records[name], references[name]) for name in records}
+    with open(args.out, "w") as f:
+        json.dump({"tolerances": args.tolerances, "baseline": args.baseline,
+                   "summary": summary, "records": records}, f, indent=1)
+    print(json.dumps(summary, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -45,6 +45,7 @@ from .oracle import MAX_EXHAUSTIVE_BITS, exhaustive_inner, exhaustive_norm, rand
 from .ris import RisInstance, build_problem
 from .serialize import dump_json, matrix_to_json, vector_to_json
 from .solver import (
+    PipelineResult,
     SolveConfig,
     _round_and_lift,
     _warm_start,
@@ -161,6 +162,13 @@ def _lifting_gain(unrounded: float, rounded: float, lifted: float) -> float | No
     loss is below GAIN_EPS and the ratio is undefined."""
     loss = unrounded - rounded
     return (lifted - rounded) / loss if loss >= GAIN_EPS else None
+
+
+def _stage_ends(result: PipelineResult) -> tuple:
+    """How the warm start and the lift ended, and their iteration counts:
+    the `_STAGE_HEADER` columns."""
+    warm, lift = result.continuous_trace, result.trace
+    return warm.termination, warm.iterations, lift.termination, lift.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +328,7 @@ def _lifting_trial(spec: ExperimentSpec, trial: int) -> list:
     a = sample_complex_gaussian(rng, spec.m, spec.n_values[0], spec.variance)
     result = default_pipeline(a, DiscretePhaseSet(spec.bits[0]), spec.p)
     costs = (result.unrounded_cost, result.rounded_cost, result.final_cost)
-    warm = result.continuous_trace
-    return [(trial, *costs, _lifting_gain(*costs), warm.termination, warm.iterations)]
+    return [(trial, *costs, _lifting_gain(*costs), *_stage_ends(result))]
 
 
 def _lifting_summary(spec: ExperimentSpec, rows) -> list:
@@ -408,8 +415,7 @@ def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     for bits in spec.bits:
         result = _round_and_lift(a, ah, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
         pipe_db = _snr_db(result.final_cost, inst)
-        rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db,
-                     continuous.termination, continuous.iterations))
+        rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db, *_stage_ends(result)))
     return rows
 
 
@@ -524,7 +530,8 @@ def _oracle_summary(spec: ExperimentSpec, rows) -> list:
 _CONTINUOUS_REFERENCE = "continuous reference: this package's alternating continuous solver"
 _SNR_CONVENTION = "SNR convention: transmit power 1, noise variance 1"
 _SNR_HEADER = ("n", "trial", "method", "objective", "snr_db")
-_WARM_START_HEADER = ("continuous_termination", "continuous_iterations")
+_STAGE_HEADER = ("continuous_termination", "continuous_iterations",
+                 "lift_termination", "lift_iterations")
 _RANDOM_DRAW = ("random baseline: configuration k takes generator words k*W .. (k+1)*W - 1, "
                 "whose bytes are read least significant first; for B <= 8 each byte packs "
                 "d = floor(8 / B) digits, top bits first, W = ceil(ceil(n / d) / 8) and digit i "
@@ -544,7 +551,7 @@ EXPERIMENTS: dict[str, Experiment] = {
          "a discrete iteration one map evaluation"),
         dict(trials=3, m=10, n_values=(100,), bits=(2,)), reads=("n_values", "bits")),
     "lifting-stat": Experiment(
-        "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain", *_WARM_START_HEADER),
+        "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain", *_STAGE_HEADER),
         partial(_map_trials, _lifting_trial), _lifting_summary,
         (_CONTINUOUS_REFERENCE, "gain is empty when the rounding loss is below 1e-12"),
         dict(trials=500, m=10, n_values=(100,), bits=(1,)), reads=("p", "n_values", "bits")),
@@ -558,7 +565,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         reads=_SNR_READS, sweeps=("n_values",)),
     "quantization-gap": Experiment(
         "quantization_gap",
-        ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db", *_WARM_START_HEADER),
+        ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db", *_STAGE_HEADER),
         partial(_map_trials, _gap_trial), _gap_summary, (_CONTINUOUS_REFERENCE, _SNR_CONVENTION),
         dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)),
         reads=("n_values", "bits"), sweeps=("bits",)),

@@ -58,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sris.add_argument("--p", type=_norm_arg, default=2.0, help="norm for the phase optimization (default 2)")
     for cmd in (solve, sris):
         cmd.add_argument("--tol", type=float, default=SolveConfig.tolerance,
-                         help="convergence tolerance (default %(default)s)")
+                         help="relative convergence tolerance: a stage stops once an "
+                              "iteration raises the cost by at most tol times the cost "
+                              "(default %(default)s)")
         cmd.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations,
                          help="iteration cap (default %(default)s): lift steps, and SQUAREM "
                               "cycles of three map evaluations in the continuous warm start")
@@ -111,7 +113,7 @@ def _cmd_solve(args) -> int:
             "phases": _phases_payload(pv),
             "objective": objective,
             "trace": [objective],
-            "termination": "converged",
+            "termination": "exact",
             "best_row": row,
         }
     elif args.bits is None:

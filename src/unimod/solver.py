@@ -19,8 +19,9 @@ same bits as composing the public functions. Inside the loop the witness and
 the cost come from w = A x with plain numpy, and the iterate is carried in
 its cheapest form: phasors x = u / |u| in continuous mode (1 where u == 0),
 lattice indices from the divide-and-sort kernel in discrete mode. The loop
-stops once an iteration raises the cost by at most the tolerance; an exact
-fixed point raises it by nothing.
+stops once an iteration raises the cost by at most the tolerance times the
+cost, so A and s*A stop after the same iterations; an exact fixed point
+raises it by nothing.
 
 The map steps avoid numpy's slow paths without changing a bit. x = u / |u|
 is a plain division unless u has a zero entry: a division masked with
@@ -78,6 +79,8 @@ class SolveConfig:
 
     p: float = 2.0
     dps: DiscretePhaseSet | None = None
+    #: relative stop: an iteration that raises the cost by at most
+    #: tolerance * cost ends the run
     tolerance: float = 1e-10
     #: cap on iterations: map steps in discrete mode, SQUAREM cycles of
     #: three map evaluations each in continuous mode
@@ -102,7 +105,8 @@ class SolveTrace:
     """
 
     costs: np.ndarray
-    termination: str            # "converged" or "iteration-cap"
+    #: "fixed-point" (the last cost repeats exactly), "tolerance" or "iteration-cap"
+    termination: str
     phases: PhaseVector
     witness: np.ndarray
 
@@ -268,9 +272,9 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
         for _ in range(cfg.max_iterations):
             state, z, cost = advance(f, score, state, z)
             costs.append(cost)
-            # a fixed point repeats its cost exactly, so it stops here too
-            if costs[-1] - costs[-2] <= cfg.tolerance:
-                termination = "converged"
+            gain = costs[-1] - costs[-2]
+            if gain <= cfg.tolerance * costs[-1]:
+                termination = "fixed-point" if gain == 0.0 else "tolerance"
                 break
     return np.asarray(costs), termination, state, z
 

@@ -57,6 +57,17 @@ def read_csv(path) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+#: the last columns of the lifting-stat and quantization-gap tables
+STAGE_COLUMNS = ["continuous_termination", "continuous_iterations",
+                 "lift_termination", "lift_iterations"]
+
+
+def stage_ends(result) -> list:
+    """What those columns should read for a pipeline result."""
+    warm, lift = result.continuous_trace, result.trace
+    return [warm.termination, warm.iterations, lift.termination, lift.iterations]
+
+
 #: the OpenBLAS bundled in numpy's wheel, which numpy itself loaded
 OPENBLAS = next((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"), None)
 
@@ -215,16 +226,15 @@ class TestLiftingStat:
         spec = make_spec("lifting-stat", tmp_path, trials=3, p=1)
         run_experiment(spec)
         header, rows = read_csv(tmp_path / "lifting_stat.csv")
-        assert header[-2:] == ["continuous_termination", "continuous_iterations"]
+        assert header[-4:] == STAGE_COLUMNS
         for r in rows:
             a = sample_complex_gaussian(Rng(spec.seed, stream=r[0]), spec.m, spec.n_values[0],
                                         spec.variance)
-            warm = default_pipeline(a, DiscretePhaseSet(spec.bits[0]), 1).continuous_trace
-            assert r[-2:] == [warm.termination, warm.iterations]
+            assert r[-4:] == stage_ends(default_pipeline(a, DiscretePhaseSet(spec.bits[0]), 1))
 
     def test_summary_counts_warm_starts_at_the_cap(self):
         rows = [(t, 3.0, 2.0, 2.5, 0.5, end, its) for t, (end, its) in enumerate(
-            [("converged", 40), ("iteration-cap", 500), ("converged", 12),
+            [("tolerance", 40), ("iteration-cap", 500), ("fixed-point", 12),
              ("iteration-cap", 500)])]
         spec = make_spec("lifting-stat", "out", trials=4)
         assert bench._lifting_summary(spec, rows)[0]["continuous_cap_hits"] == 2
@@ -292,13 +302,12 @@ class TestQuantizationGap:
                          bits=(1, 3))
         run_experiment(spec)
         header, rows = read_csv(tmp_path / "quantization_gap.csv")
-        assert header[-2:] == ["continuous_termination", "continuous_iterations"]
+        assert header[-4:] == STAGE_COLUMNS
         for r in rows:
             inst = bench._nlos_channel(Rng(spec.seed, stream=r[0]), 30, 4, spec.variance)
             a = build_problem(inst).matrix
             # every lattice of a trial is lifted from its one warm start
-            warm = default_pipeline(a, DiscretePhaseSet(r[1]), 2).continuous_trace
-            assert r[-2:] == [warm.termination, warm.iterations]
+            assert r[-4:] == stage_ends(default_pipeline(a, DiscretePhaseSet(r[1]), 2))
 
 
 class TestTiming:

@@ -30,7 +30,7 @@ class TestSolve:
         assert code == 0
         assert payload["objective"] == pytest.approx(1.0)
         assert payload["phases"] == [0.0]
-        assert payload["termination"] == "converged"
+        assert payload["termination"] == "fixed-point"
 
     def test_fixture_matches_oracle_subcommand(self, tmp_path):
         code, solved = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "1", "--p", "2")
@@ -47,12 +47,12 @@ class TestSolve:
         assert payload["rounded_cost"] <= payload["objective"] + 1e-9
 
     def test_reports_both_stages(self, tmp_path):
-        # a warm start stopped by the cap shows, though the lift converged
+        # a warm start stopped by the cap shows, though the lift reached a fixed point
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2", "--max-iter", "1")
         assert code == 0
         assert payload["continuous_termination"] == "iteration-cap"
         assert payload["continuous_iterations"] == 1
-        assert payload["termination"] == "converged"
+        assert payload["termination"] == "fixed-point"
         assert payload["iterations"] == len(payload["trace"]) - 1
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2")
         result = default_pipeline(load_matrix_file(FIXTURE_3X5), DiscretePhaseSet(2), 2)
@@ -70,6 +70,7 @@ class TestSolve:
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--p", "inf", "--bits", "1")
         assert code == 0
         assert "best_row" in payload
+        assert payload["termination"] == "exact"
         code, reference = run_json(tmp_path, "oracle", str(FIXTURE_3X5), "--p", "inf", "--bits", "1")
         assert payload["objective"] == pytest.approx(reference["objective"], abs=1e-9)
 
@@ -129,7 +130,7 @@ class TestSolveRis:
         assert code == 0
         assert payload["continuous_termination"] == "iteration-cap"
         assert payload["continuous_iterations"] == 1
-        assert payload["termination"] == "converged"
+        assert payload["termination"] == "fixed-point"
         code, payload = run_json(tmp_path, "solve-ris", str(instance), "--bits", "2")
         result = default_pipeline(build_problem(load_instance(instance)).matrix,
                                   DiscretePhaseSet(2), 2)
