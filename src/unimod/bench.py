@@ -548,7 +548,8 @@ EXPERIMENTS: dict[str, Experiment] = {
         partial(_map_trials, _convergence_trial), _convergence_summary,
         ("costs are listed per iteration; every trace is non-decreasing",
          "a continuous iteration is one SQUAREM cycle of three map evaluations, "
-         "a discrete iteration one map evaluation"),
+         "four when the extrapolated witness is rejected; a discrete iteration "
+         "is one map evaluation"),
         dict(trials=3, m=10, n_values=(100,), bits=(2,)), reads=("n_values", "bits")),
     "lifting-stat": Experiment(
         "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain", *_STAGE_HEADER),

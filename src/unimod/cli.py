@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default %(default)s)")
         cmd.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations,
                          help="iteration cap (default %(default)s): lift steps, and SQUAREM "
-                              "cycles of three map evaluations in the continuous warm start")
+                              "cycles in the continuous warm start of three map evaluations, "
+                              "four when the extrapolated witness is rejected")
         cmd.add_argument("--out", default=None, help="result file (default: stdout)")
 
     oracle = sub.add_parser("oracle", help="exhaustive-search reference on a matrix file")
@@ -137,6 +138,8 @@ def _cmd_solve(args) -> int:
             "iterations": result.trace.iterations,
             "continuous_termination": result.continuous_trace.termination,
             "continuous_iterations": result.continuous_trace.iterations,
+            "continuous_seconds": result.continuous_seconds,
+            "lift_seconds": result.lift_seconds,
             "unrounded_cost": result.unrounded_cost,
             "rounded_cost": result.rounded_cost,
         }
@@ -161,6 +164,8 @@ def _cmd_solve_ris(args) -> int:
         "iterations": result.trace.iterations,
         "continuous_termination": result.continuous_trace.termination,
         "continuous_iterations": result.continuous_trace.iterations,
+        "continuous_seconds": result.continuous_seconds,
+        "lift_seconds": result.lift_seconds,
     }
     _emit(payload, args.out)
     return EXIT_OK

@@ -33,13 +33,19 @@ its wrapper.
 
 An iteration of the discrete mode is one map evaluation: a witness step and
 a divide-and-sort step. An iteration of the continuous mode is one SQUAREM
-cycle (Varadhan and Roland, Scand. J. Stat. 2008) of three map evaluations:
-two plain steps, a squared extrapolation projected back to unit modulus, and
-a third step from the extrapolated point, or from the second point when the
-extrapolation scores below the first step. Every map evaluation is monotone,
-so the cycle is too, and it takes the warm start to its fixed point in far
-fewer evaluations. The lift only needs a monotone run from the rounded
-point, so the path the warm start takes is free to change.
+cycle (Varadhan and Roland, Scand. J. Stat. 2008), run on the dual witness
+z in C^m rather than on the n phasors, since the map can be written on
+either variable and m is the small side. Two plain steps take z0 to z1 and
+z2, the squared extrapolation of the three gives a witness zy, and a third
+step from zy ends the cycle unless it scores below the second; then a
+fourth step from z2 does. Every z gives unimodular phasors x = u / |u|
+with u = A^H z, so the extrapolated point needs no projection, and the
+witness does not change when A is scaled by a power of two. Every map
+evaluation is monotone and the step from zy is kept only when it scores at
+least the second, so the cycle is monotone too, and it takes the warm
+start to its fixed point in far fewer evaluations. The lift only needs a
+monotone run from the rounded point, so the path the warm start takes is
+free to change.
 
 For the l-infinity objective no alternation is needed: the maximum over rows
 commutes with the maximum over configurations, so one divide-and-sort kernel
@@ -49,6 +55,7 @@ call per row settles the problem globally.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,8 +89,9 @@ class SolveConfig:
     #: relative stop: an iteration that raises the cost by at most
     #: tolerance * cost ends the run
     tolerance: float = 1e-10
-    #: cap on iterations: map steps in discrete mode, SQUAREM cycles of
-    #: three map evaluations each in continuous mode
+    #: cap on iterations: map steps in discrete mode, SQUAREM cycles in
+    #: continuous mode of three map evaluations, four when the extrapolated
+    #: witness is rejected
     max_iterations: int = 500
 
     def __post_init__(self):
@@ -101,7 +109,8 @@ class SolveTrace:
     costs[k] is ||A exp(j*Omega_k)||_p after k iterations, so costs[0]
     belongs to the starting point and the sequence is non-decreasing up to
     floating point noise. A continuous iteration is one SQUAREM cycle of
-    three map evaluations, a discrete one a single map evaluation.
+    three map evaluations, four when the extrapolated witness is rejected;
+    a discrete one is a single map evaluation.
     """
 
     costs: np.ndarray
@@ -121,12 +130,19 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Continuous solve, hard rounding and lifting, with cost accounting."""
+    """Continuous solve, hard rounding and lifting, with cost accounting.
+
+    `default_pipeline` also records each stage's wall time in seconds: the
+    warm start's, and the hard rounding's and lift's together. Results
+    built from the stages by other callers leave them None.
+    """
 
     trace: SolveTrace                  # the lifted (discrete) run
     continuous_trace: SolveTrace
     rounded_phases: PhaseVector
     rounded_cost: float
+    continuous_seconds: float | None = None
+    lift_seconds: float | None = None
 
     @property
     def unrounded_cost(self) -> float:
@@ -244,11 +260,10 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
 
     `state` is the iterate in its mode's own form, `phasors(state)` gives
     exp(j*Omega) and `step(u)` maps u = A^H z to the next state. With them
-    the loop builds the map `f(state, z)`, one step from a state and its dual
-    witness z returning the next (state, witness, cost), and `score(state)`,
-    the (witness, cost) of a state. `advance(f, score, state, z)` makes one
-    iteration out of these and returns its end (state, witness, cost). Returns
-    the cost sequence, the termination, the last state and its dual witness.
+    the loop builds the map `f(z)`, one step from a dual witness z returning
+    the next (state, witness, cost). `advance(f, z)` makes one iteration out
+    of it and returns its end (state, witness, cost). Returns the cost
+    sequence, the termination, the last state and its dual witness.
     """
     if math.isinf(cfg.p):
         raise UnsupportedNormError("p = inf has an exact non-iterative solver, use solve_linf")
@@ -259,7 +274,7 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
     def score(s):
         return _witness(a @ phasors(s), p)
 
-    def f(s, z):
+    def f(z):
         s = step(ah @ z)
         return (s, *score(s))
 
@@ -270,7 +285,7 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
         z, cost = score(state)
         costs = [cost]
         for _ in range(cfg.max_iterations):
-            state, z, cost = advance(f, score, state, z)
+            state, z, cost = advance(f, z)
             costs.append(cost)
             gain = costs[-1] - costs[-2]
             if gain <= cfg.tolerance * costs[-1]:
@@ -279,31 +294,29 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
     return np.asarray(costs), termination, state, z
 
 
-def _map_step(f, score, state, z):
+def _map_step(f, z):
     """The discrete iteration: one map evaluation."""
-    return f(state, z)
+    return f(z)
 
 
-def _squarem_cycle(f, score, x0, z0):
-    """The continuous iteration: one SQUAREM cycle on phasors.
+def _squarem_cycle(f, z0):
+    """The continuous iteration: one SQUAREM cycle on dual witnesses.
 
-    Two map steps give x1 and x2, r = x1 - x0 and v = x2 - x1 - r. The step
+    Two map steps give z1 and z2, r = z1 - z0 and v = z2 - z1 - r. The step
     length alpha = -||r|| / ||v||, capped at -1, extrapolates to
-    x0 - 2*alpha*r + alpha^2*v, projected back to unit modulus (alpha = -1
-    gives x2 itself). The cycle ends one map step after that point, unless
-    it scores below x1; then it ends one step after x2. Either end scores at
-    least x1, so the cycle is monotone.
+    zy = z0 - 2*alpha*r + alpha^2*v (alpha = -1 gives z2 itself). The cycle
+    ends one map step after zy, unless that step scores below the second;
+    then it ends one step after z2. Either end scores at least the second
+    step, so the cycle is monotone.
     """
-    x1, z1, c1 = f(x0, z0)
-    x2, z2, _ = f(x1, z1)
-    r = x1 - x0
-    v = x2 - x1 - r
+    _, z1, _ = f(z0)
+    _, z2, c2 = f(z1)
+    r = z1 - z0
+    v = z2 - z1 - r
     rr, vv = np.vdot(r, r).real, np.vdot(v, v).real
     alpha = -math.sqrt(rr / vv) if rr > vv > 0.0 else -1.0
-    y = x0 - 2.0 * alpha * r + alpha * alpha * v
-    y = _unit(y, np.abs(y))
-    zy, cy = score(y)
-    return f(y, zy) if cy >= c1 else f(x2, z2)
+    end = f(z0 - 2.0 * alpha * r + alpha * alpha * v)
+    return end if end[2] >= c2 else f(z2)
 
 
 def solve_discrete(a, cfg: SolveConfig, omega0) -> SolveTrace:
@@ -335,7 +348,8 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
     Requires p in {1, 2}. Converges to a local maximizer of the continuous
     problem; its endpoint is the usual warm start for the discrete solver.
     The loop carries phasors: each step is x = u / |u|, 1 where u == 0, and
-    each iteration a SQUAREM cycle of three steps.
+    each iteration a SQUAREM cycle on the dual witnesses of three steps,
+    four when the extrapolated witness is rejected.
     """
     a = as_complex_matrix(a)
     return _align(a, a.conj().T, cfg, _as_phase_vector(omega0).phasors())
@@ -411,7 +425,8 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
     The lift runs the discrete alternation from the hard-rounded point.
     Monotonicity guarantees its final cost is at least the rounded cost, so it
     can only recover quantization loss. A is validated once, here; the steps
-    run on their kernels and share one A^H.
+    run on their kernels and share one A^H. The result carries both stages'
+    wall times.
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
@@ -422,7 +437,12 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
     else:
         cfg = replace(cfg, p=p, dps=dps)
     ah = a.conj().T
-    return _round_and_lift(a, ah, cfg, _warm_start(a, ah, cfg))
+    start = time.perf_counter()
+    continuous = _warm_start(a, ah, cfg)
+    warm = time.perf_counter()
+    result = _round_and_lift(a, ah, cfg, continuous)
+    return replace(result, continuous_seconds=warm - start,
+                   lift_seconds=time.perf_counter() - warm)
 
 
 def _warm_start(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig) -> SolveTrace:

@@ -61,6 +61,12 @@ class TestSolve:
         assert payload["iterations"] == result.trace.iterations
         assert payload["objective"] == result.final_cost
 
+    def test_reports_stage_wall_times(self, tmp_path):
+        code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2")
+        assert code == 0
+        for key in ("continuous_seconds", "lift_seconds"):
+            assert isinstance(payload[key], float) and payload[key] >= 0.0
+
     def test_continuous_mode_without_bits(self, tmp_path):
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5))
         assert code == 0
@@ -90,10 +96,19 @@ class TestSolve:
         assert main(["solve", "/nonexistent/m.json", "--bits", "1"]) == 2
 
     def test_rerun_byte_identical(self, tmp_path):
+        # every byte but the two lines of the stages' wall times, the only
+        # measured values in the file
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["solve", str(FIXTURE_3X5), "--bits", "1", "--out", str(out1)])
         main(["solve", str(FIXTURE_3X5), "--bits", "1", "--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+        kept = []
+        for out in (out1, out2):
+            lines = out.read_bytes().splitlines(keepends=True)
+            timed = [line for line in lines
+                     if line.lstrip().startswith((b'"continuous_seconds":', b'"lift_seconds":'))]
+            assert len(timed) == 2
+            kept.append(b"".join(line for line in lines if line not in timed))
+        assert kept[0] == kept[1]
 
 
 class TestSolveRis:
@@ -139,6 +154,12 @@ class TestSolveRis:
         assert payload["termination"] == result.trace.termination
         assert payload["iterations"] == result.trace.iterations
         assert payload["objective"] == result.final_cost
+
+    def test_reports_stage_wall_times(self, tmp_path):
+        code, payload = run_json(tmp_path, "solve-ris", str(DATA / "ris_los.json"), "--bits", "2")
+        assert code == 0
+        for key in ("continuous_seconds", "lift_seconds"):
+            assert isinstance(payload[key], float) and payload[key] >= 0.0
 
     def test_missing_field_exits_2(self, tmp_path):
         rf = tmp_path / "ris.json"

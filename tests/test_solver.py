@@ -9,6 +9,7 @@ from unimod import (
     DiscretePhaseSet,
     InvalidArgumentError,
     PhaseVector,
+    PipelineResult,
     Rng,
     SolveConfig,
     UnsupportedNormError,
@@ -252,31 +253,35 @@ class TestSolveContinuous:
 
 def squarem_by_hand(a, p, start, cycles):
     """The continuous solver's iterations composed from the public steps:
-    SQUAREM cycles of `dual_witness` plus `continuous_phase_step` map steps,
-    projected by phase alignment. Returns the costs, the end point and the
-    branch each cycle took (True where it kept the extrapolated point)."""
+    SQUAREM cycles on the `dual_witness` outputs, with `continuous_phase_step`
+    map steps from each witness. Returns the costs, the end point, the
+    branch each cycle took (True where it kept the extrapolated witness) and
+    each cycle's plain two-step cost."""
     q = math.inf if p == 1 else 2
 
-    def step(pv):
-        return continuous_phase_step(a.conj().T @ dual_witness(a @ pv.phasors(), q))
+    def witness(pv):
+        return dual_witness(a @ pv.phasors(), q)
 
-    def cost(pv):
-        return norm_lp(a @ pv.phasors(), p)
+    def step(z):
+        pv = continuous_phase_step(a.conj().T @ z)
+        return pv, witness(pv), norm_lp(a @ pv.phasors(), p)
 
-    pv, costs, accepted = start, [cost(start)], []
+    pv, z0, costs = start, witness(start), [norm_lp(a @ start.phasors(), p)]
+    accepted, plain = [], []
     for _ in range(cycles):
-        pv1 = step(pv)
-        pv2 = step(pv1)
-        x0, x1, x2 = pv.phasors(), pv1.phasors(), pv2.phasors()
-        r = x1 - x0
-        v = x2 - x1 - r
+        _, z1, _ = step(z0)
+        _, z2, c2 = step(z1)
+        plain.append(c2)
+        r = z1 - z0
+        v = z2 - z1 - r
         nr, nv = np.linalg.norm(r), np.linalg.norm(v)
-        alpha = min(-nr / nv, -1.0) if nv > 0 else -1.0
-        extrapolated = continuous_phase_step(x0 - 2 * alpha * r + alpha ** 2 * v)
-        accepted.append(cost(extrapolated) >= cost(pv1))
-        pv = step(extrapolated if accepted[-1] else pv2)
-        costs.append(cost(pv))
-    return costs, pv, accepted
+        alpha = -nr / nv if nr > nv > 0 else -1.0
+        pv, z0, cost = step(z0 - 2 * alpha * r + alpha ** 2 * v)
+        accepted.append(cost >= c2)
+        if not accepted[-1]:
+            pv, z0, cost = step(z2)
+        costs.append(cost)
+    return costs, pv, accepted, plain
 
 
 class TestKernelEquivalence:
@@ -288,7 +293,7 @@ class TestKernelEquivalence:
         start = deterministic_init(a, p)
         # a tolerance no cycle meets: the run takes all six cycles
         trace = solve_continuous(a, SolveConfig(p=p, max_iterations=6, tolerance=1e-300), start)
-        costs, pv, _ = squarem_by_hand(a, p, start, trace.iterations)
+        costs, pv, _, _ = squarem_by_hand(a, p, start, trace.iterations)
         q = math.inf if p == 1 else 2
         assert trace.iterations == 6
         assert trace.costs == pytest.approx(costs, rel=1e-12)
@@ -296,19 +301,90 @@ class TestKernelEquivalence:
         assert trace.witness == pytest.approx(dual_witness(a @ pv.phasors(), q), abs=1e-12)
 
     def test_continuous_cycles_take_both_branches(self):
-        # the extrapolated point is kept in most cycles and dropped for the
-        # plain double step in some (15 of 121 cycles in these runs); both
-        # paths match the hand composition
+        # the extrapolated witness is kept in most cycles and dropped for a
+        # step from the second witness in some (4 of 101 cycles in these
+        # runs); both paths match the hand composition
         branches = set()
         for t in range(6):
             a = sample_complex_gaussian(Rng(27, t), 4, 30, 1.0)
             for p in (1, 2):
                 start = deterministic_init(a, p)
                 trace = solve_continuous(a, SolveConfig(p=p), start)
-                costs, _, accepted = squarem_by_hand(a, p, start, trace.iterations)
+                costs, _, accepted, _ = squarem_by_hand(a, p, start, trace.iterations)
                 assert trace.costs == pytest.approx(costs, rel=1e-12)
                 branches.update(accepted)
         assert branches == {True, False}
+
+    @staticmethod
+    def check_cycles(a, p, start, scale=1.0):
+        """Runs the continuous solver on scale * a, warnings raised as
+        errors, and checks it against the hand composition on a: the same
+        costs, times scale, and each cycle at or above its plain two-step
+        cost. Returns the trace and the hand composition's end point."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve_continuous(scale * a, SolveConfig(p=p), start)
+        costs, pv, _, plain = squarem_by_hand(a, p, start, trace.iterations)
+        assert trace.termination != "iteration-cap"
+        assert trace.costs / scale == pytest.approx(costs, rel=1e-12)
+        assert np.all(trace.costs[1:] / scale >= np.array(plain) * (1 - 1e-12))
+        return trace, pv.phasors()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rank_one(self, p):
+        # every A x is a multiple of u, so every witness is u's up to a
+        # global phase, and the first step aligns x with v: the optimum
+        # ||u||_p * ||v||_1
+        g = np.random.default_rng([30, p])
+        u = g.standard_normal(8) + 1j * g.standard_normal(8)
+        v = g.standard_normal(40) + 1j * g.standard_normal(40)
+        a = np.outer(u, v.conj())
+        for start in (deterministic_init(a, p), PhaseVector.from_values(np.zeros(40))):
+            trace, x = self.check_cycles(a, p, start)
+            assert trace.phases.phasors() == pytest.approx(x, abs=1e-12)
+            assert trace.final_cost == pytest.approx(norm_lp(u, p) * norm_lp(v, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_zero_column(self, p):
+        # A^H z is 0 in that entry at every step, and its phase stays 0
+        a = sample_complex_gaussian(Rng(41), 8, 40, 1.0)
+        a[:, 5] = 0.0
+        trace, x = self.check_cycles(a, p, deterministic_init(a, p))
+        assert trace.phases.phasors() == pytest.approx(x, abs=1e-12)
+        assert trace.phases.values[5] == 0.0
+        assert trace.final_cost == pytest.approx(
+            solve_continuous(np.delete(a, 5, axis=1), SolveConfig(p=p),
+                             PhaseVector(np.delete(deterministic_init(a, p).values, 5))).final_cost,
+            rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_single_row_starts_at_its_fixed_point(self, p):
+        # the start aligns x with the row, so one cycle ends on the optimum
+        # again: its cost repeats exactly (fixed-point) or rises in the last
+        # bits only (tolerance). Every turn of the start is optimal too, and
+        # the extrapolation of witnesses that differ in their last bits may
+        # land on one (0.056 rad at t = 0, p = 1)
+        ends = set()
+        for t in range(6):
+            a = sample_complex_gaussian(Rng(40, t), 1, 50, 1.0)
+            start = deterministic_init(a, p)
+            trace, x = self.check_cycles(a, p, start)
+            ends.add(trace.termination)
+            assert trace.iterations == 1
+            assert trace.final_cost == pytest.approx(norm_lp(a[0], 1), rel=1e-15)
+            for end in (trace.phases.phasors(), x):
+                turn = end / start.phasors()
+                assert turn == pytest.approx(np.full(50, turn[0]), abs=1e-14)
+        assert "fixed-point" in ends
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_scale(self, p, scale):
+        # the witnesses, and so the extrapolation, do not depend on the scale
+        a = sample_complex_gaussian(Rng(42), 8, 40, 1.0)
+        trace, x = self.check_cycles(a, p, deterministic_init(a, p), scale)
+        assert trace.phases.phasors() == pytest.approx(x, abs=1e-12)
+        assert trace.iterations >= 5
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("bits", [1, 3])
@@ -615,13 +691,13 @@ class TestDefaultPipeline:
     def test_lift_at_scale_1e6_converges_like_scale_one(self):
         # a lift that stopped only on an absolute |delta cost| could cycle at
         # large scale between two configurations one ulp apart, up to the
-        # iteration cap; both lifts end on a fixed point after 12 iterations
+        # iteration cap; both lifts end on a fixed point after 15 iterations
         a = sample_complex_gaussian(Rng(970_000), 32, 1000, 1.0)
         unit = default_pipeline(a, DiscretePhaseSet(1), 2)
         large = default_pipeline(1e6 * a, DiscretePhaseSet(1), 2)
         for result in (unit, large):
             assert result.trace.termination == "fixed-point"
-            assert result.trace.iterations == 12
+            assert result.trace.iterations == 15
         assert np.array_equal(large.trace.phases.indices, unit.trace.phases.indices)
 
     def test_huge_scale_does_not_warn(self):
@@ -632,6 +708,14 @@ class TestDefaultPipeline:
             warnings.simplefilter("error")
             result = default_pipeline(1e170 * a, DiscretePhaseSet(1), 2)
         assert np.isfinite(result.final_cost)
+
+    def test_records_stage_wall_times(self):
+        a = sample_complex_gaussian(Rng(28), 8, 60, 1.0)
+        result = default_pipeline(a, DiscretePhaseSet(2), 2)
+        assert result.continuous_seconds >= 0.0 and result.lift_seconds >= 0.0
+        # a result built from the stages by hand has no times
+        assert PipelineResult(result.trace, result.continuous_trace, result.rounded_phases,
+                              result.rounded_cost).continuous_seconds is None
 
     def test_p_inf_routed_away(self):
         with pytest.raises(UnsupportedNormError):
@@ -668,11 +752,11 @@ class TestInvariance:
 
     @pytest.mark.parametrize("k", [-20, 20])
     def test_power_of_two_scale_is_exact(self, k):
-        # 2^k * A runs the same arithmetic, every cost scaled exactly; an
-        # absolute stop took 42 / 51 / 52 warm-start cycles at p = 1 and
-        # 23 / 32 / 35 at p = 2 for k = -20 / 0 / 20
+        # 2^k * A runs the same arithmetic on the same dual witnesses, every
+        # cost scaled exactly; an absolute stop took 42 / 51 / 52 warm-start
+        # cycles at p = 1 and 23 / 32 / 35 at p = 2 for k = -20 / 0 / 20
         a = numpy_gaussian([11, 3], 32, 1000)
-        for p, cycles in ((1, 45), (2, 26)):
+        for p, cycles in ((1, 20), (2, 25)):
             unit = default_pipeline(a, DiscretePhaseSet(2), p)
             scaled = default_pipeline(2.0**k * a, DiscretePhaseSet(2), p)
             assert unit.continuous_trace.iterations == cycles
