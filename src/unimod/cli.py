@@ -14,12 +14,12 @@ import sys
 from pathlib import Path
 
 from .bench import EXPERIMENTS, KINDS, make_spec, run_experiment
-from .core import DiscretePhaseSet, normalize_p
+from .core import DiscretePhaseSet, PhaseVector, as_complex_matrix, normalize_p
 from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError, UnimodError
 from .oracle import exhaustive_norm
 from .ris import build_problem, load_instance, snr, solve_ris
 from .serialize import dump_json, load_matrix_file
-from .solver import SolveConfig, default_pipeline, deterministic_init, solve_continuous, solve_linf
+from .solver import SolveConfig, _linf, default_pipeline, deterministic_init, solve_continuous
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -109,13 +109,15 @@ def _cmd_solve(args) -> int:
     if math.isinf(args.p):
         if args.bits is None:
             raise InvalidArgumentError("p = inf needs --bits: the exact solver works on the lattice")
-        pv, row, objective = solve_linf(a, DiscretePhaseSet(args.bits))
+        dps = DiscretePhaseSet(args.bits)
+        idx, row, objective, swept = _linf(as_complex_matrix(a), dps)
         payload = {
-            "phases": _phases_payload(pv),
+            "phases": _phases_payload(PhaseVector.from_indices(idx, dps)),
             "objective": objective,
             "trace": [objective],
             "termination": "exact",
             "best_row": row,
+            "rows_swept": swept,
         }
     elif args.bits is None:
         cfg = SolveConfig(p=args.p, tolerance=args.tol, max_iterations=args.max_iter)

@@ -29,9 +29,15 @@ depend on the scale of v.
 
 `_das_indices` is the kernel: it takes a raw complex vector and returns int64
 lattice indices, with no validation and no PhaseVector, so its input must
-be finite. `das_maximize` validates its input once and wraps the kernel; the
-discrete solver calls the kernel directly on every iteration, and the
-l-infinity solver once per row.
+be finite. It runs two stages: `_das_edges` finds each element's first edge
+and its phasor product at psi = 0, and `_das_sweep` sorts the edges and
+sweeps lap 0. `das_maximize` validates its input once and wraps the kernel;
+the discrete solver calls the kernel directly on every iteration. The
+l-infinity solver calls the stages itself, and between them `_das_bound`:
+an upper bound on every candidate of the sweep, from the edges put into
+about n/8 buckets by value, with no sort, so that a row that cannot beat
+the best row so far is not swept. Its rounding allowance is relative to
+the l1 norm of the row and derived in its docstring.
 
 Each element's angle is reduced onto the lattice without a float modulo:
 `_wrap_angle` adds 2*pi to negative angles, and `_lattice_split` takes the
@@ -69,6 +75,12 @@ TIE_TOL = 1e-12
 #: widest lattice whose reduction `_lattice_split` does without np.mod; at
 #: B = 27 the 2^B phasor table alone takes 2 GB
 _SPLIT_MAX_BITS = 26
+
+#: unit roundoff of float64
+_U = 2.0 ** -53
+
+#: `_das_bound` holds for rows whose l1 norm is at least n times this
+_UNDERFLOW_FLOOR = 2.0 ** -1000
 
 
 def _wrap_angle(th: np.ndarray) -> np.ndarray:
@@ -122,9 +134,12 @@ def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, 
     return tred, q.astype(np.int64)
 
 
-def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
-    """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
-    raw complex vector `v`, 0 at its zero entries."""
+def _das_edges(v: np.ndarray, dps: DiscretePhaseSet):
+    """First stage of `_das_indices`: (nz, c, k0, first, ct) for a raw complex
+    vector `v`. `nz` holds the indices of its nonzero entries, None when it
+    has no zero entry; `c` = conj(v) on those entries, `k0` their lattice
+    indices at psi = 0, `first` their first edges in (0, delta] and
+    ct = c * table[k0]."""
     if v.all():
         nz, c = None, np.conj(v)
     else:
@@ -148,7 +163,17 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     first = past * -delta
     first += half
     first += tred
+    # table[m] = exp(j*(m*delta)); an element's index before its crossing is
+    # k0 < 2^B, and the crossing multiplies its phasor by table[1]
+    ct = c * dps.phasors[k0]
+    return nz, c, k0, first, ct
 
+
+def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: np.ndarray,
+               ct: np.ndarray) -> np.ndarray:
+    """Second stage of `_das_indices`: the sweep over lap 0 from the edges of
+    `_das_edges(v, dps)`, returning the int64 lattice indices. Takes `k0`
+    over."""
     # lap 0 crosses the first edges in ascending order, ties in index order;
     # with distinct keys every sort gives that order, and only equal keys
     # need the slower stable one
@@ -156,11 +181,7 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     keys = first[order]
     if (keys[1:] == keys[:-1]).any():
         order = np.argsort(first, kind="stable")
-    # table[m] = exp(j*(m*delta)); an element's index before its crossing is
-    # k0 < 2^B, and the crossing multiplies its phasor by table[1]
-    table = dps.phasors
-    ct = c * table[k0]
-    d = ct[order] * (table[1] - 1.0)
+    d = ct[order] * (dps.phasors[1] - 1.0)
 
     # sums[e] is S of candidate e, the state after crossing edges 0..e-1
     sums = np.empty_like(d)
@@ -172,12 +193,92 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     best = objs.max()
     j = int((objs >= best * (1.0 - TIE_TOL)).argmax())
     k0[order[:j]] += 1
-    k0 &= mask
+    k0 &= dps.levels - 1
     if nz is None:
         return k0
     full = np.zeros(v.size, dtype=np.int64)
     full[nz] = k0
     return full
+
+
+def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
+    """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
+    raw complex vector `v`, 0 at its zero entries."""
+    nz, _, k0, first, ct = _das_edges(v, dps)
+    return _das_sweep(v, dps, nz, k0, first, ct)
+
+
+def _das_slack(l1: float, n: int) -> float:
+    """Rounding allowance of an upper bound on the DaS objective of n
+    elements with l1 norm `l1`, as computed: 16 (n + 16) u l1, or inf where
+    products of the elements could underflow (see `_das_bound`)."""
+    if not l1 >= n * _UNDERFLOW_FLOOR:
+        return math.inf
+    return 16.0 * (n + 16) * _U * l1
+
+
+def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np.ndarray) -> float:
+    """Upper bound on every objective the sweep of `_das_sweep` could return,
+    as np.abs(np.vdot(v, table[idx])) computes it; `first` and `ct` come
+    from `_das_edges` and `mod` is |c| on the same elements.
+
+    Buckets. Element i goes to bucket b_i = floor(first_i * K / delta) for
+    K = max(1, n // 8) (b = K for first_i = delta). Rounding is monotone, so
+    b never decreases as first grows, and every prefix of the sweep order
+    is all of the buckets below some b plus part of bucket b. With
+    T_b = sum of ct over the buckets below b and S_b = S_0 + (t1 - 1) T_b,
+    t1 = table[1], a candidate whose prefix ends in bucket b has
+        |S_e| <= |S_b| + |t1 - 1| W_b,   W_b = sum of |c_i| over bucket b.
+    S_b and W_b come from one np.bincount each of ct.real, ct.imag and
+    `mod` and a cumulative sum over the K + 1 buckets. The bound is
+    max_b(|S_b| + |t1 - 1| W_b) plus the allowance below; it is scaled by
+    2^k exactly when v is, and its slack is about |t1 - 1| / K of the
+    l1 norm, so it only separates rows whose optima differ by more.
+
+    Allowance. Let u = 2^-53, L = ||c||_1 and tau_k = table[k]. The table
+    holds exp(1j * k*delta) for k*delta rounded once and delta = fl(2*pi) /
+    2^B, so its angles are off by at most 4*pi*u and, with cos and sin
+    within an ulp, |tau_k - exp(j*k*delta)| <= 16u (6.2u measured for
+    B <= 12). A candidate sets index k0_i + 1 on its prefix P, so with
+    a_i = c_i tau_k0_i its exact inner product is
+        sum_i a_i + (tau_1 - 1) sum_P a_i + sum_P c_i r_i,
+    r_i = tau_(k0_i + 1) - tau_k0_i tau_1, |r_i| < 49u. Next to the
+    exact bound on that sum, the computed one loses at most (by the
+    summation and complex product bounds of Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6, in
+    any summation order and with or without fused multiply-adds; |t1 - 1|
+    <= 2):
+      - 9u L for ct against a, over S_0 and T_b;
+      - 1.5 n u L for the sum S_0, and 3 (n + K) u L for the bucket sums,
+        their cumulative sum and the product with t1 - 1;
+      - 2.1 (n + 1) u L for W_b and the moduli in it;
+      - about 30u L for t1 - 1, the products, the adds, |.| and the max.
+    vdot's own objective is off from the exact inner product by at most
+    1.5 (n + 1) u L + 6u L, and 49u L covers the r_i. That is below
+    (8.5 n + 101) u L for K <= n/8 + 1, and `_das_slack` allows
+    16 (n + 16) u L, nearly twice that, so the rounding of L itself and of the
+    last add is covered too. The same allowance on L alone bounds the
+    objective of every configuration, the l1 test of `solver._linf`.
+    The analysis treats underflow as a relative error: a product that
+    underflows is off by at most 2^-1075 absolute, and there are fewer
+    than 16 (n + K + 1) of them, which stays far below u L once
+    L >= n 2^-1000. Below that `_das_slack` returns inf and nothing is
+    skipped. Overflow gives inf or nan, which skip nothing either.
+    """
+    n = first.size
+    k = max(1, n // 8)
+    b = (first * (k / dps.step)).astype(np.intp)
+    w = np.bincount(b, weights=mod, minlength=k + 1)
+    t = np.empty(w.size, dtype=np.complex128)
+    t[0] = 0.0
+    t.real[1:] = np.cumsum(np.bincount(b, weights=ct.real, minlength=k + 1)[:-1])
+    t.imag[1:] = np.cumsum(np.bincount(b, weights=ct.imag, minlength=k + 1)[:-1])
+    t1m1 = dps.phasors[1] - 1.0
+    t *= t1m1
+    t += ct.sum()
+    heads = np.abs(t)
+    heads += abs(t1m1) * w
+    return float(heads.max()) + _das_slack(float(w.sum()), n)
 
 
 def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:

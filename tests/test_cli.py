@@ -80,6 +80,19 @@ class TestSolve:
         code, reference = run_json(tmp_path, "oracle", str(FIXTURE_3X5), "--p", "inf", "--bits", "1")
         assert payload["objective"] == pytest.approx(reference["objective"], abs=1e-9)
 
+    def test_p_inf_reports_the_rows_swept(self, tmp_path):
+        g = np.random.default_rng(24)
+        row = g.standard_normal(40) + 1j * g.standard_normal(40)
+        mfile = tmp_path / "m.json"
+        # a dominant row leaves the other rows unswept; rotated copies tie
+        # and are all swept
+        for rows, swept in ((row * np.array([[0.2], [1.0], [0.3], [0.1]]), 1),
+                            (row * np.exp(1j * np.array([[0.0], [1.0], [2.0], [3.0]])), 4)):
+            mfile.write_text(json.dumps([[[z.real, z.imag] for z in r] for r in rows]))
+            code, payload = run_json(tmp_path, "solve", str(mfile), "--p", "inf", "--bits", "2")
+            assert code == 0
+            assert payload["rows_swept"] == swept
+
     def test_malformed_json_exits_2_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[[1, ")

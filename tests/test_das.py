@@ -12,12 +12,26 @@ from unimod import (
     sample_complex_gaussian,
     wrap_phase,
 )
-from unimod.das import TIE_TOL, _das_indices, _lattice_split, _wrap_angle
+from unimod.das import TIE_TOL, _das_bound, _das_edges, _das_indices, _lattice_split, _wrap_angle
 from unimod.oracle import exhaustive_inner
 
 
 def hermitian_objective(v, values):
     return abs(np.vdot(v, np.exp(1j * np.asarray(values))))
+
+
+def steering_row(n, s):
+    """Far-field response of a uniform linear RIS with half-wavelength
+    spacing: element i has phase pi * i * s, s = sin(target) + sin(incidence)."""
+    return np.exp(1j * math.pi * s * np.arange(n))
+
+
+def steering_steps(g, bits, count):
+    """`count` values of s in [-2, 2], half of them q / 2^B, whose phase
+    steps pi * s are multiples of half a lattice step: the rows are then
+    tie-heavy for DaS."""
+    q = g.integers(-2 ** (bits + 1), 2 ** (bits + 1) + 1, count) / 2 ** bits
+    return np.where(np.arange(count) % 2 == 0, q, g.uniform(-2.0, 2.0, count))
 
 
 class TestDasMaximize:
@@ -117,6 +131,17 @@ class TestDasMaximize:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             das_maximize(np.zeros(4, dtype=complex), DiscretePhaseSet(1))
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_exact_on_steering_rows(self, bits):
+        dps = DiscretePhaseSet(bits)
+        g = np.random.default_rng([87, bits])
+        nmax = min(8, 21 // bits)  # the oracle stays below 2^21 configurations
+        for t, s in enumerate(steering_steps(g, bits, 40)):
+            v = steering_row(1 + t % nmax, s)
+            _, obj = das_maximize(v, dps)
+            ref = exhaustive_inner(v, dps)
+            assert obj == pytest.approx(ref.objective, rel=1e-12, abs=0)
 
     def test_exact_tie_instances_pick_earliest(self):
         # every global rotation of the optimum ties with it; the sweep meets
@@ -345,3 +370,74 @@ class TestLatticeReduction:
         assert np.array_equal(tau.view(np.int64), tau_ref.view(np.int64))
         assert np.array_equal(tred.view(np.int64), tred_ref.view(np.int64))
         assert np.array_equal(shift, shift_ref)
+
+
+def _bound(v, dps):
+    _, c, _, first, ct = _das_edges(v, dps)
+    return _das_bound(dps, np.abs(c), first, ct)
+
+
+class TestDasBound:
+    """_das_bound must lie above every objective the sweep could return, at
+    every scale and on tie-heavy and steering vectors too."""
+
+    @staticmethod
+    def vectors(family, bits, count, nmax):
+        g = np.random.default_rng([88, bits, nmax])
+        for k in range(count):
+            n = int(g.integers(1, nmax + 1))
+            if family == "steering":
+                yield steering_row(n, steering_steps(g, bits, 2)[k % 2])
+                continue
+            v = g.standard_normal(n) + 1j * g.standard_normal(n)
+            if family == "lattice":
+                v = g.integers(1, 4, n) * np.exp(0.25j * math.pi * g.integers(0, 8, n))
+            elif family == "partly-zero":
+                v[g.random(n) < 0.3] = 0.0
+                v[0] = 1.0 - 1.0j
+            yield v
+
+    @pytest.mark.parametrize("family", ["gaussian", "lattice", "partly-zero", "steering"])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 6])
+    def test_above_the_das_objective(self, family, bits):
+        dps = DiscretePhaseSet(bits)
+        for v in self.vectors(family, bits, 30, 3000):
+            _, obj = das_maximize(v, dps)
+            assert _bound(v, dps) >= obj
+
+    @pytest.mark.parametrize("family", ["gaussian", "lattice", "partly-zero", "steering"])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_above_the_exhaustive_optimum(self, family, bits):
+        dps = DiscretePhaseSet(bits)
+        for v in self.vectors(family, bits, 30, min(8, 21 // bits)):
+            assert _bound(v, dps) >= exhaustive_inner(v, dps).objective
+
+    @pytest.mark.parametrize("family", ["gaussian", "lattice", "partly-zero", "steering"])
+    @pytest.mark.parametrize("k", [-20, 20])
+    def test_power_of_two_scale_is_exact(self, family, k):
+        for bits in (1, 2, 4):
+            dps = DiscretePhaseSet(bits)
+            for v in self.vectors(family, bits, 10, 500):
+                assert _bound(math.ldexp(1.0, k) * v, dps) == math.ldexp(_bound(v, dps), k)
+
+    @pytest.mark.parametrize("bits", [1, 2, 4])
+    def test_is_the_bucket_formula(self, bits):
+        # max over buckets b of |S_b| + |t1 - 1| W_b, spelled out with a loop
+        dps = DiscretePhaseSet(bits)
+        t1m1 = dps.phasors[1] - 1.0
+        for v in self.vectors("gaussian", bits, 10, 300):
+            _, c, _, first, ct = _das_edges(v, dps)
+            k = max(1, v.size // 8)
+            b = np.floor(first * (k / dps.step))
+            heads = [abs(ct.sum() + t1m1 * ct[b < j].sum()) + abs(t1m1) * np.abs(c[b == j]).sum()
+                     for j in range(k + 1)]
+            assert _bound(v, dps) == pytest.approx(max(heads), rel=1e-9)
+
+    def test_close_to_the_objective_on_a_long_row(self):
+        # the slack is about |t1 - 1| / K of the l1 norm, K = n // 8 buckets:
+        # 0.5 % at B = 1 and n = 10^4, less for finer lattices
+        v = sample_complex_gaussian(Rng(89), 1, 10000, 1.0).ravel()
+        for bits in (1, 2, 3, 4):
+            dps = DiscretePhaseSet(bits)
+            _, obj = das_maximize(v, dps)
+            assert _bound(v, dps) <= obj * 1.01

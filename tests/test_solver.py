@@ -26,13 +26,20 @@ from unimod import (
     solve_linf,
     wrap_phase,
 )
-from unimod import solver
+from unimod import das, solver
 from unimod.oracle import exhaustive_norm
 from unimod.solver import _unit, _witness
 
 
 def zero_start(n, dps):
     return PhaseVector.from_indices(np.zeros(n, dtype=int), dps)
+
+
+def steering_rows(n, s):
+    """Row k is the far-field response of a uniform linear RIS with
+    half-wavelength spacing at s_k = sin(target) + sin(incidence): phase
+    pi * i * s_k at element i."""
+    return np.exp(1j * math.pi * np.outer(s, np.arange(n)))
 
 
 def numpy_gaussian(key, m, n):
@@ -619,6 +626,102 @@ class TestSolveLinf:
                 if best is None or obj > best[2]:
                     best = (pv.indices, i, obj)
         return best
+
+    @staticmethod
+    def inputs(family):
+        """(A, dps) cases of one family, for the comparison with row_by_row."""
+        g = np.random.default_rng([19, *family.encode()])
+        for t in range(12):
+            bits = 1 + t % 6
+            m = int(g.integers(1, 9))
+            n = int(g.choice([1, 2, 3, 8, 50, 600]))
+            a = g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+            if family == "long-rows":
+                n = (1000, 10000)[t % 2]
+                a = g.standard_normal((8, n)) + 1j * g.standard_normal((8, n))
+                bits = 2 + t % 3
+            elif family == "scaled":
+                a = a * (1e-13, 1e170, 1e-170, 2.0 ** -1000)[t % 4]
+            elif family == "pi/4":
+                a = g.integers(1, 3, (m, n)) * np.exp(0.25j * math.pi * g.integers(0, 8, (m, n)))
+            elif family == "zero-rows":
+                a[g.random((m, n)) < 0.3] = 0.0
+                a[g.random(m) < 0.3] = 0.0
+                a[-1, 0] = 1.0
+            elif family == "steering":
+                dps = DiscretePhaseSet(bits)
+                s = np.where(np.arange(m) % 2 == 0, g.integers(-2 * dps.levels, 2 * dps.levels + 1, m)
+                             / dps.levels, g.uniform(-2.0, 2.0, m))
+                a = steering_rows(n, s)
+            elif family == "rotated":
+                a = a[:1] * np.exp(1j * g.uniform(0.0, 2 * math.pi, (m, 1)))
+            elif family == "quarter-turns":
+                a = a[:1] * 1j ** g.integers(0, 4, (m, 1))
+            elif family == "dominant-last":
+                a[-1] *= 3.0
+            yield a, DiscretePhaseSet(bits)
+
+    @pytest.mark.parametrize("family", ["gaussian", "long-rows", "scaled", "pi/4", "zero-rows",
+                                        "steering", "rotated", "quarter-turns", "dominant-last"])
+    def test_same_answer_as_every_row_swept(self, family):
+        # rows that cannot win are skipped, and that must change no bit
+        for a, dps in self.inputs(family):
+            pv, row, obj = solve_linf(a, dps)
+            idx, ref_row, ref_obj = self.row_by_row(a, dps)
+            assert (row, obj) == (ref_row, ref_obj)
+            assert np.array_equal(pv.indices, idx)
+
+    def test_ties_go_to_the_lowest_row(self):
+        # the rows are visited by l2 norm, row 1 first, but all three tie
+        a = np.array([[1.0, 1.0], [2.0, 0.0], [1.0, -1.0]], dtype=complex)
+        assert solve_linf(a, DiscretePhaseSet(1))[1:] == (0, 2.0)
+        # quarter turns of one row tie exactly; the lowest index wins
+        row = numpy_gaussian(20, 1, 300)
+        a = np.vstack([0.5 * row, 1j * row, -row, -1j * row])
+        for bits in (1, 2, 3):
+            pv, i, obj = solve_linf(a, DiscretePhaseSet(bits))
+            assert (i, obj) == self.row_by_row(a, DiscretePhaseSet(bits))[1:]
+            assert i == 1
+
+    def test_a_dominant_row_is_the_only_row_swept(self, monkeypatch):
+        # guards the pruning: if either test stopped skipping rows, this
+        # fails. The dominant row's optimum is above every other row's l1
+        # norm, so no other row even gets its edges built.
+        edges = []
+        monkeypatch.setattr(solver, "_das_edges",
+                            lambda v, dps: edges.append(1) or das._das_edges(v, dps))
+        a = numpy_gaussian(21, 8, 2000)
+        a[5] *= 1.5
+        for bits in (2, 3, 4):
+            edges.clear()
+            idx, row, obj, swept = solver._linf(a, DiscretePhaseSet(bits))
+            assert (row, swept, len(edges)) == (5, 1, 1)
+
+    def test_the_bound_skips_rows_the_l1_test_keeps(self):
+        # at B = 2 the optima lie near 0.9 of the l1 norms, so a row 5 %
+        # above the rest passes the l1 test and only the bound skips the others
+        a = numpy_gaussian(25, 8, 2000)
+        a[2] *= 1.05
+        idx, row, obj, swept = solver._linf(a, DiscretePhaseSet(2))
+        assert (row, swept) == (2, 1)
+        assert all(np.abs(a[i]).sum() > obj for i in range(8) if i != 2)
+
+    def test_rotated_copies_are_all_swept(self):
+        # rows whose optima tie cannot be told apart by a bound
+        a = numpy_gaussian(22, 1, 500) * np.exp(1j * np.linspace(0.0, 3.0, 6))[:, None]
+        assert solver._linf(a, DiscretePhaseSet(2))[3] == 6
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_steering_rows_match_exhaustive(self, bits):
+        g = np.random.default_rng([23, bits])
+        dps = DiscretePhaseSet(bits)
+        for t in range(12):
+            n = int(g.integers(1, min(8, 21 // bits) + 1))
+            s = g.integers(-2 * dps.levels, 2 * dps.levels + 1, 3) / dps.levels
+            a = steering_rows(n, np.append(s, g.uniform(-2.0, 2.0)))
+            _, _, obj = solve_linf(a, dps)
+            ref = exhaustive_norm(a, dps, math.inf)
+            assert obj == pytest.approx(ref.objective, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("case", ["signed-zero-row", "zero-row-last", "partly-zero-row-wins"])
     def test_zero_rows(self, case):
