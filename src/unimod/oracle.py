@@ -1,12 +1,22 @@
 """Ground-truth references: exhaustive and random search over the lattice.
 
-The exhaustive searches enumerate every one of the 2^(nB) configurations
-(guarded to keep runs desk-scale) and exist so the clever solvers have
-something unarguable to be checked against; random search is the best of K
-uniform lattice draws, the baseline of the SNR studies. Ties resolve to the
-first hit: in lexicographic index order, most significant digit first, for
-the exhaustive searches and in draw order for random search, so expected
-values in tests are unique. Configurations are evaluated by indexing a
+The exhaustive search exists so the clever solvers have something
+unarguable to be checked against; random search is the best of K uniform
+lattice draws, the baseline of the SNR studies. Turning every phase by one
+lattice step keeps every objective here (||A e^{j k delta} x||_p = ||A x||_p),
+so the configurations fall into rotation classes of 2^B equally good ones,
+each with exactly one member whose digit 0 is 0. The exhaustive search
+scans that member of every class: the 2^((n-1)B) configurations with digit
+0 at 0, guarded at n B <= 24 to keep runs desk-scale. The inner product
+|<v, x>| is the one-row case A = v^H of the same scan. Ties resolve to the
+first hit: in lexicographic index order, most significant digit first,
+among the configurations with digit 0 at 0 for the exhaustive search, and
+in draw order for random search, so expected values in tests are unique.
+The lexicographically first optimum of the whole space has digit 0 at 0,
+so in exact arithmetic the exhaustive search returns what a scan of all
+2^(nB) would; unlike such a scan, it never lets rounding pick among the
+2^B exactly tied rotations of its optimum, so those ties cannot move the
+answer with the scale of A. Configurations are evaluated by indexing a
 table of the 2^B lattice phasors, never by calling exp per entry.
 
 Random search draws each configuration from whole 64-bit words of the Rng's
@@ -66,23 +76,33 @@ _U32 = 2.0 ** -24
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The best configuration a search found and its objective.
+    `evaluated` counts the configurations the search scored: 2^((n-1)B),
+    one rotation class each, for the exhaustive search and `trials` for
+    random search."""
+
     phases: PhaseVector
     objective: float
     evaluated: int
 
 
 def _guard(n: int, dps: DiscretePhaseSet) -> int:
+    """The 2^((n-1)B) configurations with digit 0 at 0, one per rotation
+    class; raises if the whole space of 2^(nB) exceeds the guard."""
     total_bits = n * dps.bits
     if total_bits > MAX_EXHAUSTIVE_BITS:
         raise SizeLimitError(
             f"exhaustive search over 2^{total_bits} configurations exceeds the "
             f"2^{MAX_EXHAUSTIVE_BITS} guard")
-    return 1 << total_bits
+    return 1 << (total_bits - dps.bits)
 
 
 def _decode(start: int, out: np.ndarray, bits: int) -> np.ndarray:
     """Lattice digits of the flat indices start, start + 1, ... written into
-    the rows of `out`, most significant digit first."""
+    the rows of `out`, most significant digit first: digit i of flat index f
+    is (f >> (B (n - 1 - i))) & (2^B - 1), so every flat index below
+    2^((n-1)B) has digit 0 at 0 and counts through its other digits in
+    lexicographic order."""
     flat = np.arange(start, start + out.shape[0], dtype=np.intp)
     np.right_shift(flat[:, None], bits * np.arange(out.shape[1] - 1, -1, -1), out=out)
     out &= (1 << bits) - 1
@@ -90,21 +110,10 @@ def _decode(start: int, out: np.ndarray, bits: int) -> np.ndarray:
 
 
 def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
-    """Maximum of |<v, exp(j*Omega)>| by enumerating all of Delta^n."""
-    v = as_complex_vector(v)
-    total = _guard(v.size, dps)
-    phase_table = dps.phasors
-
-    # grow the sum one element at a time; axis order keeps element 0 the
-    # most significant digit of the flat index
-    sums = np.zeros(1, dtype=np.complex128)
-    for coeff in np.conj(v):
-        sums = (sums[:, None] + coeff * phase_table[None, :]).ravel()
-    best_flat = int(np.argmax(np.abs(sums)))
-    objective = float(np.abs(sums[best_flat]))
-
-    idx = _decode(best_flat, np.empty((1, v.size), dtype=np.intp), dps.bits)[0]
-    return OracleResult(PhaseVector.from_indices(idx, dps), objective, total)
+    """Maximum of |<v, exp(j*Omega)>| over Delta^n: `exhaustive_norm` of
+    the one-row A = v^H at p = 2, with its rotation class scan, tie rule and
+    `evaluated` count."""
+    return exhaustive_norm(np.conj(as_complex_vector(v))[None, :], dps, 2)
 
 
 def _byte_digits(bits: int) -> np.ndarray:
@@ -247,7 +256,13 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
 
 
 def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
-    """Maximum of ||A exp(j*Omega)||_p by enumerating all of Delta^n."""
+    """Maximum of ||A exp(j*Omega)||_p over Delta^n, by scoring the
+    2^((n-1)B) configurations with digit 0 at 0, one per rotation class.
+
+    Every optimum has such a rotation, so the objective is the maximum over
+    the whole space. The result is the first hit in lexicographic order
+    among them, so it has digit 0 at 0, and the rotations of an optimum,
+    which tie exactly, are never told apart by rounding."""
     a = as_complex_matrix(a)
     p = normalize_p(p)
     total = _guard(a.shape[1], dps)

@@ -372,6 +372,31 @@ class TestOracleCheck:
             row = next(r for r in rows if r[0] == "das" and r[1] == f["trial"])
             assert row[7] == 0 and f["bits"] == row[4] and len(f["v"]) == row[3]
 
+    def test_match_is_relative_to_the_objective(self, tmp_path, monkeypatch):
+        # at variance 1e-20 the objectives are near 1e-10, so an absolute
+        # 1e-9 would pass any answer; solvers off by 1e-6 relative must fail
+        # every trial (3 trials run in this process)
+        real_das, real_linf = bench.das_maximize, bench.solve_linf
+
+        def das_off(v, dps):
+            pv, obj = real_das(v, dps)
+            return pv, obj * (1 + 1e-6)
+
+        def linf_off(a, dps):
+            pv, row, obj = real_linf(a, dps)
+            return pv, row, obj * (1 + 1e-6)
+
+        monkeypatch.setattr(bench, "das_maximize", das_off)
+        monkeypatch.setattr(bench, "solve_linf", linf_off)
+        envelope = run_experiment(make_spec("oracle-check", tmp_path, trials=3, variance=1e-20))
+        summary = envelope["results"][0]
+        assert summary["das_matches"] == 0 and summary["linf_matches"] == 0
+        _, rows = read_csv(tmp_path / "oracle_check.csv")
+        assert all(0 < r[6] < 1e-8 for r in rows)
+        failures = json.loads((tmp_path / "oracle_check_failures.json").read_text())
+        assert [(f["check"], f["trial"]) for f in failures] == (
+            [("das", t) for t in range(3)] + [("linf", t) for t in range(3)])
+
 
 class TestHarness:
     @pytest.mark.parametrize("kind", KINDS)

@@ -23,17 +23,19 @@ class TestExhaustiveInner:
         res = exhaustive_inner(np.array([1.0]), DiscretePhaseSet(1))
         assert res.objective == pytest.approx(1.0)
         assert list(res.phases.values) == [0.0]
-        assert res.evaluated == 2
+        assert res.evaluated == 1
 
     def test_compensating_pair(self):
         res = exhaustive_inner(np.array([1.0, -1.0]), DiscretePhaseSet(1))
         assert res.objective == pytest.approx(2.0)
         assert res.phases.values == pytest.approx([0.0, math.pi])
-        assert res.evaluated == 4
+        assert res.evaluated == 2
 
     def test_counts_all_configurations(self):
+        # one configuration per rotation class: digit 0 is 0, the other two
+        # take all 4 levels
         res = exhaustive_inner(np.array([1.0, 1j, -1.0]), DiscretePhaseSet(2))
-        assert res.evaluated == 4 ** 3
+        assert res.evaluated == 4 ** 2
 
     def test_cross_check_with_das(self):
         for t in range(40):
@@ -144,7 +146,11 @@ EXHAUSTIVE_N = {1: 10, 2: 6, 3: 4, 4: 3}
 
 class TestPhaseTableEquivalence:
     """The oracles' phase table and single precision screen against scoring
-    every configuration in double precision with exp(j * step * digits)."""
+    every configuration in double precision with exp(j * step * digits).
+    The exhaustive search scans the configurations with digit 0 at 0, one
+    per rotation class, which are the first 2^((n-1)B) lexicographic rows:
+    its indices are their first argmax, and its objective is the maximum
+    over the whole space."""
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     @pytest.mark.parametrize("bits", [1, 2])
@@ -153,8 +159,9 @@ class TestPhaseTableEquivalence:
         dps = DiscretePhaseSet(bits)
         digits = np.indices((dps.levels,) * 6).reshape(6, -1).T  # lexicographic
         vals = evaluate(a, digits, dps, p)
+        scanned = dps.levels ** 5  # the rows with digit 0 at 0
         ref = exhaustive_norm(a, dps, p)
-        assert np.array_equal(ref.phases.indices, digits[np.argmax(vals)])
+        assert np.array_equal(ref.phases.indices, digits[np.argmax(vals[:scanned])])
         assert ref.objective == pytest.approx(vals.max(), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
@@ -183,8 +190,9 @@ class TestPhaseTableEquivalence:
         # both products round alike
         digits = np.indices((dps.levels,) * n).reshape(n, -1).T.copy()
         vals = evaluate(a, digits, dps, p)
+        scanned = dps.levels ** (n - 1)  # the rows with digit 0 at 0
         ref = exhaustive_norm(a, dps, p)
-        assert np.array_equal(ref.phases.indices, digits[np.argmax(vals)])
+        assert np.array_equal(ref.phases.indices, digits[np.argmax(vals[:scanned])])
         assert abs(ref.objective - vals.max()) <= 4 * np.spacing(vals.max())
 
     @pytest.mark.parametrize("kind", ["tied", "small-column"])
@@ -340,6 +348,20 @@ class TestRandomSearch:
         assert peak < 1.6 * 2 ** 20
 
 
+def test_exhaustive_inner_peak_memory():
+    # the scan's workspace of 512-row batches peaks near 0.14 MB at n = 8,
+    # B = 3; the bound rules out any array sized by the 2^21 configurations
+    # scanned (one complex128 value each is 32 MB)
+    v = sample_complex_gaussian(Rng(630), 1, 8, 1.0).ravel()
+    tracemalloc.start()
+    try:
+        exhaustive_inner(v, DiscretePhaseSet(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 SCALES = (1e-170, 1e-160, 1.0, 1e160, 1e170)
 
 
@@ -362,17 +384,17 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_exhaustive_norm(self, p):
-        a = sample_complex_gaussian(Rng(623), 4, 8, 1.0)
+        # every phase turned by one lattice step keeps the objective, so the
+        # optimum comes in 2^B exact ties; the search scans only the turn
+        # with digit 0 at 0, so rounding noise cannot pick among them
         dps = DiscretePhaseSet(2)
-        unit = exhaustive_norm(a, dps, p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for s in SCALES:
-                res = exhaustive_norm(s * a, dps, p)
-                # turning every phase by one lattice step keeps the objective,
-                # so rounding picks among those turns; compare the turn with
-                # first digit 0
-                turned = (res.phases.indices - res.phases.indices[0]) % dps.levels
-                assert np.array_equal(
-                    turned, (unit.phases.indices - unit.phases.indices[0]) % dps.levels)
-                assert res.objective / s == pytest.approx(unit.objective, rel=1e-14)
+            for seed in range(623, 633):
+                a = sample_complex_gaussian(Rng(seed), 4, 8, 1.0)
+                unit = exhaustive_norm(a, dps, p)
+                assert unit.phases.indices[0] == 0
+                for s in SCALES:
+                    res = exhaustive_norm(s * a, dps, p)
+                    assert np.array_equal(res.phases.indices, unit.phases.indices)
+                    assert res.objective / s == pytest.approx(unit.objective, rel=1e-14)
