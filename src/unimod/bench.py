@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .core import (DiscretePhaseSet, Rng, as_complex_matrix, norm_lp, normalize_p,
-                   sample_complex_gaussian)
+from .core import (MAX_LATTICE_BITS, DiscretePhaseSet, Rng, as_complex_matrix, norm_lp,
+                   normalize_p, sample_complex_gaussian)
 from .das import das_maximize
 from .errors import InvalidArgumentError
 from .oracle import MAX_EXHAUSTIVE_BITS, exhaustive_inner, exhaustive_norm, random_search
@@ -96,8 +96,9 @@ class ExperimentSpec:
                 raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.m < 1 or any(n < 1 for n in self.n_values) or not self.n_values:
             raise InvalidArgumentError("all dimensions must be >= 1")
-        if any(b < 1 for b in self.bits) or not self.bits:
-            raise InvalidArgumentError("bit widths must be >= 1")
+        if not self.bits or any(not 1 <= b <= MAX_LATTICE_BITS for b in self.bits):
+            raise InvalidArgumentError(
+                f"bits must be 1 .. {MAX_LATTICE_BITS}, got {self.bits!r}")
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise InvalidArgumentError(
                 f"variance must be finite and positive, got {self.variance!r}")
@@ -534,13 +535,13 @@ _SNR_CONVENTION = "SNR convention: transmit power 1, noise variance 1"
 _SNR_HEADER = ("n", "trial", "method", "objective", "snr_db")
 _STAGE_HEADER = ("continuous_termination", "continuous_iterations",
                  "lift_termination", "lift_iterations")
-_RANDOM_DRAW = ("random baseline: configuration k takes generator words k*W .. (k+1)*W - 1, "
-                "whose bytes are read least significant first; for B <= 8 each byte packs "
-                "d = floor(8 / B) digits, top bits first, W = ceil(ceil(n / d) / 8) and digit i "
-                "is (byte[i // d] >> (8 - B (i % d + 1))) & (2^B - 1); for wider lattices "
-                "W = ceil(n w / 8) and digit i is the top B bits of the i-th little-endian "
-                "w-byte integer (w = 2, 4 or 8); trees that drew one byte per digit for B <= 4, "
-                "or drew with Generator.integers, agree in distribution, not draw for draw")
+_RANDOM_DRAW = ("random baseline: configuration k reads generator words k*W .. (k+1)*W - 1 as "
+                "little-endian w-byte integers, w the smallest power of two with 8 w >= B; "
+                "code i is integer i, or its top B bits when B > 8, and holds d = floor(8 / B) "
+                "digits for B <= 8, digit i being (code[i // d] >> (8 - B (i % d + 1))) & "
+                "(2^B - 1), else d = 1; W = ceil(ceil(n / d) w / 8); trees that drew one byte "
+                "per digit for B <= 4, or drew with Generator.integers, agree in distribution, "
+                "not draw for draw")
 _SNR_NOTES = ("NLoS channels, i.i.d. complex Gaussian entries", _SNR_CONVENTION, _RANDOM_DRAW)
 _SNR_READS = ("n_values", "bits", "random_configs")
 

@@ -21,6 +21,10 @@ from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
 
+#: widest lattice: at B = 26 the 2^B phasor table that every solver and
+#: oracle reads takes 1 GB
+MAX_LATTICE_BITS = 26
+
 
 def _as_float_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -56,7 +60,7 @@ class DiscretePhaseSet:
     Parameters
     ----------
     bits : int
-        Number of quantization bits, B >= 1.
+        Number of quantization bits, 1 <= B <= MAX_LATTICE_BITS.
 
     Attributes
     ----------
@@ -72,8 +76,9 @@ class DiscretePhaseSet:
     levels: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.bits, (int, np.integer)) or self.bits < 1:
-            raise InvalidArgumentError(f"bits must be a positive integer, got {self.bits!r}")
+        if not isinstance(self.bits, (int, np.integer)) or not 1 <= self.bits <= MAX_LATTICE_BITS:
+            raise InvalidArgumentError(
+                f"bits must be an integer in 1 .. {MAX_LATTICE_BITS}, got {self.bits!r}")
         object.__setattr__(self, "levels", 1 << int(self.bits))
         object.__setattr__(self, "step", TWO_PI / self.levels)
 

@@ -72,10 +72,6 @@ from .errors import DegenerateInputError
 #: best objective count as tied
 TIE_TOL = 1e-12
 
-#: widest lattice whose reduction `_lattice_split` does without np.mod; at
-#: B = 27 the 2^B phasor table alone takes 2 GB
-_SPLIT_MAX_BITS = 26
-
 #: unit roundoff of float64
 _U = 2.0 ** -53
 
@@ -110,16 +106,14 @@ def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, 
     q = floor(tau / delta) is the integer part or one above it, never below:
     rounding is monotone and the integer part, below 2^B, is a float.
     Writing delta = hi + lo with hi the top 53 - B bits of delta, q*hi and
-    q*lo are exact for q < 2^B <= 2^26, and so is tau - q*hi: for q >= 1
-    both terms are multiples of ulp(delta) and differ by less than 2^53 of
-    it. So (tau - q*hi) - q*lo is the exact remainder, rounded once.
-    Where q was one high that remainder is negative, and those elements are
-    recomputed with q - 1. Wider lattices fall back to np.mod.
+    q*lo are exact for q < 2^B <= 2^MAX_LATTICE_BITS (`DiscretePhaseSet`
+    takes no wider lattice), and so is tau - q*hi: for q >= 1 both terms
+    are multiples of ulp(delta) and differ by less than 2^53 of it. So
+    (tau - q*hi) - q*lo is the exact remainder, rounded once. Where q was
+    one high that remainder is negative, and those elements are recomputed
+    with q - 1.
     """
     delta = dps.step
-    if dps.bits > _SPLIT_MAX_BITS:
-        tred = np.mod(tau, delta)                  # fmod is exact, stays < delta
-        return tred, np.rint((tau - tred) / delta).astype(np.int64)
     hi, lo = _step_split(int(dps.bits))
     q = tau / delta
     np.floor(q, out=q)

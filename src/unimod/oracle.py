@@ -19,33 +19,34 @@ so in exact arithmetic the exhaustive search returns what a scan of all
 answer with the scale of A. Configurations are evaluated by indexing a
 table of the 2^B lattice phasors, never by calling exp per entry.
 
-Random search draws each configuration from whole 64-bit words of the Rng's
-Philox generator (`bit_generator.random_raw`), whose bytes are read least
-significant first. For B <= 8 each byte packs d = floor(8 / B) digits, top
-bits first: a configuration takes W = ceil(ceil(n / d) / 8) words, and digit
-i is (byte[i // d] >> (8 - B (i % d + 1))) & (2^B - 1) of its first
-ceil(n / d) bytes. For wider lattices a configuration takes ceil(n w / 8)
-words read as little-endian integers of w = 2, 4 or 8 bytes, and digit i is
-the top B bits of integer i. Digits and bytes left over at the end of a
-configuration are dropped. Every bit of Philox output is uniform and
-independent of the others, so the digits are uniform and independent on the
-lattice, and the draw of a configuration does not depend on the batch it
-falls in. The rule replaced one byte per digit for B <= 4 (B = 5 .. 8 read
-the same digits either way), which in turn replaced a
-`Generator.integers(0, 2^B)` draw: random-baseline numbers from trees with
-either earlier rule agree in distribution, not draw for draw.
+Both searches hand a configuration to the scan as nc = ceil(n / d) codes.
+For B <= 8 a code is a byte that packs d = floor(8 / B) digits, top bits
+first: digit i is (code[i // d] >> (8 - B (i % d + 1))) & (2^B - 1). For
+wider lattices d = 1 and a code is one digit. Only the first n digits
+count. The exhaustive search codes the digits of its flat index, with the
+digits past n at 0. Random search reads each configuration from whole
+64-bit words of the Rng's Philox generator (`bit_generator.random_raw`) as
+little-endian integers of w bytes, w the smallest power of two with 8 w >=
+B: a configuration takes W = ceil(nc w / 8) words, its code i is integer i,
+or the top B bits of it when B > 8, and the integers left over at its end
+are dropped. Every bit of Philox output is uniform and independent of the
+others, so the digits are uniform and independent on the lattice, and the
+draw of a configuration does not depend on the batch it falls in. The rule
+replaced one byte per digit for B <= 4 (B = 5 .. 8 read the same digits
+either way), which in turn replaced a `Generator.integers(0, 2^B)` draw:
+random-baseline numbers from trees with either earlier rule agree in
+distribution, not draw for draw.
 
 Both searches share one scan. It divides A by a power of two near max|A|,
 which is exact, so the arithmetic is the same at every scale of A and no
 sum of squares overflows or flushes to zero near 1e170 or 1e-170. It works
 in one workspace per call, sized to stay in L2 cache and reused for every
-batch of 512 configurations: their codes (one generator byte or one digit
-each), phasors and products are written in place, not allocated per batch;
-a code's phasors come from one row of a table of all codes, so a byte
-needs no unpacking. Each batch is screened in single
-precision, and only the configurations whose screen score is within a
-worst-case rounding bound of the best screen score so far are scored again
-in double precision; a batch with none is not scored again. The bound
+batch of 512 configurations: their codes, phasors and products are written
+in place, not allocated per batch; a code's phasors come from one row of a
+table of all codes, so a byte needs no unpacking. Each batch is screened in
+single precision, and only the configurations whose screen score is within
+a worst-case rounding bound of the best screen score so far are scored
+again in double precision; a batch with none is not scored again. The bound
 (standard summation error analysis, derived in `_scan`) makes every dropped
 configuration score strictly below a kept one in double precision, so the
 winner, its objective and the first-hit rule are those of scoring every
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -97,16 +98,22 @@ def _guard(n: int, dps: DiscretePhaseSet) -> int:
     return 1 << (total_bits - dps.bits)
 
 
-def _decode(start: int, out: np.ndarray, bits: int) -> np.ndarray:
-    """Lattice digits of the flat indices start, start + 1, ... written into
-    the rows of `out`, most significant digit first: digit i of flat index f
-    is (f >> (B (n - 1 - i))) & (2^B - 1), so every flat index below
+def _flat_codes(start: int, out: np.ndarray, bits: int, n: int) -> None:
+    """Codes of the flat indices start, start + 1, ... written into the rows
+    of `out`, most significant digit first: digit i of flat index f is
+    (f >> (B (n - 1 - i))) & (2^B - 1), so every flat index below
     2^((n-1)B) has digit 0 at 0 and counts through its other digits in
-    lexicographic order."""
-    flat = np.arange(start, start + out.shape[0], dtype=np.intp)
-    np.right_shift(flat[:, None], bits * np.arange(out.shape[1] - 1, -1, -1), out=out)
-    out &= (1 << bits) - 1
-    return out
+    lexicographic order. The digits past n that pad the last code are 0."""
+    rows, nc = out.shape
+    d = 8 // bits if bits <= 8 else 1
+    span = bits * d
+    lead = max(8 - span, 0)
+    # shifted past the padding digits and a byte's spare low bits, f holds
+    # code j in the B d bits that start B d (nc - 1 - j) bits above lead
+    up = bits * (nc * d - n) + lead
+    flat = np.arange(start << up, (start + rows) << up, 1 << up, dtype=np.intp)
+    np.bitwise_and(flat[:, None] >> np.arange(span * (nc - 1), -1, -span),
+                   ((1 << span) - 1) << lead, out=out, casting="unsafe")
 
 
 def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
@@ -116,22 +123,26 @@ def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
     return exhaustive_norm(np.conj(as_complex_vector(v))[None, :], dps, 2)
 
 
-def _byte_digits(bits: int) -> np.ndarray:
-    """The (256, floor(8 / B)) intp table whose row b holds the lattice
-    digits packed in byte b, top bits first, for B <= 8."""
+@cache
+def _byte_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, phasors) of the 256 byte codes of a lattice with B <= 8:
+    row b of the (256, d) intp `digits` holds the d = floor(8 / B) digits
+    packed in byte b, top bits first, and row b of `phasors` their complex64
+    phasors. Built once per B and read-only."""
     shifts = 8 - bits * np.arange(1, 8 // bits + 1)
-    return (np.arange(256)[:, None] >> shifts) & ((1 << bits) - 1)
+    digits = (np.arange(256)[:, None] >> shifts) & ((1 << bits) - 1)
+    phasors = DiscretePhaseSet(bits).phasors.astype(np.complex64)[digits]
+    digits.flags.writeable = phasors.flags.writeable = False
+    return digits, phasors
 
 
 def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
-          fill, byte_digits: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+          fill) -> tuple[np.ndarray, float]:
     """Best configuration and objective ||A exp(j*Omega)||_p over `total`
     configurations; the first hit wins ties. `fill(start, out)` writes the
-    codes of configurations start, start + 1, ... into the rows of `out`.
-    With `byte_digits` None a code is one lattice digit and `out` is intp
-    with n columns; else a code is a byte that packs the d digits of its row
-    of the (256, d) table `byte_digits`, and `out` is uint8 with
-    nc = ceil(n / d) columns, of which the first n digits count.
+    codes of configurations start, start + 1, ... into the rows of `out`,
+    nc = ceil(n / d) columns of uint8 for B <= 8 and of intp for wider
+    lattices, of which the first n digits count (see the module docstring).
 
     Each batch is screened in single precision and only the configurations
     that can still win are scored in double precision. The result is that of
@@ -148,10 +159,8 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     exact zeros to the screen products; the digits of the configurations
     kept for the double precision score come from a table of every code's
     digits, and only the first n count. At `_CHUNK` = 512 rows, 32 x 200 and
-    B = 2 the workspace is 0.95 MB (1.7 MB with a digit per code), inside
-    the 2 MB per-core L2 cache of the x86-64 host it was sized on; there
-    1024 rows ran about 20 % slower per configuration than 512 with a digit
-    per code, and 256 rows about as fast as 512.
+    B = 2 the workspace is 0.95 MB, inside the 2 MB per-core L2 cache of the
+    x86-64 host it was sized on.
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023). Multiplying by 2^-e is exact, float32 neither
@@ -207,20 +216,19 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     e = min(max(int(np.frexp(np.max(np.abs(a)))[1]), -1023), 1023)
     at = (a * math.ldexp(1.0, -e)).T.copy()
     phase_table = dps.phasors
-    if byte_digits is None:
-        code_digits, code_type = np.arange(dps.levels)[:, None], np.intp
-    else:
-        code_digits, code_type = byte_digits, np.uint8
-    d = code_digits.shape[1]
+    if dps.bits <= 8:
+        code_digits, code_phasors = _byte_tables(dps.bits)
+    else:  # a code is one digit
+        code_digits, code_phasors = None, phase_table.astype(np.complex64)[:, None]
+    d = code_phasors.shape[1]
     nc = -(-n // d)
-    code_phasors = phase_table.astype(np.complex64)[code_digits]
     at32 = np.zeros((nc * d, m), dtype=np.complex64)
     at32[:n] = at
     c = 4 * (nc * d + 4) * _U32 * np.abs(at).sum(axis=0) + 2.0 ** -60
     big_e = float(np.linalg.norm(c, p))
     rho = 4 * (m + 2) * _U32
     rows = min(total, _CHUNK)
-    codes_ws = np.empty((rows, nc), dtype=code_type)
+    codes_ws = np.empty((rows, nc), dtype=np.intp if code_digits is None else np.uint8)
     x_ws = np.empty((rows, nc * d), dtype=np.complex64)
     y_ws = np.empty((rows, m), dtype=np.complex64)
     w_ws = np.empty(rows, dtype=np.float32)
@@ -244,7 +252,9 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
         if top < bar:
             continue
         # compared in float64: a float32 threshold could round up past the bound
-        kept = code_digits[codes[w >= np.float64(bar)]].reshape(-1, nc * d)[:, :n]
+        kept = codes[w >= np.float64(bar)]
+        if code_digits is not None:
+            kept = code_digits[kept].reshape(-1, nc * d)[:, :n]
         x = phase_table[kept if kept.shape[0] > 1 else np.repeat(kept, 2, axis=0)]
         vals = row_norms(x @ at, p)
         local = int(np.argmax(vals))
@@ -266,43 +276,27 @@ def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
     a = as_complex_matrix(a)
     p = normalize_p(p)
     total = _guard(a.shape[1], dps)
-    idx, best = _scan(a, dps, p, total, partial(_decode, bits=dps.bits))
+    idx, best = _scan(a, dps, p, total, partial(_flat_codes, bits=dps.bits, n=a.shape[1]))
     return OracleResult(PhaseVector.from_indices(idx, dps), best, total)
 
 
-def _random_bytes(random_raw, out: np.ndarray) -> None:
-    """Fill `out` with generator bytes, one configuration per row,
-    ceil(nc / 8) words each, least significant byte first; the bytes left
-    over at the end of a row are dropped.
-
-    The bytes go into the scan's workspace; only the generator words are
+def _random_codes(random_raw, out: np.ndarray, bits: int) -> None:
+    """Fill `out` with the codes of the next configurations drawn, one per
+    row, by the rule of the module docstring: only the generator words are
     allocated per batch, and they are freed on return."""
     rows, nc = out.shape
-    words = -(-nc // 8)
-    raw = random_raw(rows * words).astype("<u8", copy=False)
-    out[...] = raw.view(np.uint8).reshape(rows, 8 * words)[:, :nc]
-
-
-def _random_digits(random_raw, out: np.ndarray, bits: int) -> None:
-    """Fill `out` with configurations of lattice digits for B > 8, one per
-    row, ceil(n w / 8) generator words each: digit i is the top B bits of
-    the row's i-th little-endian w-byte integer, w = 2, 4 or 8, and the
-    bytes left over at the end of a row are dropped."""
-    rows, n = out.shape
-    width = 1 << ((bits - 1).bit_length() - 3)
-    u = random_raw(rows * -(-n * width // 8)).astype("<u8", copy=False).view(f"<u{width}")
-    u >>= 8 * width - bits
-    out[...] = u.reshape(rows, -1)[:, :n]
+    width = 1 << (-(-bits // 8) - 1).bit_length()
+    u = random_raw(rows * -(-nc * width // 8)).astype("<u8", copy=False).view(f"<u{width}")
+    if bits > 8:
+        u >>= 8 * width - bits
+    out[...] = u.reshape(rows, -1)[:, :nc]
 
 
 def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleResult:
     """Best objective among `trials` uniform random lattice configurations.
 
-    Configuration k takes its digits from generator words k*W .. (k+1)*W - 1
-    (see the module docstring). For B <= 8, W = ceil(ceil(n / d) / 8) and
-    each byte, least significant first, packs d = floor(8 / B) digits, top
-    bits first; for wider lattices, W = ceil(n w / 8) and the digits are the
-    top B bits of successive little-endian w-byte integers, w = 2, 4 or 8.
+    Configuration k takes its codes from generator words k*W .. (k+1)*W - 1,
+    W = ceil(ceil(n / d) w / 8), by the draw rule of the module docstring.
     The generator advances by exactly trials * W words. Trees that drew one
     byte per digit for B <= 4, or drew the digits with `Generator.integers`,
     give other draws from the same distribution.
@@ -312,10 +306,5 @@ def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleR
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     raw = rng.generator.bit_generator.random_raw
-    if dps.bits <= 8:
-        idx, best = _scan(a, dps, p, trials, lambda start, out: _random_bytes(raw, out),
-                          _byte_digits(dps.bits))
-    else:
-        idx, best = _scan(a, dps, p, trials,
-                          lambda start, out: _random_digits(raw, out, dps.bits))
+    idx, best = _scan(a, dps, p, trials, lambda start, out: _random_codes(raw, out, dps.bits))
     return OracleResult(PhaseVector.from_indices(idx, dps), best, trials)

@@ -100,6 +100,12 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "byte offset" in err
 
+    def test_lattice_wider_than_the_widest_exits_2(self, tmp_path, capsys):
+        # a lattice too wide to build exits 2 with one line, not a traceback
+        code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "64")
+        assert code == 2 and payload is None
+        assert "bits" in capsys.readouterr().err
+
     def test_degenerate_exits_3(self, tmp_path):
         zf = tmp_path / "zero.json"
         zf.write_text(json.dumps([[[0.0, 0.0]]]))
@@ -219,6 +225,7 @@ class TestBenchCommand:
             (["oracle-check", "--p", "1", "--n-values", "3"], ["p", "n_values"]),
             (["oracle-check", "--nmax", "20", "--m", "12", "--bits", "3"], ["nmax"]),
             (["oracle-check", "--m", "12"], ["m"]),
+            (["snr-cdf", "--bits", "64"], ["bits"]),
         ]
     ])
     def test_setting_the_experiment_cannot_run_exits_2_before_writing(

@@ -13,6 +13,7 @@ from unimod import (
     sample_complex_gaussian,
     wrap_phase,
 )
+from unimod.core import MAX_LATTICE_BITS
 
 TWO_PI = 2 * math.pi
 
@@ -104,10 +105,12 @@ class TestDiscretePhaseSet:
         assert table[0] == 1.0
 
     def test_bad_bits(self):
-        with pytest.raises(InvalidArgumentError):
-            DiscretePhaseSet(0)
-        with pytest.raises(InvalidArgumentError):
-            DiscretePhaseSet(-3)
+        # the widest lattice's phasor table takes 1 GB; B = 27 would take
+        # 2 GB, B = 40 an 8 TiB arange, and 2^64 overflows a C long
+        for bits in (0, -3, MAX_LATTICE_BITS + 1, 40, 64):
+            with pytest.raises(InvalidArgumentError, match="bits"):
+                DiscretePhaseSet(bits)
+        assert DiscretePhaseSet(MAX_LATTICE_BITS).levels == 2 ** 26
 
 
 class TestPhaseVector:

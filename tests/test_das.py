@@ -356,9 +356,8 @@ class TestLatticeReduction:
         special = [-0.0, -1e-300, -5e-324, math.pi, -math.pi]
         return np.concatenate([dense, near[np.abs(near) <= math.pi], special])
 
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 16, 26, 27])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 16, 26])
     def test_same_bits_as_np_mod(self, bits):
-        # B = 27 takes the np.mod fallback
         dps = DiscretePhaseSet(bits)
         th = self.angles(bits)
         tau_ref = wrap_phase(th)

@@ -87,6 +87,32 @@ class TestExhaustiveNorm:
         x = np.exp(1j * dps.step * unshuffled)
         assert np.linalg.norm(a @ x) == pytest.approx(ref.objective, rel=1e-12)
 
+    @pytest.mark.parametrize("p,n,bits,kind", [
+        # the last byte code of a configuration holds 1 and 7 padding digits
+        pytest.param(2, 5, 3, "gaussian", id="n5-B3"),
+        pytest.param(2, 9, 1, "gaussian", id="n9-B1"),
+        *(pytest.param(p, 10, 1, "equal-columns", id=f"equal-columns-{p}")
+          for p in (1, 2, math.inf))])
+    def test_batch_size_does_not_change_the_result(self, p, n, bits, kind, monkeypatch):
+        dps = DiscretePhaseSet(bits)
+        if kind == "gaussian":
+            a = sample_complex_gaussian(Rng(631), 8, n, 1.0)
+        else:
+            # |#0 - #1| times a fixed norm, exactly: every digit 0 wins
+            a = np.repeat(np.random.default_rng(632).integers(1, 5, (8, 1)) * 1.0, n, axis=1)
+        digits = np.indices((dps.levels,) * n).reshape(n, -1).T.copy()
+        scanned = dps.levels ** (n - 1)  # the rows with digit 0 at 0
+        first = digits[np.argmax(evaluate(a, digits[:scanned], dps, p))]
+        results = []
+        for chunk in (7, oracle._CHUNK, 1024, 16384):
+            monkeypatch.setattr(oracle, "_CHUNK", chunk)
+            results.append(exhaustive_norm(a, dps, p))
+        for res in results:
+            assert np.array_equal(res.phases.indices, first)
+            assert res.objective == results[0].objective
+        if kind == "equal-columns":
+            assert not first.any()
+
     def test_chunking_consistent(self):
         # instance large enough to span several chunks
         a = sample_complex_gaussian(Rng(605), 2, 9, 1.0)
@@ -140,8 +166,9 @@ def drawn_digits(rng, trials, n, bits):
     return (ints >> np.uint64(8 * width - bits)).astype(np.int64)
 
 
-#: the lattice size per bit count: a few thousand configurations each
-EXHAUSTIVE_N = {1: 10, 2: 6, 3: 4, 4: 3}
+#: the lattice size per bit count, 2^10 to 2^18 configurations; at B = 5 a
+#: byte code holds one digit, at B = 9 a code is one intp digit
+EXHAUSTIVE_N = {1: 10, 2: 6, 3: 4, 4: 3, 5: 3, 9: 2}
 
 
 class TestPhaseTableEquivalence:
@@ -181,7 +208,7 @@ class TestPhaseTableEquivalence:
 
     @pytest.mark.parametrize("kind", ["tied", "small-column"])
     @pytest.mark.parametrize("p", [1, 2, math.inf])
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bits", list(EXHAUSTIVE_N))
     def test_exhaustive_norm_screen(self, kind, p, bits):
         n = EXHAUSTIVE_N[bits]
         a = oracle_input(kind, 3, n, [614, bits])
@@ -349,9 +376,10 @@ class TestRandomSearch:
 
 
 def test_exhaustive_inner_peak_memory():
-    # the scan's workspace of 512-row batches peaks near 0.14 MB at n = 8,
-    # B = 3; the bound rules out any array sized by the 2^21 configurations
-    # scanned (one complex128 value each is 32 MB)
+    # the scan's workspace of 512-row batches of byte codes peaks near
+    # 0.095 MB at n = 8, B = 3 (0.10 MB when the call builds the B = 3 code
+    # tables); the bound rules out any array sized by the 2^21
+    # configurations scanned (one complex128 value each is 32 MB)
     v = sample_complex_gaussian(Rng(630), 1, 8, 1.0).ravel()
     tracemalloc.start()
     try:
