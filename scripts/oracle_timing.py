@@ -7,13 +7,14 @@ minor page faults (`ru_minflt`) per timed call. The cases:
 * exhaustive_inner at n = 3, 6, 8, 10, 12, 20 with B = 1, 2, 3, 2, 2, 1,
   on v = sample_complex_gaussian(Rng(641, n), 1, n, 1);
 * exhaustive_norm at 6 x 8, B = 3, p = 2, on Rng(641, 8);
-* random_search at 32 x 200 with 10^4 draws, B = 2 and B = 9, p = 2, on
-  Rng(641, 200) with a fresh Rng(642) per call.
+* random_search at 32 x 200 with 10^4 draws, B = 2 and B = 9, and with 100
+  draws, B = 24, p = 2, on Rng(641, 200) with a fresh Rng(642) per call.
 
-Besides those, the tracemalloc peak of one exhaustive_inner call at n = 8,
-B = 3 (after a warm-up call) and the wall time of criterion 1's loop from
-tests/test_acceptance.py: das_maximize and exhaustive_inner on 1000
-Gaussian vectors, n 1 .. 8 and B 1 .. 3, with the oracle's share of it.
+Besides those, the tracemalloc peaks of one exhaustive_inner call at n = 8,
+B = 3 and of one random_search call at B = 24 (each after a warm-up call)
+and the wall time of criterion 1's loop from tests/test_acceptance.py:
+das_maximize and exhaustive_inner on 1000 Gaussian vectors, n 1 .. 8 and
+B 1 .. 3, with the oracle's share of it.
 
 The numbers are those of the checkout on PYTHONPATH, so two trees are
 compared by running the script in each checkout in turn, several times:
@@ -37,19 +38,22 @@ import numpy as np
 from unimod import DiscretePhaseSet, Rng, das_maximize, sample_complex_gaussian
 from unimod.oracle import exhaustive_inner, exhaustive_norm, random_search
 
-#: (name, oracle, m, n, B); exhaustive_inner takes the conjugate of the row
+#: (name, oracle, m, n, B, random_search draws); exhaustive_inner takes the
+#: conjugate of the row
 CASES = [
-    *((f"exhaustive_inner n={n} B={b}", "inner", 1, n, b)
+    *((f"exhaustive_inner n={n} B={b}", "inner", 1, n, b, 0)
       for n, b in ((3, 1), (6, 2), (8, 3), (10, 2), (12, 2), (20, 1))),
-    ("exhaustive_norm 6x8 B=3 p=2", "norm", 6, 8, 3),
-    ("random_search 32x200 B=2 1e4", "random", 32, 200, 2),
-    ("random_search 32x200 B=9 1e4", "random", 32, 200, 9),
+    ("exhaustive_norm 6x8 B=3 p=2", "norm", 6, 8, 3, 0),
+    ("random_search 32x200 B=2 1e4", "random", 32, 200, 2, 10_000),
+    ("random_search 32x200 B=9 1e4", "random", 32, 200, 9, 10_000),
+    ("random_search 32x200 B=24 1e2", "random", 32, 200, 24, 100),
 ]
 
-DRAWS = 10_000
+#: the cases whose tracemalloc peak is reported
+PEAKS = ("exhaustive_inner n=8 B=3", "random_search 32x200 B=24 1e2")
 
 
-def call(oracle: str, m: int, n: int, bits: int):
+def call(oracle: str, m: int, n: int, bits: int, draws: int):
     """A function that makes one call of the case."""
     a = sample_complex_gaussian(Rng(641, n), m, n, 1.0)
     dps = DiscretePhaseSet(bits)
@@ -57,7 +61,7 @@ def call(oracle: str, m: int, n: int, bits: int):
         return lambda: exhaustive_inner(np.conj(a[0]), dps)
     if oracle == "norm":
         return lambda: exhaustive_norm(a, dps, 2)
-    return lambda: random_search(a, dps, 2, DRAWS, Rng(642))
+    return lambda: random_search(a, dps, 2, draws, Rng(642))
 
 
 def time_case(fn, repeat: int) -> dict:
@@ -112,7 +116,8 @@ def main() -> None:
         "repeat": args.repeat,
         "single_calls": {name: time_case(call(*case), args.repeat)
                          for name, *case in CASES},
-        "tracemalloc_peak_mb": {"exhaustive_inner n=8 B=3": peak_mb(call("inner", 1, 8, 3))},
+        "tracemalloc_peak_mb": {name: peak_mb(call(*case)) for name, *case in CASES
+                                if name in PEAKS},
         "criterion_1": criterion_1(),
     }
     if args.out:

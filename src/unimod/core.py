@@ -7,6 +7,9 @@ Conventions used throughout the package:
   <a, b> = sum_i conj(a_i) * b_i,
 * results are computed in double precision; the oracles screen candidates
   in single precision first and score the survivors in double precision.
+
+`_lattice_split` is the one exact (Cody-Waite) reduction of a phase onto a
+lattice; hard rounding (`nearest_lattice`) and divide-and-sort both read it.
 """
 
 from __future__ import annotations
@@ -171,46 +174,83 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-def _mod_two_pi(th: np.ndarray) -> np.ndarray:
-    """`wrap_phase` of a finite float array, without the check."""
-    out = np.mod(th, TWO_PI)
-    # np.mod can round a tiny negative input up to exactly 2*pi
-    return np.where(out >= TWO_PI, 0.0, out)
-
-
 def wrap_phase(theta):
     """Reduce radians into [0, 2*pi).
 
     Accepts scalars or arrays; raises on non-finite input. Idempotent:
     values already in range pass through unchanged.
     """
-    out = _mod_two_pi(_as_float_array(theta))
+    out = np.mod(_as_float_array(theta), TWO_PI)
+    # np.mod can round a tiny negative input up to exactly 2*pi
+    out = np.where(out >= TWO_PI, 0.0, out)
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return float(out)
     return out
 
 
+def _wrap_angle(th: np.ndarray) -> np.ndarray:
+    """np.mod(th, 2*pi), bit for bit, for th in [-pi, pi] (the range of
+    np.angle): one add of 2*pi where th < 0, with no float modulo."""
+    tau = (th < 0.0) * TWO_PI
+    tau += th                                  # -0.0 becomes +0.0, as in np.mod
+    # a tiny negative th rounds up to exactly 2*pi
+    tau[tau >= TWO_PI] = 0.0
+    return tau
+
+
+@cache
+def _step_split(bits: int) -> tuple[float, float]:
+    """(hi, lo) with delta = hi + lo exactly and hi the top 53 - B bits of
+    the B-bit lattice step delta."""
+    delta = DiscretePhaseSet(bits).step
+    mant, exp = math.frexp(delta)
+    hi = math.ldexp(math.floor(math.ldexp(mant, 53 - bits)), exp - 53 + bits)
+    return hi, delta - hi
+
+
+def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, np.ndarray]:
+    """(tred, shift) with tred = np.mod(tau, delta), bit for bit, and
+    tau = shift*delta + tred exactly, for tau in [0, 2*pi).
+
+    q = floor(tau / delta) is the integer part or one above it, never below:
+    rounding is monotone and the integer part, below 2^B, is a float.
+    Writing delta = hi + lo with hi the top 53 - B bits of delta, q*hi and
+    q*lo are exact for q < 2^B <= 2^MAX_LATTICE_BITS (`DiscretePhaseSet`
+    takes no wider lattice), and so is tau - q*hi: for q >= 1 both terms
+    are multiples of ulp(delta) and differ by less than 2^53 of it. So
+    (tau - q*hi) - q*lo is the exact remainder, rounded once. Where q was
+    one high that remainder is negative, and those elements are recomputed
+    with q - 1.
+    """
+    delta = dps.step
+    hi, lo = _step_split(int(dps.bits))
+    q = tau / delta
+    np.floor(q, out=q)
+    tred = q * hi
+    np.subtract(tau, tred, out=tred)
+    tred -= q * lo
+    high = (tred < 0.0).nonzero()[0]
+    if high.size:
+        qh = q[high] - 1.0
+        q[high] = qh
+        tred[high] = (tau[high] - qh * hi) - qh * lo
+    return tred, q.astype(np.int64)
+
+
 def nearest_lattice(theta, dps: DiscretePhaseSet):
     """Index of the lattice phase circularly nearest to `theta`.
 
-    An exact tie (distance delta/2 to both neighbours) resolves to the
-    smaller index after wrapping. Scalar in, python int out; arrays map
-    elementwise to an int64 array.
+    Decided on the exact remainder of `_lattice_split`; an exact tie (distance
+    delta/2 to both neighbours) resolves to the smaller index after wrapping.
+    Scalar in, python int out; arrays map elementwise to an int64 array.
     """
-    th = np.atleast_1d(wrap_phase(theta))
-    r = th / dps.step
-    k0 = np.floor(r)
-    frac = r - k0
-    k = np.where(frac > 0.5, k0 + 1.0, k0)
-    tie = frac == 0.5
-    if np.any(tie):
-        # wrapped candidates are k0 and (k0+1) % levels; keep the smaller
-        upper_wraps = k0 == dps.levels - 1
-        k = np.where(tie & upper_wraps, 0.0, np.where(tie, k0, k))
-    out = k.astype(np.int64) % dps.levels
+    tred, k = _lattice_split(np.atleast_1d(wrap_phase(theta)), dps)
+    half = 0.5 * dps.step
+    k += (tred > half) | ((tred == half) & (k == dps.levels - 1))
+    k &= dps.levels - 1
     if np.isscalar(theta) or np.ndim(theta) == 0:
-        return int(out[0])
-    return out
+        return int(k[0])
+    return k
 
 
 def sample_complex_gaussian(rng: Rng, m: int, n: int, variance: float) -> np.ndarray:

@@ -42,8 +42,9 @@ the l1 norm of the row and derived in its docstring.
 Each element's angle is reduced onto the lattice without a float modulo:
 `_wrap_angle` adds 2*pi to negative angles, and `_lattice_split` takes the
 remainder modulo delta with delta split in two terms (Cody and Waite) so
-that it is exact, bit for bit what np.mod gives. The O(n log n) argsort is
-the largest single pass of the kernel.
+that it is exact, bit for bit what np.mod gives; both live in `core`, and
+hard rounding uses the same split. The O(n log n) argsort is the largest
+single pass of the kernel.
 
 Nothing that depends only on B is rebuilt per call: the phasor table is
 `DiscretePhaseSet.phasors`, one read-only array per B with the bits of
@@ -61,11 +62,10 @@ takes the angles of conj(v).
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
-from .core import TWO_PI, DiscretePhaseSet, PhaseVector, as_complex_vector
+from .core import DiscretePhaseSet, PhaseVector, _lattice_split, _wrap_angle, as_complex_vector
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
@@ -79,61 +79,11 @@ _U = 2.0 ** -53
 _UNDERFLOW_FLOOR = 2.0 ** -1000
 
 
-def _wrap_angle(th: np.ndarray) -> np.ndarray:
-    """np.mod(th, 2*pi), bit for bit, for th in [-pi, pi] (the range of
-    np.angle): one add of 2*pi where th < 0, with no float modulo."""
-    tau = (th < 0.0) * TWO_PI
-    tau += th                                  # -0.0 becomes +0.0, as in np.mod
-    # a tiny negative th rounds up to exactly 2*pi
-    tau[tau >= TWO_PI] = 0.0
-    return tau
-
-
-@cache
-def _step_split(bits: int) -> tuple[float, float]:
-    """(hi, lo) with delta = hi + lo exactly and hi the top 53 - B bits of
-    the B-bit lattice step delta."""
-    delta = DiscretePhaseSet(bits).step
-    mant, exp = math.frexp(delta)
-    hi = math.ldexp(math.floor(math.ldexp(mant, 53 - bits)), exp - 53 + bits)
-    return hi, delta - hi
-
-
-def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, np.ndarray]:
-    """(tred, shift) with tred = np.mod(tau, delta), bit for bit, and
-    tau = shift*delta + tred exactly, for tau in [0, 2*pi).
-
-    q = floor(tau / delta) is the integer part or one above it, never below:
-    rounding is monotone and the integer part, below 2^B, is a float.
-    Writing delta = hi + lo with hi the top 53 - B bits of delta, q*hi and
-    q*lo are exact for q < 2^B <= 2^MAX_LATTICE_BITS (`DiscretePhaseSet`
-    takes no wider lattice), and so is tau - q*hi: for q >= 1 both terms
-    are multiples of ulp(delta) and differ by less than 2^53 of it. So
-    (tau - q*hi) - q*lo is the exact remainder, rounded once. Where q was
-    one high that remainder is negative, and those elements are recomputed
-    with q - 1.
-    """
-    delta = dps.step
-    hi, lo = _step_split(int(dps.bits))
-    q = tau / delta
-    np.floor(q, out=q)
-    tred = q * hi
-    np.subtract(tau, tred, out=tred)
-    tred -= q * lo
-    high = (tred < 0.0).nonzero()[0]
-    if high.size:
-        qh = q[high] - 1.0
-        q[high] = qh
-        tred[high] = (tau[high] - qh * hi) - qh * lo
-    return tred, q.astype(np.int64)
-
-
 def _das_edges(v: np.ndarray, dps: DiscretePhaseSet):
-    """First stage of `_das_indices`: (nz, c, k0, first, ct) for a raw complex
+    """First stage of `_das_indices`: (nz, k0, first, ct) for a raw complex
     vector `v`. `nz` holds the indices of its nonzero entries, None when it
-    has no zero entry; `c` = conj(v) on those entries, `k0` their lattice
-    indices at psi = 0, `first` their first edges in (0, delta] and
-    ct = c * table[k0]."""
+    has no zero entry; on those entries `k0` are the lattice indices at
+    psi = 0, `first` the first edges in (0, delta] and ct = conj(v) * table[k0]."""
     if v.all():
         nz, c = None, np.conj(v)
     else:
@@ -160,7 +110,7 @@ def _das_edges(v: np.ndarray, dps: DiscretePhaseSet):
     # table[m] = exp(j*(m*delta)); an element's index before its crossing is
     # k0 < 2^B, and the crossing multiplies its phasor by table[1]
     ct = c * dps.phasors[k0]
-    return nz, c, k0, first, ct
+    return nz, k0, first, ct
 
 
 def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: np.ndarray,
@@ -198,7 +148,7 @@ def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: 
 def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
     raw complex vector `v`, 0 at its zero entries."""
-    nz, _, k0, first, ct = _das_edges(v, dps)
+    nz, k0, first, ct = _das_edges(v, dps)
     return _das_sweep(v, dps, nz, k0, first, ct)
 
 

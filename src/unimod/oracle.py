@@ -160,7 +160,9 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     kept for the double precision score come from a table of every code's
     digits, and only the first n count. At `_CHUNK` = 512 rows, 32 x 200 and
     B = 2 the workspace is 0.95 MB, inside the 2 MB per-core L2 cache of the
-    x86-64 host it was sized on.
+    x86-64 host it was sized on. For B > 8 a call that reads fewer phasors
+    than the 2^B table holds gathers each batch's in complex128 and casts
+    them, rather than the whole table (128 MB at B = 24 in complex64).
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023). Multiplying by 2^-e is exact, float32 neither
@@ -216,11 +218,12 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     e = min(max(int(np.frexp(np.max(np.abs(a)))[1]), -1023), 1023)
     at = (a * math.ldexp(1.0, -e)).T.copy()
     phase_table = dps.phasors
+    code_digits, code_phasors = None, None  # for B > 8 a code is one digit
     if dps.bits <= 8:
         code_digits, code_phasors = _byte_tables(dps.bits)
-    else:  # a code is one digit
-        code_digits, code_phasors = None, phase_table.astype(np.complex64)[:, None]
-    d = code_phasors.shape[1]
+    elif dps.levels <= total * n:  # the call reads as many phasors as the table holds
+        code_phasors = phase_table.astype(np.complex64)[:, None]
+    d = 1 if code_phasors is None else code_phasors.shape[1]
     nc = -(-n // d)
     at32 = np.zeros((nc * d, m), dtype=np.complex64)
     at32[:n] = at
@@ -232,6 +235,7 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     x_ws = np.empty((rows, nc * d), dtype=np.complex64)
     y_ws = np.empty((rows, m), dtype=np.complex64)
     w_ws = np.empty(rows, dtype=np.float32)
+    x64_ws = np.empty((rows, nc), dtype=np.complex128) if code_phasors is None else None
     w_star = -1.0
     best_val = -1.0
     best_idx: np.ndarray | None = None
@@ -239,7 +243,11 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
         k = min(rows, total - start)
         codes, x32, y32, w = codes_ws[:k], x_ws[:k], y_ws[:k], w_ws[:k]
         fill(start, codes)
-        np.take(code_phasors, codes, axis=0, out=x32.reshape(k, nc, d), mode="clip")
+        if code_phasors is None:
+            np.take(phase_table, codes, out=x64_ws[:k], mode="clip")
+            x32[...] = x64_ws[:k]
+        else:
+            np.take(code_phasors, codes, axis=0, out=x32.reshape(k, nc, d), mode="clip")
         np.matmul(x32, at32, out=y32)
         if p == 2.0:
             parts = y32.view(np.float32)

@@ -8,7 +8,8 @@ product maximization in Omega (divide-and-sort on the lattice, phase
 alignment in the continuous case). The objective sequence of the alternation
 never decreases, which is also what makes it a lifting procedure: restarting
 the discrete alternation from a hard-rounded continuous solution can only
-recover rounding loss, never add to it.
+recover rounding loss, never add to it. Hard rounding decides on the exact
+lattice split of `core`, the one the divide-and-sort kernel reads.
 
 Both modes share one loop, `_alternate`, that works on raw complex arrays.
 The public solvers validate their input and build PhaseVectors once, outside
@@ -66,13 +67,12 @@ from .core import (
     TWO_PI,
     DiscretePhaseSet,
     PhaseVector,
-    _mod_two_pi,
+    _wrap_angle,
     as_complex_matrix,
     as_complex_vector,
     nearest_lattice,
     normalize_p,
     row_norms,
-    wrap_phase,
 )
 from .das import _das_bound, _das_edges, _das_indices, _das_slack, _das_sweep
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedNormError
@@ -181,7 +181,7 @@ def continuous_phase_step(u) -> PhaseVector:
 
 def _aligned_phases(u: np.ndarray) -> np.ndarray:
     """angle(u) wrapped into [0, 2*pi), 0 where u == 0, for a finite u."""
-    return _mod_two_pi(np.where(np.abs(u) > 0, np.angle(u), 0.0))
+    return _wrap_angle(np.where(np.abs(u) > 0, np.angle(u), 0.0))
 
 
 #: at or below it 1 / |u| overflows, and so does numpy's complex division by |u|
@@ -362,14 +362,14 @@ def _align(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> S
     and starting phasors `x0`."""
     costs, termination, x, z = _alternate(
         a, ah, cfg, x0, lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle)
-    return SolveTrace(costs, termination, PhaseVector(wrap_phase(np.angle(x))), z)
+    return SolveTrace(costs, termination, PhaseVector(_wrap_angle(np.angle(x))), z)
 
 
 def hard_round(omega, dps: DiscretePhaseSet) -> PhaseVector:
     """Project each phase onto its circularly nearest lattice point."""
     pv = _as_phase_vector(omega)
     idx = nearest_lattice(pv.values, dps)
-    return PhaseVector.from_indices(np.atleast_1d(idx), dps)
+    return PhaseVector.from_indices(idx, dps)
 
 
 def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
@@ -419,7 +419,7 @@ def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float,
                 continue
         v = np.conj(a[i])
         try:
-            nz, _, k0, first, ct = _das_edges(v, dps)
+            nz, k0, first, ct = _das_edges(v, dps)
         except DegenerateInputError:
             continue
         if best is not None and _das_bound(dps, mod if nz is None else mod[nz], first, ct) < best[2]:

@@ -372,8 +372,8 @@ class TestLatticeReduction:
 
 
 def _bound(v, dps):
-    _, c, _, first, ct = _das_edges(v, dps)
-    return _das_bound(dps, np.abs(c), first, ct)
+    nz, _, first, ct = _das_edges(v, dps)
+    return _das_bound(dps, np.abs(v if nz is None else v[nz]), first, ct)
 
 
 class TestDasBound:
@@ -425,7 +425,8 @@ class TestDasBound:
         dps = DiscretePhaseSet(bits)
         t1m1 = dps.phasors[1] - 1.0
         for v in self.vectors("gaussian", bits, 10, 300):
-            _, c, _, first, ct = _das_edges(v, dps)
+            _, _, first, ct = _das_edges(v, dps)
+            c = np.conj(v)
             k = max(1, v.size // 8)
             b = np.floor(first * (k / dps.step))
             heads = [abs(ct.sum() + t1m1 * ct[b < j].sum()) + abs(t1m1) * np.abs(c[b == j]).sum()

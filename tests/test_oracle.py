@@ -192,7 +192,8 @@ class TestPhaseTableEquivalence:
         assert ref.objective == pytest.approx(vals.max(), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9])
+    # at B = 20 the 3000 draws read fewer phasors than the 2^B table holds
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9, 20])
     def test_random_search(self, p, bits):
         a = sample_complex_gaussian(Rng(615, bits), 4, 30, 1.0)
         dps = DiscretePhaseSet(bits)
@@ -224,7 +225,7 @@ class TestPhaseTableEquivalence:
 
     @pytest.mark.parametrize("kind", ["tied", "small-column"])
     @pytest.mark.parametrize("p", [1, 2, math.inf])
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 9, 20])
     def test_random_search_screen(self, kind, p, bits):
         a = oracle_input(kind, 4, 30, [615, bits])
         dps = DiscretePhaseSet(bits)

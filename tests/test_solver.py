@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from unimod import (
     wrap_phase,
 )
 from unimod import das, solver
+from unimod.core import TWO_PI
 from unimod.oracle import exhaustive_norm
 from unimod.solver import _unit, _witness
 
@@ -531,6 +533,28 @@ class TestHardRound:
         diff = wrap_phase(grid - rounded.values)
         circ = np.minimum(diff, 2 * math.pi - diff)
         assert np.all(circ <= dps.step / 2 + 1e-12)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 16, 26])
+    def test_an_ulp_off_a_midpoint_goes_to_the_nearer_point(self, bits):
+        # 2^B steps of delta make up the circle of length TWO_PI exactly, so
+        # the distances below are exact rationals
+        dps = DiscretePhaseSet(bits)
+        ks = np.arange(dps.levels)
+        if dps.levels > 300:
+            g = np.random.default_rng([22, bits])
+            ks = np.unique(np.concatenate([[0, dps.levels - 1], g.integers(0, dps.levels, 298)]))
+        mids = (ks + 0.5) * dps.step
+        thetas = np.concatenate([np.nextafter(mids, -math.inf), np.nextafter(mids, math.inf)])
+        got = hard_round(PhaseVector(thetas), dps).indices
+        circle, step = Fraction(TWO_PI), Fraction(dps.step)
+
+        def dist(theta, k):
+            d = (theta - k * step) % circle
+            return min(d, circle - d)
+
+        for theta, k in zip(map(Fraction, thetas.tolist()), got.tolist()):
+            below = int(theta // step)
+            assert dist(theta, k) == min(dist(theta, below), dist(theta, (below + 1) % dps.levels))
 
 
 class TestLift:
