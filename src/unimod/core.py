@@ -6,10 +6,9 @@ Conventions used throughout the package:
 * the inner product is conjugate-linear in its first argument,
   <a, b> = sum_i conj(a_i) * b_i,
 * results are computed in double precision; the oracles screen candidates
-  in single precision first and score the survivors in double precision.
-
-`_lattice_split` is the one exact (Cody-Waite) reduction of a phase onto a
-lattice; hard rounding (`nearest_lattice`) and divide-and-sort both read it.
+  in single precision first and score the survivors in double precision,
+* `_lattice_split` is the one exact (Cody-Waite) reduction of a phase onto
+  a lattice; hard rounding (`nearest_lattice`) and divide-and-sort read it.
 """
 
 from __future__ import annotations
@@ -181,8 +180,7 @@ def wrap_phase(theta):
     values already in range pass through unchanged.
     """
     out = np.mod(_as_float_array(theta), TWO_PI)
-    # np.mod can round a tiny negative input up to exactly 2*pi
-    out = np.where(out >= TWO_PI, 0.0, out)
+    out = np.where(out >= TWO_PI, 0.0, out)  # np.mod can round a tiny negative up to 2*pi
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return float(out)
     return out
@@ -244,13 +242,14 @@ def nearest_lattice(theta, dps: DiscretePhaseSet):
     delta/2 to both neighbours) resolves to the smaller index after wrapping.
     Scalar in, python int out; arrays map elementwise to an int64 array.
     """
-    tred, k = _lattice_split(np.atleast_1d(wrap_phase(theta)), dps)
+    th = np.atleast_1d(wrap_phase(theta))
+    tred, k = _lattice_split(th.ravel(), dps)  # the split takes a 1-D vector
     half = 0.5 * dps.step
     k += (tred > half) | ((tred == half) & (k == dps.levels - 1))
     k &= dps.levels - 1
     if np.isscalar(theta) or np.ndim(theta) == 0:
         return int(k[0])
-    return k
+    return k.reshape(th.shape)
 
 
 def sample_complex_gaussian(rng: Rng, m: int, n: int, variance: float) -> np.ndarray:

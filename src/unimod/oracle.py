@@ -162,7 +162,8 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     B = 2 the workspace is 0.95 MB, inside the 2 MB per-core L2 cache of the
     x86-64 host it was sized on. For B > 8 a call that reads fewer phasors
     than the 2^B table holds gathers each batch's in complex128 and casts
-    them, rather than the whole table (128 MB at B = 24 in complex64).
+    them, not the whole table (128 MB at B = 24); at 32 x 200, B = 16 and 20,
+    the two tie at half as many reads and the table is faster at twice.
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023). Multiplying by 2^-e is exact, float32 neither

@@ -78,6 +78,20 @@ class TestNearestLattice:
         theta = (dps.levels - 1) * dps.step + dps.step / 2
         assert nearest_lattice(theta, dps) == 0
 
+    def test_2d_input_matches_flat(self):
+        dps = DiscretePhaseSet(8)
+        d = dps.step
+        # one ulp below 17*delta the float quotient floors to 17, one high,
+        # and the split recomputes that element with q - 1
+        below = float(np.nextafter(17 * d, 0.0))
+        assert math.floor(below / d) == 17
+        # beside it in the same row, a phase past the 3.5*delta midpoint
+        thetas = np.array([[below, 3.75 * d], [0.25 * d, 5.6 * d]])
+        ks = nearest_lattice(thetas, dps)
+        assert ks.shape == thetas.shape
+        assert np.array_equal(ks, nearest_lattice(thetas.ravel(), dps).reshape(2, 2))
+        assert np.array_equal(ks, [[17, 4], [0, 6]])
+
 
 class TestDiscretePhaseSet:
     def test_step_times_levels_is_two_pi(self):

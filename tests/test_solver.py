@@ -539,8 +539,9 @@ class TestHardRound:
         # 2^B steps of delta make up the circle of length TWO_PI exactly, so
         # the distances below are exact rationals
         dps = DiscretePhaseSet(bits)
-        ks = np.arange(dps.levels)
-        if dps.levels > 300:
+        if dps.levels <= 300:
+            ks = np.arange(dps.levels)
+        else:
             g = np.random.default_rng([22, bits])
             ks = np.unique(np.concatenate([[0, dps.levels - 1], g.integers(0, dps.levels, 298)]))
         mids = (ks + 0.5) * dps.step
