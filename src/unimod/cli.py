@@ -15,11 +15,12 @@ from pathlib import Path
 
 from .bench import EXPERIMENTS, KINDS, make_spec, run_experiment
 from .core import DiscretePhaseSet, PhaseVector, as_complex_matrix, normalize_p
+from .das import _linf
 from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError, UnimodError
 from .oracle import exhaustive_norm
 from .ris import build_problem, load_instance, snr, solve_ris
 from .serialize import dump_json, load_matrix_file
-from .solver import SolveConfig, _linf, default_pipeline, deterministic_init, solve_continuous
+from .solver import SolveConfig, default_pipeline, deterministic_init, solve_continuous
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1

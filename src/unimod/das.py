@@ -32,12 +32,16 @@ lattice indices, with no validation and no PhaseVector, so its input must
 be finite. It runs two stages: `_das_edges` finds each element's first edge
 and its phasor product at psi = 0, and `_das_sweep` sorts the edges and
 sweeps lap 0. `das_maximize` validates its input once and wraps the kernel;
-the discrete solver calls the kernel directly on every iteration. The
-l-infinity solver calls the stages itself, and between them `_das_bound`:
-an upper bound on every candidate of the sweep, from the edges put into
-about n/8 buckets by value, with no sort, so that a row that cannot beat
-the best row so far is not swept. Its rounding allowance is relative to
-the l1 norm of the row and derived in its docstring.
+the discrete solver calls the kernel directly on every iteration.
+
+The l-infinity kernel `_linf`, which `solver.solve_linf` wraps, sweeps each
+row once, since the max over rows commutes with the max over configurations.
+It takes the rows' moduli and l1 norms once, visits the rows in descending
+l1 norm and calls the stages itself, and between them `_das_bound`: an upper
+bound on every candidate of the sweep, from the edges put into about n/8
+buckets by value, with no sort. A row whose l1 norm, or then whose bound,
+lies below the best objective so far is not swept. Both rounding allowances
+are relative to the row's l1 norm and derived in `_das_bound`.
 
 Each element's angle is reduced onto the lattice without a float modulo:
 `_wrap_angle` adds 2*pi to negative angles, and `_lattice_split` takes the
@@ -155,7 +159,8 @@ def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
 def _das_slack(l1: float, n: int) -> float:
     """Rounding allowance of an upper bound on the DaS objective of n
     elements with l1 norm `l1`, as computed: 16 (n + 16) u l1, or inf where
-    products of the elements could underflow (see `_das_bound`)."""
+    products of the elements could underflow (see `_das_bound`); it serves
+    that bound and the l1 test of `_linf`."""
     if not l1 >= n * _UNDERFLOW_FLOOR:
         return math.inf
     return 16.0 * (n + 16) * _U * l1
@@ -202,7 +207,7 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
     (8.5 n + 101) u L for K <= n/8 + 1, and `_das_slack` allows
     16 (n + 16) u L, nearly twice that, so the rounding of L itself and of the
     last add is covered too. The same allowance on L alone bounds the
-    objective of every configuration, the l1 test of `solver._linf`.
+    objective of every configuration, the l1 test of `_linf`.
     The analysis treats underflow as a relative error: a product that
     underflows is off by at most 2^-1075 absolute, and there are fewer
     than 16 (n + K + 1) of them, which stays far below u L once
@@ -223,6 +228,44 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
     heads = np.abs(t)
     heads += abs(t1m1) * w
     return float(heads.max()) + _das_slack(float(w.sum()), n)
+
+
+def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float, int]:
+    """Kernel of `solver.solve_linf` for a validated `a`: (indices, row,
+    objective, rows swept).
+
+    Rows are visited in descending l1 norm, so a large objective is found
+    early; the order decides only what is skipped. Zero rows come last, and
+    the visit stops at the first. The first row is swept. A later row is
+    skipped when its l1 norm, and then when `_das_bound` of its edges, plus
+    the rounding allowance of `_das_slack`, lies below the best objective
+    so far: both bound the objective its sweep would compute, so it could
+    not win or tie. The largest objective wins, and of equal ones the
+    lowest row index, as in a sweep of every row in order.
+    """
+    table = dps.phasors
+    n = a.shape[1]
+    mod = np.abs(a)
+    l1 = mod.sum(axis=1)
+    best: tuple[np.ndarray, int, float] | None = None
+    swept = 0
+    for i in np.argsort(-l1, kind="stable").tolist():
+        if l1[i] == 0.0:
+            break
+        if best is not None and l1[i] + _das_slack(l1[i], n) < best[2]:
+            continue
+        v = np.conj(a[i])
+        nz, k0, first, ct = _das_edges(v, dps)
+        if best is not None and _das_bound(dps, mod[i] if nz is None else mod[i, nz], first, ct) < best[2]:
+            continue
+        idx = _das_sweep(v, dps, nz, k0, first, ct)
+        swept += 1
+        obj = float(np.abs(np.vdot(v, table[idx])))
+        if best is None or obj > best[2] or (obj == best[2] and i < best[1]):
+            best = (idx, i, obj)
+    if best is None:
+        raise DegenerateInputError("every row of A is zero")
+    return (*best, swept)
 
 
 def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:

@@ -21,7 +21,7 @@ def complex_to_pair(z: complex) -> list[float]:
 
 def pair_to_complex(obj) -> complex:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, (int, float)) for x in obj)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
         raise InvalidArgumentError(f"expected a [re, im] pair, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 

@@ -50,9 +50,8 @@ free to change.
 
 For the l-infinity objective no alternation is needed: the maximum over rows
 commutes with the maximum over configurations, so one divide-and-sort kernel
-call per row settles the problem globally. A row whose l1 norm, or whose
-bucket bound from the kernel's first stage, lies below the best objective
-found so far cannot win and is not swept.
+call per row settles the problem globally. That row sweep is `das._linf`;
+`solve_linf` validates A and wraps it.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from .core import (
     normalize_p,
     row_norms,
 )
-from .das import _das_bound, _das_edges, _das_indices, _das_slack, _das_sweep
+from .das import _das_indices, _linf
 from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedNormError
 
 
@@ -377,61 +376,15 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
 
     The max over rows commutes with the max over configurations, so each
     row's inner product is maximized independently and the best row wins.
-    Zero rows, which the DaS kernel's own check for zero entries reports
-    as degenerate, are skipped; all-zero matrices are degenerate. Of rows
-    with equal objectives the first wins. A row is swept only if an upper
-    bound on its objective reaches the best objective found so far (see
-    `_linf`); the others score strictly below the winner, so skipping them
-    changes no bit of the result.
+    Zero rows are skipped; all-zero matrices are degenerate. Of rows with
+    equal objectives the first wins. Rows are visited in descending l1
+    order, and a row is swept only if an upper bound on its objective
+    reaches the best objective found so far (see `das._linf`); the others
+    score strictly below the winner, so skipping them changes no bit of
+    the result.
     """
     idx, i, obj, _ = _linf(as_complex_matrix(a), dps)
     return PhaseVector.from_indices(idx, dps), i, obj
-
-
-def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float, int]:
-    """Kernel of `solve_linf` for a validated `a`: (indices, row, objective,
-    rows swept).
-
-    Rows are visited in descending l2 norm, so a large objective is found
-    early; the order decides only what is skipped. The first nonzero row is
-    swept. A later row is skipped when its l1 norm, and then when
-    `das._das_bound` of its edges, plus the rounding allowance of
-    `das._das_slack`, lies below the best objective so far: both bound the
-    objective its sweep would compute, so it could not win or tie. The
-    largest objective wins, and of equal ones the lowest row index, as in
-    a sweep of every row in order.
-    """
-    a = np.ascontiguousarray(a)
-    table = dps.phasors
-    n = a.shape[1]
-    re = a.view(np.float64)
-    with np.errstate(over="ignore"):
-        # the squares overflow near 1e170 and flush to zero near 1e-170;
-        # then the rows keep their index order
-        order = np.argsort(-np.einsum("ij,ij->i", re, re), kind="stable")
-    best: tuple[np.ndarray, int, float] | None = None
-    swept = 0
-    for i in order.tolist():
-        if best is not None:
-            mod = np.abs(a[i])
-            l1 = float(mod.sum())
-            if l1 + _das_slack(l1, n) < best[2]:
-                continue
-        v = np.conj(a[i])
-        try:
-            nz, k0, first, ct = _das_edges(v, dps)
-        except DegenerateInputError:
-            continue
-        if best is not None and _das_bound(dps, mod if nz is None else mod[nz], first, ct) < best[2]:
-            continue
-        idx = _das_sweep(v, dps, nz, k0, first, ct)
-        swept += 1
-        obj = float(np.abs(np.vdot(v, table[idx])))
-        if best is None or obj > best[2] or (obj == best[2] and i < best[1]):
-            best = (idx, i, obj)
-    if best is None:
-        raise DegenerateInputError("every row of A is zero")
-    return (*best, swept)
 
 
 def deterministic_init(a, p) -> PhaseVector:

@@ -100,6 +100,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "byte offset" in err
 
+    def test_boolean_entries_exit_2(self, tmp_path, capsys):
+        # JSON true and false are not numbers, though Python's bool is an int
+        bad = tmp_path / "bool.json"
+        bad.write_text("[[[true, false], [1, 0]]]")
+        code, payload = run_json(tmp_path, "solve", str(bad), "--bits", "1")
+        assert code == 2 and payload is None
+        assert "[re, im] pair" in capsys.readouterr().err
+
     def test_lattice_wider_than_the_widest_exits_2(self, tmp_path, capsys):
         # a lattice too wide to build exits 2 with one line, not a traceback
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "64")

@@ -684,10 +684,16 @@ class TestSolveLinf:
                 a = a[:1] * 1j ** g.integers(0, 4, (m, 1))
             elif family == "dominant-last":
                 a[-1] *= 3.0
+            elif family == "spiky":
+                # row 0 has the largest l2 norm from one entry, not the largest l1
+                a[-1] *= 1.05
+                a[0] *= 0.5
+                a[0, 0] = 2.0 * math.sqrt(n)
             yield a, DiscretePhaseSet(bits)
 
     @pytest.mark.parametrize("family", ["gaussian", "long-rows", "scaled", "pi/4", "zero-rows",
-                                        "steering", "rotated", "quarter-turns", "dominant-last"])
+                                        "steering", "rotated", "quarter-turns", "dominant-last",
+                                        "spiky"])
     def test_same_answer_as_every_row_swept(self, family):
         # rows that cannot win are skipped, and that must change no bit
         for a, dps in self.inputs(family):
@@ -697,9 +703,13 @@ class TestSolveLinf:
             assert np.array_equal(pv.indices, idx)
 
     def test_ties_go_to_the_lowest_row(self):
-        # the rows are visited by l2 norm, row 1 first, but all three tie
+        # all three rows tie at 2.0, and so do their l1 norms
         a = np.array([[1.0, 1.0], [2.0, 0.0], [1.0, -1.0]], dtype=complex)
         assert solve_linf(a, DiscretePhaseSet(1))[1:] == (0, 2.0)
+        # rows are visited by l1 norm, row 1 (l1 2) before row 0 (l1 sqrt 2),
+        # and both score |1 + 1j| = sqrt 2 at B = 1
+        a = np.array([[math.sqrt(2.0), 0.0], [1.0, 1j]])
+        assert solve_linf(a, DiscretePhaseSet(1))[1:] == (0, math.sqrt(2.0))
         # quarter turns of one row tie exactly; the lowest index wins
         row = numpy_gaussian(20, 1, 300)
         a = np.vstack([0.5 * row, 1j * row, -row, -1j * row])
@@ -713,13 +723,13 @@ class TestSolveLinf:
         # fails. The dominant row's optimum is above every other row's l1
         # norm, so no other row even gets its edges built.
         edges = []
-        monkeypatch.setattr(solver, "_das_edges",
-                            lambda v, dps: edges.append(1) or das._das_edges(v, dps))
+        das_edges = das._das_edges
+        monkeypatch.setattr(das, "_das_edges", lambda v, dps: edges.append(1) or das_edges(v, dps))
         a = numpy_gaussian(21, 8, 2000)
         a[5] *= 1.5
         for bits in (2, 3, 4):
             edges.clear()
-            idx, row, obj, swept = solver._linf(a, DiscretePhaseSet(bits))
+            idx, row, obj, swept = das._linf(a, DiscretePhaseSet(bits))
             assert (row, swept, len(edges)) == (5, 1, 1)
 
     def test_the_bound_skips_rows_the_l1_test_keeps(self):
@@ -727,14 +737,27 @@ class TestSolveLinf:
         # above the rest passes the l1 test and only the bound skips the others
         a = numpy_gaussian(25, 8, 2000)
         a[2] *= 1.05
-        idx, row, obj, swept = solver._linf(a, DiscretePhaseSet(2))
+        idx, row, obj, swept = das._linf(a, DiscretePhaseSet(2))
         assert (row, swept) == (2, 1)
         assert all(np.abs(a[i]).sum() > obj for i in range(8) if i != 2)
+
+    def test_a_spiky_row_is_not_swept(self):
+        # one large entry gives row 1 the largest l2 norm, but its l1 norm
+        # lies below row 6's optimum, so row 6 is visited first and alone swept
+        a = numpy_gaussian(27, 8, 2000)
+        a[6] *= 1.05
+        a[1] *= 0.5
+        a[1, 7] = 50.0
+        assert np.linalg.norm(a, axis=1).argmax() == 1
+        for bits in (2, 3, 4):
+            idx, row, obj, swept = das._linf(a, DiscretePhaseSet(bits))
+            assert (row, swept) == (6, 1)
+            assert np.abs(a[1]).sum() < obj
 
     def test_rotated_copies_are_all_swept(self):
         # rows whose optima tie cannot be told apart by a bound
         a = numpy_gaussian(22, 1, 500) * np.exp(1j * np.linspace(0.0, 3.0, 6))[:, None]
-        assert solver._linf(a, DiscretePhaseSet(2))[3] == 6
+        assert das._linf(a, DiscretePhaseSet(2))[3] == 6
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_steering_rows_match_exhaustive(self, bits):
