@@ -38,7 +38,7 @@ import numpy as np
 
 from ._version import __version__
 from .core import (MAX_LATTICE_BITS, DiscretePhaseSet, Rng, as_complex_matrix, norm_lp,
-                   normalize_p, sample_complex_gaussian)
+                   sample_complex_gaussian)
 from .das import das_maximize
 from .errors import InvalidArgumentError
 from .oracle import MAX_EXHAUSTIVE_BITS, exhaustive_inner, exhaustive_norm, random_search
@@ -57,9 +57,9 @@ from .solver import (
     solve_linf,
 )
 
-#: strict-improvement threshold and the rounding-loss floor below which the
-#: relative lifting gain is recorded as undefined
-GAIN_EPS = 1e-12
+#: relative tolerance of every objective comparison, lifted against rounded, the
+#: loss that defines a gain and a solver against its oracle, at any channel scale
+REL_TOL = 1e-12
 
 #: spec fields only some experiments read; each Experiment's `reads` names
 #: those it does, and a spec leaves the others at their defaults
@@ -88,7 +88,8 @@ class ExperimentSpec:
     def __post_init__(self):
         experiment = _experiment(self.kind)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "p", normalize_p(self.p))
+        # SolveConfig's norm rule: p in {1, 2}, since no experiment runs p = inf
+        object.__setattr__(self, "p", SolveConfig(p=self.p).p)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         for name in ("trials", "random_configs", "nmax"):
@@ -107,8 +108,6 @@ class ExperimentSpec:
                   and getattr(self, f.name) != f.default]
         if unread:
             raise InvalidArgumentError(f"{self.kind} does not read {', '.join(unread)}")
-        if self.p == math.inf:  # no experiment runs the p = inf solver
-            raise InvalidArgumentError(f"{self.kind} takes p = 1 or 2, got p = inf")
         for name in ("n_values", "bits"):
             if name not in experiment.sweeps and len(getattr(self, name)) > 1:
                 raise InvalidArgumentError(
@@ -160,9 +159,9 @@ def make_spec(kind: str, out_dir, **overrides) -> ExperimentSpec:
 
 def _lifting_gain(unrounded: float, rounded: float, lifted: float) -> float | None:
     """(lifted - rounded) / (unrounded - rounded), or None when the rounding
-    loss is below GAIN_EPS and the ratio is undefined."""
+    loss is below REL_TOL times the unrounded cost and the ratio is undefined."""
     loss = unrounded - rounded
-    return (lifted - rounded) / loss if loss >= GAIN_EPS else None
+    return (lifted - rounded) / loss if loss >= REL_TOL * unrounded else None
 
 
 def _stage_ends(result: PipelineResult) -> tuple:
@@ -339,8 +338,8 @@ def _lifting_summary(spec: ExperimentSpec, rows) -> list:
         "p": spec.p,
         "defined_gains": len(gains),
         "median_gain": float(np.median(gains)) if gains else None,
-        "strict_improvements": sum(1 for r in rows if r[3] > r[2] + GAIN_EPS),
-        "dominance_violations": sum(1 for r in rows if r[3] < r[2] - 1e-9),
+        "strict_improvements": sum(1 for r in rows if r[3] - r[2] > REL_TOL * r[2]),
+        "dominance_violations": sum(1 for r in rows if r[2] - r[3] > REL_TOL * r[2]),
         "continuous_cap_hits": sum(1 for r in rows if r[5] == "iteration-cap"),
     }]
 
@@ -466,38 +465,30 @@ def _timing_summary(spec: ExperimentSpec, rows) -> list:
 # ---------------------------------------------------------------------------
 # oracle check
 
-def _oracle_das_trial(spec: ExperimentSpec, trial: int) -> list:
-    """One (row, failure) pair; the failure is None when DaS matches."""
-    rng = Rng(spec.seed, stream=trial)
+def _oracle_trial(spec: ExperimentSpec, task: tuple[str, int]) -> list:
+    """One (row, failure) pair, the failure None on a match. `task` is
+    (check, trial): "das" audits DaS on a vector v from stream `trial`,
+    "linf" `solve_linf` on a matrix a from stream 2^40 + `trial`."""
+    check, trial = task
+    linf = check == "linf"
+    rng = Rng(spec.seed, stream=(1 << 40) | trial if linf else trial)
     g = rng.generator
+    m = int(g.integers(1, spec.m + 1)) if linf else None
     n = int(g.integers(1, spec.nmax + 1))
-    bits = int(spec.bits[g.integers(0, len(spec.bits))])
-    v = sample_complex_gaussian(rng, 1, n, spec.variance).ravel()
-    dps = DiscretePhaseSet(bits)
-    _, das_obj = das_maximize(v, dps)
-    ref = exhaustive_inner(v, dps)
-    match = abs(das_obj - ref.objective) <= 1e-12 * ref.objective
-    failure = None if match else {"check": "das", "trial": trial, "bits": bits,
-                                  "v": vector_to_json(v)}
-    return [(("das", trial, None, n, bits, das_obj, ref.objective, int(match)), failure)]
-
-
-def _oracle_linf_trial(spec: ExperimentSpec, trial: int) -> list:
-    """One (row, failure) pair; the failure is None when solve_linf matches."""
-    widths = _linf_bits(spec)
-    rng = Rng(spec.seed, stream=(1 << 40) | trial)
-    g = rng.generator
-    m = int(g.integers(1, spec.m + 1))
-    n = int(g.integers(1, spec.nmax + 1))
+    widths = _linf_bits(spec) if linf else spec.bits
     bits = int(widths[g.integers(0, len(widths))])
-    a = sample_complex_gaussian(rng, m, n, spec.variance)
+    a = sample_complex_gaussian(rng, m or 1, n, spec.variance)
     dps = DiscretePhaseSet(bits)
-    _, _, obj = solve_linf(a, dps)
-    ref = exhaustive_norm(a, dps, math.inf)
-    match = abs(obj - ref.objective) <= 1e-12 * ref.objective
-    failure = None if match else {"check": "linf", "trial": trial, "bits": bits,
-                                  "a": matrix_to_json(a)}
-    return [(("linf", trial, m, n, bits, obj, ref.objective, int(match)), failure)]
+    if linf:
+        obj, ref = solve_linf(a, dps)[2], exhaustive_norm(a, dps, math.inf)
+        key, dump = "a", matrix_to_json
+    else:
+        a = a.ravel()
+        obj, ref = das_maximize(a, dps)[1], exhaustive_inner(a, dps)
+        key, dump = "v", vector_to_json
+    match = abs(obj - ref.objective) <= REL_TOL * ref.objective
+    failure = None if match else {"check": check, "trial": trial, "bits": bits, key: dump(a)}
+    return [((check, trial, m, n, bits, obj, ref.objective, int(match)), failure)]
 
 
 def _linf_bits(spec: ExperimentSpec) -> tuple[int, ...]:
@@ -508,16 +499,16 @@ def _linf_bits(spec: ExperimentSpec) -> tuple[int, ...]:
 def _oracle_rows(spec: ExperimentSpec) -> tuple[list, int]:
     """Exactness audit: divide-and-sort and the l-infinity solver against
     exhaustive enumeration, the latter only when the spec has a bit width
-    <= 2. A solver matches when its objective is within 1e-12 of the
-    oracle's, relative, so the check means the same at every variance.
-    Mismatches dump the failing instance as JSON."""
-    das, das_workers = _map_trials(_oracle_das_trial, spec)
-    linf, linf_workers = _map_trials(_oracle_linf_trial, spec,
-                                     range(spec.trials) if _linf_bits(spec) else ())
-    failures = [failure for _, failure in das + linf if failure is not None]
+    <= 2, in one task list with the DaS trials first. A solver matches within
+    REL_TOL of the oracle's objective, so the check means the same at every
+    variance. Mismatches dump the failing instance as JSON."""
+    checks = ("das", "linf") if _linf_bits(spec) else ("das",)
+    pairs, workers = _map_trials(_oracle_trial, spec,
+                                 [(check, t) for check in checks for t in range(spec.trials)])
+    failures = [failure for _, failure in pairs if failure is not None]
     if failures:
         dump_json(spec.out_dir / "oracle_check_failures.json", failures)
-    return [row for row, _ in das + linf], max(das_workers, linf_workers)
+    return [row for row, _ in pairs], workers
 
 
 def _oracle_summary(spec: ExperimentSpec, rows) -> list:
@@ -557,7 +548,8 @@ EXPERIMENTS: dict[str, Experiment] = {
     "lifting-stat": Experiment(
         "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain", *_STAGE_HEADER),
         partial(_map_trials, _lifting_trial), _lifting_summary,
-        (_CONTINUOUS_REFERENCE, "gain is empty when the rounding loss is below 1e-12"),
+        (_CONTINUOUS_REFERENCE,
+         "gain is empty when the rounding loss is below 1e-12 of the continuous cost"),
         dict(trials=500, m=10, n_values=(100,), bits=(1,)), reads=("p", "n_values", "bits")),
     "snr-vs-n": Experiment(
         "snr_vs_n", _SNR_HEADER, _snr_rows, _snr_vs_n_summary, _SNR_NOTES,

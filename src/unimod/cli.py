@@ -58,14 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sris.add_argument("--bits", type=int, required=True, help="lattice bits B")
     sris.add_argument("--p", type=_norm_arg, default=2.0, help="norm for the phase optimization (default 2)")
     for cmd in (solve, sris):
-        cmd.add_argument("--tol", type=float, default=SolveConfig.tolerance,
+        cmd.add_argument("--tol", type=float, default=None,
                          help="relative convergence tolerance: a stage stops once an "
                               "iteration raises the cost by at most tol times the cost "
-                              "(default %(default)s)")
-        cmd.add_argument("--max-iter", type=int, default=SolveConfig.max_iterations,
-                         help="iteration cap (default %(default)s): lift steps, and SQUAREM "
-                              "cycles in the continuous warm start of three map evaluations, "
-                              "four when the extrapolated witness is rejected")
+                              f"(default {SolveConfig.tolerance})")
+        cmd.add_argument("--max-iter", type=int, default=None,
+                         help=f"iteration cap (default {SolveConfig.max_iterations}): lift steps, "
+                              "and SQUAREM cycles in the continuous warm start of three map "
+                              "evaluations, four when the extrapolated witness is rejected")
         cmd.add_argument("--out", default=None, help="result file (default: stdout)")
 
     oracle = sub.add_parser("oracle", help="exhaustive-search reference on a matrix file")
@@ -105,11 +105,18 @@ def _phases_payload(pv) -> list[float]:
     return [float(x) for x in pv.values]
 
 
+def _config(args) -> SolveConfig:
+    """SolveConfig of the flags; --tol and --max-iter are None unless given, so p = inf rejects them."""
+    given = {"tolerance": args.tol, "max_iterations": args.max_iter}
+    return SolveConfig(p=args.p, **{k: v for k, v in given.items() if v is not None})
+
+
 def _cmd_solve(args) -> int:
     a = load_matrix_file(args.matrix)
     if math.isinf(args.p):
-        if args.bits is None:
-            raise InvalidArgumentError("p = inf needs --bits: the exact solver works on the lattice")
+        if args.bits is None or args.tol is not None or args.max_iter is not None:
+            raise InvalidArgumentError("p = inf runs the exact solver on the lattice: it needs "
+                                       "--bits and reads no --tol or --max-iter")
         dps = DiscretePhaseSet(args.bits)
         idx, row, objective, swept = _linf(as_complex_matrix(a), dps)
         payload = {
@@ -121,8 +128,7 @@ def _cmd_solve(args) -> int:
             "rows_swept": swept,
         }
     elif args.bits is None:
-        cfg = SolveConfig(p=args.p, tolerance=args.tol, max_iterations=args.max_iter)
-        trace = solve_continuous(a, cfg, deterministic_init(a, args.p))
+        trace = solve_continuous(a, _config(args), deterministic_init(a, args.p))
         payload = {
             "phases": _phases_payload(trace.phases),
             "objective": trace.final_cost,
@@ -130,9 +136,7 @@ def _cmd_solve(args) -> int:
             "termination": trace.termination,
         }
     else:
-        cfg = SolveConfig(p=args.p, dps=DiscretePhaseSet(args.bits),
-                          tolerance=args.tol, max_iterations=args.max_iter)
-        result = default_pipeline(a, cfg.dps, args.p, cfg=cfg)
+        result = default_pipeline(a, DiscretePhaseSet(args.bits), args.p, cfg=_config(args))
         payload = {
             "phases": _phases_payload(result.trace.phases),
             "objective": result.final_cost,
@@ -153,8 +157,7 @@ def _cmd_solve(args) -> int:
 def _cmd_solve_ris(args) -> int:
     inst = load_instance(args.instance)
     prob = build_problem(inst)
-    cfg = SolveConfig(p=args.p, tolerance=args.tol, max_iterations=args.max_iter)
-    solution = solve_ris(prob, DiscretePhaseSet(args.bits), cfg)
+    solution = solve_ris(prob, DiscretePhaseSet(args.bits), _config(args))
     pv, result = solution.phases, solution.pipeline
     value = snr(prob, pv, inst)
     payload = {

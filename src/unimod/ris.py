@@ -51,8 +51,8 @@ class RisInstance:
             if d.size != h.shape[1]:
                 raise InvalidArgumentError("h_d length must match the antenna count")
             object.__setattr__(self, "h_d", d)
-        if not (self.power > 0 and self.sigma2 > 0):
-            raise InvalidArgumentError("transmit power and noise variance must be positive")
+        if not (0 < self.power < np.inf and 0 < self.sigma2 < np.inf):
+            raise InvalidArgumentError("transmit power and noise variance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,9 @@ def instance_from_dict(doc: dict) -> RisInstance:
     if missing:
         raise InvalidArgumentError(f"RIS instance is missing fields: {sorted(missing)}")
     h_d = doc.get("h_d")
+    for key in ("P", "sigma2"):
+        if not serialize.is_json_number(doc.get(key, 1.0)):
+            raise InvalidArgumentError(f"{key} must be a JSON number, got {doc[key]!r}")
     return RisInstance(
         h_ris_bs=serialize.json_to_matrix(doc["H_ris_bs"]),
         h_ue_ris=serialize.json_to_vector(doc["h_ue_ris"]),

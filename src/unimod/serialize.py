@@ -19,9 +19,13 @@ def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def is_json_number(x) -> bool:
+    """Whether x is a number as json.loads gives one: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def pair_to_complex(obj) -> complex:
-    if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(is_json_number, obj)):
         raise InvalidArgumentError(f"expected a [re, im] pair, got {obj!r}")
     return complex(float(obj[0]), float(obj[1]))
 

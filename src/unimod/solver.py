@@ -79,7 +79,7 @@ from .errors import DegenerateInputError, InvalidArgumentError, UnsupportedNormE
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs for the alternating solvers.
+    """Knobs for the alternating solvers: p in {1, 2}, p = inf is rejected.
 
     The function called selects the mode: `solve_discrete` needs `dps` and
     lifts onto its lattice, `solve_continuous` never reads it.
@@ -97,6 +97,9 @@ class SolveConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", normalize_p(self.p))
+        if math.isinf(self.p):
+            raise UnsupportedNormError(
+                "p = inf has an exact non-iterative solver: solve_linf, or unimod solve --p inf")
         if not (self.tolerance > 0):
             raise InvalidArgumentError("tolerance must be positive")
         if self.max_iterations < 1:
@@ -264,10 +267,9 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
     the loop builds the map `f(z)`, one step from a dual witness z returning
     the next (state, witness, cost). `advance(f, z)` makes one iteration out
     of it and returns its end (state, witness, cost). Returns the cost
-    sequence, the termination, the last state and its dual witness.
+    sequence, the termination, the last state and its dual witness. cfg.p
+    is 1 or 2, as every SolveConfig's is.
     """
-    if math.isinf(cfg.p):
-        raise UnsupportedNormError("p = inf has an exact non-iterative solver, use solve_linf")
     if state.size != a.shape[1]:
         raise InvalidArgumentError("starting point length does not match the matrix")
     p = cfg.p
@@ -415,17 +417,11 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
     The lift runs the discrete alternation from the hard-rounded point.
     Monotonicity guarantees its final cost is at least the rounded cost, so it
     can only recover quantization loss. A is validated once, here; the steps
-    run on their kernels and share one A^H. The result carries both stages'
-    wall times.
+    run on their kernels and share one A^H. SolveConfig rejects p = inf;
+    p and dps override cfg's. The result carries both stages' wall times.
     """
     a = as_complex_matrix(a)
-    p = normalize_p(p)
-    if math.isinf(p):
-        raise UnsupportedNormError("the pipeline handles p in {1, 2}; use solve_linf")
-    if cfg is None:
-        cfg = SolveConfig(p=p, dps=dps)
-    else:
-        cfg = replace(cfg, p=p, dps=dps)
+    cfg = SolveConfig(p=p, dps=dps) if cfg is None else replace(cfg, p=p, dps=dps)
     ah = a.conj().T
     start = time.perf_counter()
     continuous = _warm_start(a, ah, cfg)

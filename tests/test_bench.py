@@ -239,6 +239,17 @@ class TestLiftingStat:
         spec = make_spec("lifting-stat", "out", trials=4)
         assert bench._lifting_summary(spec, rows)[0]["continuous_cap_hits"] == 2
 
+    def test_counts_do_not_depend_on_the_channel_scale(self, tmp_path):
+        # cascaded RIS channels are tiny; every verdict is relative to the
+        # costs, so scaling A by 1e-15 changes no count
+        summaries = [run_experiment(make_spec("lifting-stat", tmp_path / str(variance), trials=40,
+                                              seed=3, variance=variance))["results"][0]
+                     for variance in (1.0, 1e-30)]
+        for key in ("defined_gains", "strict_improvements", "dominance_violations"):
+            assert summaries[0][key] == summaries[1][key], key
+        assert summaries[0]["defined_gains"] > 0
+        assert summaries[1]["median_gain"] == pytest.approx(summaries[0]["median_gain"], rel=1e-12)
+
     def test_notes_name_the_continuous_reference(self, tmp_path):
         spec = make_spec("lifting-stat", tmp_path, trials=4)
         envelope = run_experiment(spec)
@@ -375,7 +386,8 @@ class TestOracleCheck:
     def test_match_is_relative_to_the_objective(self, tmp_path, monkeypatch):
         # at variance 1e-20 the objectives are near 1e-10, so an absolute
         # 1e-9 would pass any answer; solvers off by 1e-6 relative must fail
-        # every trial (3 trials run in this process)
+        # every trial; serial, so the 3 + 3 trials run the patched functions
+        monkeypatch.setenv("UNIMOD_THREADS", "1")
         real_das, real_linf = bench.das_maximize, bench.solve_linf
 
         def das_off(v, dps):

@@ -93,6 +93,14 @@ class TestSolve:
             assert code == 0
             assert payload["rows_swept"] == swept
 
+    def test_p_inf_rejects_the_flags_it_does_not_read(self, tmp_path, capsys):
+        # the exact solver takes no SolveConfig, so --tol and --max-iter mean nothing
+        for flags in (["--tol", "5"], ["--max-iter", "1"]):
+            code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--p", "inf",
+                                     "--bits", "2", *flags)
+            assert code == 2 and payload is None
+            assert flags[0] in capsys.readouterr().err
+
     def test_malformed_json_exits_2_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[[1, ")
@@ -187,6 +195,32 @@ class TestSolveRis:
         assert code == 0
         for key in ("continuous_seconds", "lift_seconds"):
             assert isinstance(payload[key], float) and payload[key] >= 0.0
+
+    def test_p_inf_exits_2_naming_the_exact_solver(self, tmp_path, capsys):
+        code, payload = run_json(tmp_path, "solve-ris", str(DATA / "ris_nlos.json"),
+                                 "--bits", "1", "--p", "inf")
+        assert code == 2 and payload is None
+        assert capsys.readouterr().err == ("error: p = inf has an exact non-iterative solver: "
+                                           "solve_linf, or unimod solve --p inf\n")
+
+    @pytest.mark.parametrize("field,value,message", [
+        pytest.param(field, value, message, id=f"{field}={value}") for field, value, message in [
+            ("P", "true", "P must be a JSON number"), ("P", '"2"', "P must be a JSON number"),
+            ("P", '"inf"', "P must be a JSON number"), ("P", "1e999", "finite"),
+            ("sigma2", "false", "sigma2 must be a JSON number"),
+            ("sigma2", '"inf"', "sigma2 must be a JSON number"), ("sigma2", "1e999", "finite")]
+    ])
+    def test_power_and_noise_must_be_finite_numbers(self, tmp_path, capsys, field, value,
+                                                    message):
+        # JSON true and strings are not numbers, and 1e999 reads as infinity,
+        # which made the SNR +-Infinity, not JSON
+        doc = json.loads((DATA / "ris_nlos.json").read_text())
+        doc[field] = "VALUE"
+        rf = tmp_path / "ris.json"
+        rf.write_text(json.dumps(doc).replace('"VALUE"', value))
+        code, payload = run_json(tmp_path, "solve-ris", str(rf), "--bits", "1")
+        assert code == 2 and payload is None
+        assert message in capsys.readouterr().err
 
     def test_missing_field_exits_2(self, tmp_path):
         rf = tmp_path / "ris.json"

@@ -198,6 +198,13 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             RisInstance(h, np.ones(2, dtype=complex), sigma2=-1.0)
 
+    @pytest.mark.parametrize("field", ["power", "sigma2"])
+    def test_finiteness(self, field):
+        # an infinite power or noise makes the SNR +-inf, which JSON cannot hold
+        h = sample_complex_gaussian(Rng(17), 2, 2, 1.0)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            RisInstance(h, np.ones(2, dtype=complex), **{field: math.inf})
+
 
 def instance_doc(inst):
     """The instance file's JSON document, written field by field."""

@@ -9,14 +9,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_linf_screen_counts_only_the_rows_linf_sweeps():
+def run_script(name: str, *args) -> str:
+    """Run scripts/<name> on this checkout's src with one BLAS thread; its stdout."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "linf_screen.py"),
-                          "--count", "1", "--repeat", "1"],
-                         env=env, capture_output=True, text=True, timeout=300, check=True).stdout
-    summary = json.loads(out)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300, check=True).stdout
+
+
+def test_linf_screen_counts_only_the_rows_linf_sweeps():
+    summary = json.loads(run_script("linf_screen.py", "--count", "1", "--repeat", "1"))
     assert len(summary) == 7
     for family, s in summary.items():
         assert s["identical_to_every_row"] == "1 of 1", family
         assert 1 <= s["swept_per_op"] <= s["rows_per_op"], family
+
+
+def test_tolerance_sweep_runs_both_families(tmp_path):
+    out = tmp_path / "sweep.json"
+    run_script("tolerance_sweep.py", "--tolerances", "1e-10", "--out", str(out))
+    summary = json.loads(out.read_text())["summary"]
+    assert set(summary) == {"pipeline-n1000", "snr-cdf"}
+    for family, by_tol in summary.items():
+        s = by_tol["1e-10"]
+        assert s["identical_indices"] == s["problems"] > 0, family
+        assert s["warm_start_cap_hits"] == 0, family
+        for key in ("lifted_db_shift_min", "lifted_db_shift_median", "lifted_db_shift_max"):
+            assert s[key] == 0.0, (family, key)

@@ -979,3 +979,9 @@ class TestSolveConfig:
             SolveConfig(p=2, max_iterations=0)
         with pytest.raises(InvalidArgumentError):
             SolveConfig(p=3)
+
+    @pytest.mark.parametrize("p", [math.inf, "inf"], ids=["float", "str"])
+    def test_p_inf_has_no_alternation(self, p):
+        # the one place that keeps p = inf out of the alternating solvers
+        with pytest.raises(UnsupportedNormError, match="solve_linf"):
+            SolveConfig(p=p)
