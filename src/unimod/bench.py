@@ -42,7 +42,7 @@ from .core import (MAX_LATTICE_BITS, DiscretePhaseSet, Rng, as_complex_matrix, n
 from .das import das_maximize
 from .errors import InvalidArgumentError
 from .oracle import MAX_EXHAUSTIVE_BITS, exhaustive_inner, exhaustive_norm, random_search
-from .ris import RisInstance, build_problem
+from .ris import RisInstance, _snr_value, build_problem
 from .serialize import dump_json, matrix_to_json, vector_to_json
 from .solver import (
     PipelineResult,
@@ -292,11 +292,6 @@ def _nlos_channel(rng: Rng, n: int, m: int, variance: float) -> RisInstance:
     return RisInstance(h, h_ue)
 
 
-def _snr_db(cost: float, inst: RisInstance) -> float:
-    linear = inst.power * cost * cost / inst.sigma2
-    return 10.0 * math.log10(linear)
-
-
 # ---------------------------------------------------------------------------
 # convergence
 
@@ -364,7 +359,7 @@ def _snr_trial(spec: ExperimentSpec, task: tuple[int, int]) -> list:
     zero_cost = norm_lp(prob.matrix @ np.ones(n, dtype=complex), 2)
 
     costs = (result.final_cost, result.rounded_cost, best_random.objective, zero_cost)
-    return [(n, trial, method, float(cost), _snr_db(cost, inst))
+    return [(n, trial, method, float(cost), _snr_value(cost, inst).db)
             for method, cost in zip(_SNR_METHODS, costs)]
 
 
@@ -410,11 +405,11 @@ def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     ah = a.conj().T
     # one warm start, lifted onto each lattice as default_pipeline would
     continuous = _warm_start(a, ah, SolveConfig(p=2))
-    cont_db = _snr_db(continuous.final_cost, inst)
+    cont_db = _snr_value(continuous.final_cost, inst).db
     rows = []
     for bits in spec.bits:
         result = _round_and_lift(a, ah, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
-        pipe_db = _snr_db(result.final_cost, inst)
+        pipe_db = _snr_value(result.final_cost, inst).db
         rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db, *_stage_ends(result)))
     return rows
 

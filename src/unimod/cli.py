@@ -20,7 +20,8 @@ from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError, 
 from .oracle import exhaustive_norm
 from .ris import build_problem, load_instance, snr, solve_ris
 from .serialize import dump_json, load_matrix_file
-from .solver import SolveConfig, default_pipeline, deterministic_init, solve_continuous
+from .solver import (PipelineResult, SolveConfig, default_pipeline, deterministic_init,
+                     solve_continuous)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -105,6 +106,18 @@ def _phases_payload(pv) -> list[float]:
     return [float(x) for x in pv.values]
 
 
+def _stages_payload(result: PipelineResult) -> dict:
+    """How each stage of a pipeline run ended, its iterations and wall time."""
+    return {
+        "termination": result.trace.termination,
+        "iterations": result.trace.iterations,
+        "continuous_termination": result.continuous_trace.termination,
+        "continuous_iterations": result.continuous_trace.iterations,
+        "continuous_seconds": result.continuous_seconds,
+        "lift_seconds": result.lift_seconds,
+    }
+
+
 def _config(args) -> SolveConfig:
     """SolveConfig of the flags; --tol and --max-iter are None unless given, so p = inf rejects them."""
     given = {"tolerance": args.tol, "max_iterations": args.max_iter}
@@ -141,14 +154,9 @@ def _cmd_solve(args) -> int:
             "phases": _phases_payload(result.trace.phases),
             "objective": result.final_cost,
             "trace": [float(c) for c in result.trace.costs],
-            "termination": result.trace.termination,
-            "iterations": result.trace.iterations,
-            "continuous_termination": result.continuous_trace.termination,
-            "continuous_iterations": result.continuous_trace.iterations,
-            "continuous_seconds": result.continuous_seconds,
-            "lift_seconds": result.lift_seconds,
             "unrounded_cost": result.unrounded_cost,
             "rounded_cost": result.rounded_cost,
+            **_stages_payload(result),
         }
     _emit(payload, args.out)
     return EXIT_OK
@@ -166,12 +174,7 @@ def _cmd_solve_ris(args) -> int:
         "objective": solution.objective,
         "snr_db": value.db,
         "snr_linear": value.linear,
-        "termination": result.trace.termination,
-        "iterations": result.trace.iterations,
-        "continuous_termination": result.continuous_trace.termination,
-        "continuous_iterations": result.continuous_trace.iterations,
-        "continuous_seconds": result.continuous_seconds,
-        "lift_seconds": result.lift_seconds,
+        **_stages_payload(result),
     }
     _emit(payload, args.out)
     return EXIT_OK

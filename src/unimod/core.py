@@ -8,7 +8,12 @@ Conventions used throughout the package:
 * results are computed in double precision; the oracles screen candidates
   in single precision first and score the survivors in double precision,
 * `_lattice_split` is the one exact (Cody-Waite) reduction of a phase onto
-  a lattice; hard rounding (`nearest_lattice`) and divide-and-sort read it.
+  a lattice; hard rounding (`nearest_lattice`) and divide-and-sort read it,
+* `_pow2_scale` is the one scale rule: the exact copy x * 2^-e with
+  max|x * 2^-e| in [1/2, 1). The oracles' scan always works on it; the l2
+  witness, the dominant-row start and `norm_lp` run again on it where a
+  sum of squares leaves the normal double range (`_normal`), and scale
+  the result back by 2^e. So A and 2^k A run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 #: widest lattice: at B = 26 the 2^B phasor table that every solver and
 #: oracle reads takes 1 GB
 MAX_LATTICE_BITS = 26
+
+#: the smallest positive normal double, 2^-1022
+_MIN_NORMAL = math.ldexp(1.0, -1022)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -270,6 +278,24 @@ def sample_complex_gaussian(rng: Rng, m: int, n: int, variance: float) -> np.nda
     return radius * np.exp(2j * math.pi * u2)
 
 
+def _pow2_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2^-e, e) with max|x * 2^-e| in [1/2, 1), the one scale rule.
+
+    Multiplying by a power of two is exact (but for entries 2^1021 below
+    max|x|, which go subnormal), so x and 2^k x give the same copy. e is
+    clamped to [-1023, 1023], where 2^e and 2^-e are doubles; it is 0 for
+    x = 0 and for an x that is not finite."""
+    e = min(max(int(np.frexp(np.max(np.abs(x)))[1]), -1023), 1023)
+    return x * math.ldexp(1.0, -e), e
+
+
+def _normal(sq: float) -> bool:
+    """Whether a sum of squares is a positive normal double, not 0,
+    subnormal, inf or nan: where it is not, its computation is rescued on
+    the `_pow2_scale` copy."""
+    return _MIN_NORMAL <= sq < math.inf
+
+
 def normalize_p(p) -> float:
     """Canonical float for a norm selector: 1.0, 2.0 or inf."""
     if isinstance(p, str):
@@ -293,11 +319,18 @@ def row_norms(y: np.ndarray, p: float) -> np.ndarray:
 
 
 def norm_lp(x, p) -> float:
-    """l1 / l2 / l-infinity norm of a complex vector."""
+    """l1 / l2 / l-infinity norm of a complex vector. The l2 norm is
+    np.linalg.norm's, sqrt(re.re + im.im); where that sum of squares under-
+    or overflows it is the norm of `_pow2_scale`'s copy, scaled back."""
     v = as_complex_vector(x)
     p = normalize_p(p)
     if p == 1.0:
         return float(np.sum(np.abs(v)))
     if p == 2.0:
-        return float(np.linalg.norm(v))
+        re, im = v.real, v.imag
+        sq = re.dot(re) + im.dot(im)
+        if not _normal(sq):
+            u, e = _pow2_scale(v)
+            return math.ldexp(float(np.linalg.norm(u)), e)
+        return math.sqrt(sq)
     return float(np.max(np.abs(v)))

@@ -39,10 +39,11 @@ distribution, not draw for draw.
 
 Both searches share one scan. It divides A by a power of two near max|A|,
 which is exact, so the arithmetic is the same at every scale of A and no
-sum of squares overflows or flushes to zero near 1e170 or 1e-170. It works
-in one workspace per call, sized to stay in L2 cache and reused for every
-batch of 512 configurations: their codes, phasors and products are written
-in place, not allocated per batch; a code's phasors come from one row of a
+sum of squares overflows or flushes to zero near 1e170 or 1e-170 (the
+scale rule of `core._pow2_scale`). It works in one workspace per call,
+sized to stay in L2 cache and reused for every batch of 512
+configurations: their codes, phasors and products are written in place,
+not allocated per batch; a code's phasors come from one row of a
 table of all codes, so a byte needs no unpacking. Each batch is screened in
 single precision, and only the configurations whose screen score is within
 a worst-case rounding bound of the best screen score so far are scored
@@ -61,8 +62,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import (DiscretePhaseSet, PhaseVector, Rng, as_complex_matrix, as_complex_vector,
-                   normalize_p, row_norms)
+from .core import (DiscretePhaseSet, PhaseVector, Rng, _pow2_scale, as_complex_matrix,
+                   as_complex_vector, normalize_p, row_norms)
 from .errors import InvalidArgumentError, SizeLimitError
 
 #: refuse exhaustive enumerations beyond 2^24 configurations
@@ -166,9 +167,9 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     the two tie at half as many reads and the table is faster at twice.
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
-    (< 2 if max|a| >= 2^1023). Multiplying by 2^-e is exact, float32 neither
-    overflows nor flushes the large entries to zero, and the objective is s
-    times that of a/s, with the same roundings.
+    (< 2 if max|a| >= 2^1023), by `core._pow2_scale`. Multiplying by 2^-e is
+    exact, float32 neither overflows nor flushes the large entries to zero,
+    and the objective is s times that of a/s, with the same roundings.
 
     Bound. Fix a configuration with exact unit phasors x. Let y = (a/s) x,
     V = ||y||_p, F its double precision score, y' the single precision
@@ -215,9 +216,8 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     scored as two equal rows.
     """
     m, n = a.shape
-    # clamped so that 2^e and 2^-e are both doubles
-    e = min(max(int(np.frexp(np.max(np.abs(a)))[1]), -1023), 1023)
-    at = (a * math.ldexp(1.0, -e)).T.copy()
+    scaled, e = _pow2_scale(a)
+    at = scaled.T.copy()
     phase_table = dps.phasors
     code_digits, code_phasors = None, None  # for B > 8 a code is one digit
     if dps.bits <= 8:

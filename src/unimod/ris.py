@@ -13,6 +13,7 @@ is closed under, so nothing is lost by the detour through N+1 variables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -148,9 +149,19 @@ def snr(prob: BeamformingProblem, pv: PhaseVector, inst: RisInstance) -> SnrValu
         x = np.concatenate([x, [1.0 + 0.0j]])
     elif len(pv) != prob.matrix.shape[1]:
         raise InvalidArgumentError("configuration length must match the unit count")
-    channel_gain = norm_lp(prob.matrix @ x, 2) ** 2
-    linear = float(inst.power * channel_gain / inst.sigma2)
-    return SnrValue(linear, float(10.0 * np.log10(linear)))
+    return _snr_value(norm_lp(prob.matrix @ x, 2), inst)
+
+
+def _snr_value(cost: float, inst: RisInstance) -> SnrValue:
+    """The SNR P c^2 / sigma2 of a combined channel of l2 norm c > 0.
+
+    The dB value is 20 log10(c) + 10 (log10 P - log10 sigma2), so it stays
+    finite where c^2 or the linear value under- or overflows; at
+    P = sigma2 = 1 it is 20 log10(c) exactly.
+    """
+    linear = inst.power * (cost * cost) / inst.sigma2
+    db = 20.0 * math.log10(cost) + 10.0 * (math.log10(inst.power) - math.log10(inst.sigma2))
+    return SnrValue(float(linear), db)
 
 
 def instance_from_dict(doc: dict) -> RisInstance:
@@ -167,8 +178,8 @@ def instance_from_dict(doc: dict) -> RisInstance:
         h_ris_bs=serialize.json_to_matrix(doc["H_ris_bs"]),
         h_ue_ris=serialize.json_to_vector(doc["h_ue_ris"]),
         h_d=None if h_d is None else serialize.json_to_vector(h_d),
-        power=float(doc.get("P", 1.0)),
-        sigma2=float(doc.get("sigma2", 1.0)),
+        power=serialize.json_float(doc.get("P", 1.0), "P"),
+        sigma2=serialize.json_float(doc.get("sigma2", 1.0), "sigma2"),
     )
 
 

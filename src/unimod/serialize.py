@@ -24,10 +24,19 @@ def is_json_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def json_float(x, what: str = "a [re, im] part") -> float:
+    """float(x) of a JSON number; json.loads gives an int of any size, and
+    one beyond the float range raises InvalidArgumentError, not OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidArgumentError(f"{what} is an integer beyond the float range") from None
+
+
 def pair_to_complex(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(is_json_number, obj)):
         raise InvalidArgumentError(f"expected a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(json_float(obj[0]), json_float(obj[1]))
 
 
 def vector_to_json(v) -> list:

@@ -48,6 +48,15 @@ start to its fixed point in far fewer evaluations. The lift only needs a
 monotone run from the rounded point, so the path the warm start takes is
 free to change.
 
+Scale. The objective is homogeneous in A, and the solver's choices do not
+depend on its scale either. Where a sum of squares leaves the normal double
+range (the l2 witness of w = A x, the dominant-row start's l2 row norms),
+the computation runs again on the exactly scaled copy of `core._pow2_scale`,
+x * 2^-e with max|x * 2^-e| in [1/2, 1), and its result is scaled back by
+2^e. That copy is the same for A and 2^k A, so both run the same
+arithmetic: the same indices, the same iterations and exactly 2^k times
+every cost. In the normal range nothing is rescued and no bit changes.
+
 For the l-infinity objective no alternation is needed: the maximum over rows
 commutes with the maximum over configurations, so one divide-and-sort kernel
 call per row settles the problem globally. That row sweep is `das._linf`;
@@ -66,6 +75,8 @@ from .core import (
     TWO_PI,
     DiscretePhaseSet,
     PhaseVector,
+    _normal,
+    _pow2_scale,
     _wrap_angle,
     as_complex_matrix,
     as_complex_vector,
@@ -216,16 +227,16 @@ def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     if p == 2.0:
         # np.linalg.norm(w) by its own formula, without the wrapper
         re, im = w.real, w.imag
-        cost = math.sqrt(re.dot(re) + im.dot(im))
-        if cost == 0.0 or cost == math.inf:
-            # the sum of squares underflows for |w| near 1e-170 and overflows
-            # near 1e170; only the zero vector has norm 0
-            s = np.max(np.abs(w))
-            if 0.0 < s <= _TINY:
-                # 1 / s and 1 / cost overflow; w * 2^600 has the same witness
-                z, cost = _witness(w * _UP, p)
-                return z, cost / _UP
-            cost = float(s * np.linalg.norm(w / s)) if s > 0.0 else 0.0
+        sq = re.dot(re) + im.dot(im)
+        if not _normal(sq):
+            # the sum of squares under- or overflows (|w| near 1e-170 or
+            # 1e170): the witness and cost of the exactly scaled copy, whose
+            # e is 0 only for w = 0 or a w that is not finite
+            x, e = _pow2_scale(w)
+            if e:
+                z, cost = _witness(x, p)
+                return z, math.ldexp(cost, e)
+        cost = math.sqrt(sq)
     else:
         mod = np.abs(w)
         cost = float(mod.sum())
@@ -405,9 +416,13 @@ def _init_phases(a: np.ndarray, p: float) -> np.ndarray:
     q = 1.0 if p == 1.0 else 2.0
     with np.errstate(over="ignore"):
         norms = row_norms(a, q)
-    if not np.all(np.isfinite(norms)):
-        # the sums overflow near 1e170; a / max|a| has the same row order
-        norms = row_norms(a / np.max(np.abs(a)), q)
+    top = float(norms.max())
+    if not _normal(top * top):
+        # for l2, top * top is the largest sum of squares: it overflows near
+        # 1e170 or is subnormal near 1e-170 (top below 2^-511), where the
+        # rows' order is lost; then rank the rows of the exactly scaled copy,
+        # and so do the l1 sums out of the same range
+        norms = row_norms(_pow2_scale(a)[0], q)
     return _aligned_phases(np.conj(a[int(np.argmax(norms)), :]))
 
 
@@ -446,6 +461,5 @@ def _round_and_lift(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig,
     this once per lattice."""
     rounded = hard_round(continuous.phases, cfg.dps)
     lifted = _lift(a, ah, cfg, rounded)
-    # the lift's first cost is the rounded point's, and unlike norm_lp it
-    # does not underflow near 1e-170
+    # the lift's first cost is the rounded point's, at no extra product
     return PipelineResult(lifted, continuous, rounded, float(lifted.costs[0]))

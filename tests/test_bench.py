@@ -283,6 +283,22 @@ class TestSnrStudies:
             pct = entry["percentiles_db"]
             assert pct["5"] <= pct["50"] <= pct["95"]
 
+    def test_channel_scale_shifts_every_snr(self, tmp_path):
+        # at variance 1e-170 the squared objectives underflow to 0, and the
+        # dB was log10 of 0: a math domain error. Variance 2^-566 scales the
+        # channels by 2^-283 and A by 2^-566, exactly
+        tables = {}
+        for variance in (1.0, 2.0**-566, 1e-170):
+            spec = make_spec("snr-cdf", tmp_path / str(variance), trials=3, m=3,
+                             n_values=(12,), random_configs=50, variance=variance)
+            run_experiment(spec)
+            tables[variance] = read_csv(tmp_path / str(variance) / "snr_cdf.csv")[1]
+        for unit, scaled in zip(tables[1.0], tables[2.0**-566], strict=True):
+            assert scaled[:3] == unit[:3]
+            assert scaled[3] == math.ldexp(unit[3], -566)
+            assert scaled[4] == pytest.approx(unit[4] - 20 * 566 * math.log10(2), abs=1e-9)
+        assert all(math.isfinite(row[4]) and row[4] < -3000 for row in tables[1e-170])
+
     @pytest.mark.parametrize("vals", [
         pytest.param([3.25], id="one-row"),
         pytest.param([1.5, -0.25, 1.5, 1.5, 7.0, -0.25], id="ties"),

@@ -14,6 +14,9 @@ from unimod.serialize import load_matrix_file
 DATA = Path(__file__).parent / "data"
 FIXTURE_3X5 = DATA / "matrix_3x5.json"
 
+#: a JSON integer beyond the float range: json.loads reads it as a Python int
+BIG_INT = str(10 ** 400)
+
 
 def run_json(tmp_path, *argv):
     out = tmp_path / "result.json"
@@ -116,6 +119,16 @@ class TestSolve:
         assert code == 2 and payload is None
         assert "[re, im] pair" in capsys.readouterr().err
 
+    def test_an_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        # json.loads gives an int of any size, and float() of this one raised
+        # OverflowError: a traceback and exit 1
+        big = tmp_path / "big.json"
+        big.write_text(f"[[[{BIG_INT}, 0]]]")
+        code, payload = run_json(tmp_path, "solve", str(big), "--bits", "1")
+        assert code == 2 and payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "beyond the float range" in err
+
     def test_lattice_wider_than_the_widest_exits_2(self, tmp_path, capsys):
         # a lattice too wide to build exits 2 with one line, not a traceback
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "64")
@@ -204,16 +217,20 @@ class TestSolveRis:
                                            "solve_linf, or unimod solve --p inf\n")
 
     @pytest.mark.parametrize("field,value,message", [
-        pytest.param(field, value, message, id=f"{field}={value}") for field, value, message in [
+        pytest.param(field, value, message, id=f"{field}={'10**400' if value == BIG_INT else value}")
+        for field, value, message in [
             ("P", "true", "P must be a JSON number"), ("P", '"2"', "P must be a JSON number"),
             ("P", '"inf"', "P must be a JSON number"), ("P", "1e999", "finite"),
+            ("P", BIG_INT, "P is an integer beyond the float range"),
             ("sigma2", "false", "sigma2 must be a JSON number"),
-            ("sigma2", '"inf"', "sigma2 must be a JSON number"), ("sigma2", "1e999", "finite")]
+            ("sigma2", '"inf"', "sigma2 must be a JSON number"), ("sigma2", "1e999", "finite"),
+            ("sigma2", BIG_INT, "sigma2 is an integer beyond the float range")]
     ])
     def test_power_and_noise_must_be_finite_numbers(self, tmp_path, capsys, field, value,
                                                     message):
         # JSON true and strings are not numbers, and 1e999 reads as infinity,
-        # which made the SNR +-Infinity, not JSON
+        # which made the SNR +-Infinity, not JSON; float() of an integer
+        # beyond the float range raised OverflowError, a traceback
         doc = json.loads((DATA / "ris_nlos.json").read_text())
         doc[field] = "VALUE"
         rf = tmp_path / "ris.json"
@@ -221,6 +238,30 @@ class TestSolveRis:
         code, payload = run_json(tmp_path, "solve-ris", str(rf), "--bits", "1")
         assert code == 2 and payload is None
         assert message in capsys.readouterr().err
+
+    def test_snr_of_a_tiny_channel_is_finite(self, tmp_path):
+        # channel amplitudes times 2^-300 (about 5e-91) and sigma2 = 2^-1000
+        # (about 9e-302): the squared objective underflows, and "snr_db" used
+        # to read -Infinity, which is not JSON
+        doc = json.loads((DATA / "ris_nlos.json").read_text())
+        code, unit = run_json(tmp_path, "solve-ris", str(DATA / "ris_nlos.json"), "--bits", "2")
+        assert code == 0 and doc["P"] == doc["sigma2"] == 1.0
+        for key in ("H_ris_bs", "h_ue_ris"):
+            doc[key] = (np.array(doc[key]) * 2.0**-300).tolist()
+        doc["sigma2"] = 2.0**-1000
+        rf = tmp_path / "ris.json"
+        rf.write_text(json.dumps(doc))
+        out = tmp_path / "tiny.json"
+        assert main(["solve-ris", str(rf), "--bits", "2", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        tiny = json.loads(out.read_text(), parse_constant=reject)
+        assert tiny["indices"] == unit["indices"]
+        assert tiny["objective"] == math.ldexp(unit["objective"], -600)
+        # 20 log10(2^-600) from the channel, -10 log10(2^-1000) from the noise
+        assert tiny["snr_db"] == pytest.approx(unit["snr_db"] - 2000 * math.log10(2), abs=1e-9)
 
     def test_missing_field_exits_2(self, tmp_path):
         rf = tmp_path / "ris.json"

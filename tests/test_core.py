@@ -195,6 +195,21 @@ class TestNorms:
         with pytest.raises(InvalidArgumentError):
             norm_lp(np.array([1.0]), 3)
 
+    @pytest.mark.parametrize("scale", [1e-170, 2.0**-560, 2.0**540, 1e170],
+                             ids=["1e-170", "2^-560", "2^540", "1e170"])
+    def test_l2_norm_where_the_squares_leave_the_range(self, scale):
+        # the sum of squares underflows to 0 near 1e-170 and overflows near
+        # 1e170; the norm is that of the exactly scaled copy, scaled back
+        g = np.random.default_rng(25)
+        for n in (1, 7, 200):
+            v = g.standard_normal(n) + 1j * g.standard_normal(n)
+            with np.errstate(over="ignore"):
+                got = norm_lp(v * scale, 2)
+            if math.frexp(scale)[0] == 0.5:   # a power of two: the same arithmetic
+                assert got == scale * norm_lp(v, 2)
+            else:
+                assert got == pytest.approx(scale * norm_lp(v, 2), rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("p,q", [(1, math.inf), (2, 2), (math.inf, 1)])
     def test_dual_norm_inequality(self, p, q):
         rng = np.random.default_rng(7)

@@ -462,13 +462,18 @@ class TestMapStepFastPaths:
                 with np.errstate(over="ignore"):
                     z, cost = _witness(x, 2.0)
                     ref = float(np.linalg.norm(x))
-                if ref in (0.0, math.inf):
-                    # the sum of squares under- or overflows: the rescue
-                    s = np.max(np.abs(x))
-                    ref = float(s * np.linalg.norm(x / s))
+                if 2.0 ** -511 <= ref < math.inf:
+                    z_ref = x / ref
+                else:
+                    # the sum of squares is 0, subnormal or inf: the rescue runs
+                    # on x * 2^-e, max|x * 2^-e| in [1/2, 1), and scales back
+                    e = math.frexp(np.max(np.abs(x)))[1]
+                    u = x * math.ldexp(1.0, -e)
+                    ref = math.ldexp(float(np.linalg.norm(u)), e)
+                    z_ref = u / np.linalg.norm(u)
                     assert scale in (1e-170, 1e170)
                 assert np.float64(cost).view(np.uint64) == np.float64(ref).view(np.uint64)
-                assert np.array_equal(bits_of(z), bits_of(x / ref))
+                assert np.array_equal(bits_of(z), bits_of(z_ref))
 
 
 class TestSubnormalModuli:
@@ -916,6 +921,32 @@ class TestInvariance:
                 assert ours.termination == theirs.termination
                 assert np.array_equal(ours.costs, 2.0**k * theirs.costs)
             assert np.array_equal(scaled.trace.phases.indices, unit.trace.phases.indices)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_scale_beyond_the_range_of_squares_is_exact(self, p, bits):
+        # at 2^k with |k| > 500 the l2 sums of squares under- or overflow, and
+        # the rescues run on core._pow2_scale's copy, which is A's own: a
+        # witness that divided by max|w| lifted other indices at every p = 2
+        # case here, and took other warm-start iterations
+        dps = DiscretePhaseSet(bits)
+        for t in range(4):
+            a = sample_complex_gaussian(Rng(78, t), 16, 200, 1.0)
+            unit = default_pipeline(a, dps, p)
+            for k in (-600, -530, 505, 540):
+                scaled = default_pipeline(a * math.ldexp(1.0, k), dps, p)
+                assert np.array_equal(scaled.trace.phases.indices, unit.trace.phases.indices)
+                for ours, theirs in ((scaled.continuous_trace, unit.continuous_trace),
+                                     (scaled.trace, unit.trace)):
+                    assert np.array_equal(ours.costs, np.ldexp(theirs.costs, k))
+                assert scaled.rounded_cost == math.ldexp(unit.rounded_cost, k)
+
+    def test_dominant_row_where_its_squares_underflow(self):
+        # at 2^-560 every l2 row norm of A read 0, and the start aligned row 0
+        a = sample_complex_gaussian(Rng(78, 0), 16, 200, 1.0)
+        unit = deterministic_init(a, 2)
+        assert np.array_equal(deterministic_init(a * 2.0**-560, 2).values, unit.values)
+        assert not np.array_equal(unit.values, deterministic_init(a[:1], 2).values)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("bits", [1, 2])
