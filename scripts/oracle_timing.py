@@ -7,14 +7,14 @@ minor page faults (`ru_minflt`) per timed call. The cases:
 * exhaustive_inner at n = 3, 6, 8, 10, 12, 20 with B = 1, 2, 3, 2, 2, 1,
   on v = sample_complex_gaussian(Rng(641, n), 1, n, 1);
 * exhaustive_norm at 6 x 8, B = 3, p = 2, on Rng(641, 8);
-* random_search at 32 x 200 with 10^4 draws, B = 2 and B = 9, and with 100
-  draws, B = 24, p = 2, on Rng(641, 200) with a fresh Rng(642) per call.
+* random_search at 32 x 200 with 10^4 draws, B = 2, 9 and 16, and with 100
+  draws, B = 16, p = 2, on Rng(641, 200) with a fresh Rng(642) per call.
 
 Besides those, the tracemalloc peaks of one exhaustive_inner call at n = 8,
-B = 3 and of one random_search call at B = 24 (each after a warm-up call)
-and the wall time of criterion 1's loop from tests/test_acceptance.py:
-das_maximize and exhaustive_inner on 1000 Gaussian vectors, n 1 .. 8 and
-B 1 .. 3, with the oracle's share of it.
+B = 3 and of one random_search call at B = 16 with 100 draws (each after a
+warm-up call) and the wall time of criterion 1's loop from
+tests/test_acceptance.py: das_maximize and exhaustive_inner on 1000
+Gaussian vectors, n 1 .. 8 and B 1 .. 3, with the oracle's share of it.
 
 The numbers are those of the checkout on PYTHONPATH, so two trees are
 compared by running the script in each checkout in turn, several times:
@@ -46,11 +46,12 @@ CASES = [
     ("exhaustive_norm 6x8 B=3 p=2", "norm", 6, 8, 3, 0),
     ("random_search 32x200 B=2 1e4", "random", 32, 200, 2, 10_000),
     ("random_search 32x200 B=9 1e4", "random", 32, 200, 9, 10_000),
-    ("random_search 32x200 B=24 1e2", "random", 32, 200, 24, 100),
+    ("random_search 32x200 B=16 1e4", "random", 32, 200, 16, 10_000),
+    ("random_search 32x200 B=16 1e2", "random", 32, 200, 16, 100),
 ]
 
 #: the cases whose tracemalloc peak is reported
-PEAKS = ("exhaustive_inner n=8 B=3", "random_search 32x200 B=24 1e2")
+PEAKS = ("exhaustive_inner n=8 B=3", "random_search 32x200 B=16 1e2")
 
 
 def call(oracle: str, m: int, n: int, bits: int, draws: int):

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .core import (MAX_LATTICE_BITS, DiscretePhaseSet, Rng, as_complex_matrix, norm_lp,
+from .core import (DiscretePhaseSet, Rng, _as_int, as_complex_matrix, norm_lp,
                    sample_complex_gaussian)
 from .das import das_maximize
 from .errors import InvalidArgumentError
@@ -90,16 +90,18 @@ class ExperimentSpec:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         # SolveConfig's norm rule: p in {1, 2}, since no experiment runs p = inf
         object.__setattr__(self, "p", SolveConfig(p=self.p).p)
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        for name in ("trials", "seed", "m", "random_configs", "nmax"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        object.__setattr__(self, "n_values", tuple(_as_int(n, "n_values") for n in self.n_values))
+        # the lattice widths DiscretePhaseSet takes, and no other rule
+        object.__setattr__(self, "bits", tuple(DiscretePhaseSet(b).bits for b in self.bits))
         for name in ("trials", "random_configs", "nmax"):
             if getattr(self, name) < 1:
                 raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.m < 1 or any(n < 1 for n in self.n_values) or not self.n_values:
             raise InvalidArgumentError("all dimensions must be >= 1")
-        if not self.bits or any(not 1 <= b <= MAX_LATTICE_BITS for b in self.bits):
-            raise InvalidArgumentError(
-                f"bits must be 1 .. {MAX_LATTICE_BITS}, got {self.bits!r}")
+        if not self.bits:
+            raise InvalidArgumentError("bits must name at least one lattice width")
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise InvalidArgumentError(
                 f"variance must be finite and positive, got {self.variance!r}")

@@ -223,9 +223,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON at byte offset {exc.pos}: {exc.msg}", file=sys.stderr)
-        return EXIT_PARSE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

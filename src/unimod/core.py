@@ -28,12 +28,19 @@ from .errors import InvalidArgumentError
 
 TWO_PI = 2.0 * math.pi
 
-#: widest lattice: at B = 26 the 2^B phasor table that every solver and
-#: oracle reads takes 1 GB
-MAX_LATTICE_BITS = 26
+#: widest lattice: at B = 16 the 2^B phasor table that every solver and
+#: oracle reads takes 1 MB
+MAX_LATTICE_BITS = 16
 
 #: the smallest positive normal double, 2^-1022
 _MIN_NORMAL = math.ldexp(1.0, -1022)
+
+
+def _as_int(value, what: str) -> int:
+    """int(value) of an int or a numpy integer, not of a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -70,7 +77,8 @@ class DiscretePhaseSet:
     Parameters
     ----------
     bits : int
-        Number of quantization bits, 1 <= B <= MAX_LATTICE_BITS.
+        Number of quantization bits, 1 <= B <= MAX_LATTICE_BITS: an int or a
+        numpy integer, stored as an int.
 
     Attributes
     ----------
@@ -86,10 +94,10 @@ class DiscretePhaseSet:
     levels: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.bits, (int, np.integer)) or not 1 <= self.bits <= MAX_LATTICE_BITS:
-            raise InvalidArgumentError(
-                f"bits must be an integer in 1 .. {MAX_LATTICE_BITS}, got {self.bits!r}")
-        object.__setattr__(self, "levels", 1 << int(self.bits))
+        object.__setattr__(self, "bits", _as_int(self.bits, "bits"))
+        if not 1 <= self.bits <= MAX_LATTICE_BITS:
+            raise InvalidArgumentError(f"bits must be in 1 .. {MAX_LATTICE_BITS}, got {self.bits}")
+        object.__setattr__(self, "levels", 1 << self.bits)
         object.__setattr__(self, "step", TWO_PI / self.levels)
 
     @property
@@ -102,7 +110,7 @@ class DiscretePhaseSet:
         """exp(j * values), bit for bit: one read-only table per B, built on
         first use and shared by every solver and oracle. Each B's table is
         kept for the life of the process; all of B = 1 .. 16 take 2 MB."""
-        return _phasor_table(int(self.bits))
+        return _phasor_table(self.bits)
 
 
 @cache
@@ -229,7 +237,7 @@ def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, 
     with q - 1.
     """
     delta = dps.step
-    hi, lo = _step_split(int(dps.bits))
+    hi, lo = _step_split(dps.bits)
     q = tau / delta
     np.floor(q, out=q)
     tred = q * hi

@@ -16,8 +16,7 @@ The lexicographically first optimum of the whole space has digit 0 at 0,
 so in exact arithmetic the exhaustive search returns what a scan of all
 2^(nB) would; unlike such a scan, it never lets rounding pick among the
 2^B exactly tied rotations of its optimum, so those ties cannot move the
-answer with the scale of A. Configurations are evaluated by indexing a
-table of the 2^B lattice phasors, never by calling exp per entry.
+answer with the scale of A.
 
 Both searches hand a configuration to the scan as nc = ceil(n / d) codes.
 For B <= 8 a code is a byte that packs d = floor(8 / B) digits, top bits
@@ -26,16 +25,13 @@ wider lattices d = 1 and a code is one digit. Only the first n digits
 count. The exhaustive search codes the digits of its flat index, with the
 digits past n at 0. Random search reads each configuration from whole
 64-bit words of the Rng's Philox generator (`bit_generator.random_raw`) as
-little-endian integers of w bytes, w the smallest power of two with 8 w >=
-B: a configuration takes W = ceil(nc w / 8) words, its code i is integer i,
-or the top B bits of it when B > 8, and the integers left over at its end
-are dropped. Every bit of Philox output is uniform and independent of the
-others, so the digits are uniform and independent on the lattice, and the
-draw of a configuration does not depend on the batch it falls in. The rule
-replaced one byte per digit for B <= 4 (B = 5 .. 8 read the same digits
-either way), which in turn replaced a `Generator.integers(0, 2^B)` draw:
-random-baseline numbers from trees with either earlier rule agree in
-distribution, not draw for draw.
+little-endian integers of w bytes, w = 1 for B <= 8 and 2 for wider
+lattices: a configuration takes W = ceil(nc w / 8) words, its code i is
+integer i, or the top B bits of it when B > 8, and the integers left over
+at its end are dropped. Every bit of Philox output is uniform and
+independent of the others, so the digits are uniform and independent on
+the lattice, and the draw of a configuration does not depend on the batch
+it falls in.
 
 Both searches share one scan. It divides A by a power of two near max|A|,
 which is exact, so the arithmetic is the same at every scale of A and no
@@ -43,15 +39,17 @@ sum of squares overflows or flushes to zero near 1e170 or 1e-170 (the
 scale rule of `core._pow2_scale`). It works in one workspace per call,
 sized to stay in L2 cache and reused for every batch of 512
 configurations: their codes, phasors and products are written in place,
-not allocated per batch; a code's phasors come from one row of a
-table of all codes, so a byte needs no unpacking. Each batch is screened in
-single precision, and only the configurations whose screen score is within
-a worst-case rounding bound of the best screen score so far are scored
-again in double precision; a batch with none is not scored again. The bound
-(standard summation error analysis, derived in `_scan`) makes every dropped
-configuration score strictly below a kept one in double precision, so the
-winner, its objective and the first-hit rule are those of scoring every
-configuration in double precision; the screen only changes the cost.
+not allocated per batch. A code's phasors and digits come from one row of
+the tables of all codes (`_code_tables`), built once per B, never from exp
+per entry or a cast of the 2^B phasor table per call. Each batch is
+screened in single precision, and only the configurations whose screen
+score is within a worst-case rounding bound of the best screen score so
+far are scored again in double precision; a batch with none is not scored
+again. The bound (standard summation error analysis, derived in `_scan`)
+makes every dropped configuration score strictly below a kept one in
+double precision, so the winner, its objective and the first-hit rule are
+those of scoring every configuration in double precision; the screen only
+changes the cost.
 """
 
 from __future__ import annotations
@@ -125,13 +123,14 @@ def exhaustive_inner(v, dps: DiscretePhaseSet) -> OracleResult:
 
 
 @cache
-def _byte_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, phasors) of the 256 byte codes of a lattice with B <= 8:
-    row b of the (256, d) intp `digits` holds the d = floor(8 / B) digits
-    packed in byte b, top bits first, and row b of `phasors` their complex64
-    phasors. Built once per B and read-only."""
-    shifts = 8 - bits * np.arange(1, 8 // bits + 1)
-    digits = (np.arange(256)[:, None] >> shifts) & ((1 << bits) - 1)
+def _code_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, phasors) of every code of a B-bit lattice, built once per B
+    and read-only. A code has w = max(8, B) bits and packs d = floor(w / B)
+    digits, top bits first: row c of the intp `digits` holds those of code c
+    and row c of `phasors` their complex64 phasors (0.5 MB at B = 16)."""
+    w = max(8, bits)
+    shifts = w - bits * np.arange(1, w // bits + 1)
+    digits = (np.arange(1 << w)[:, None] >> shifts) & ((1 << bits) - 1)
     phasors = DiscretePhaseSet(bits).phasors.astype(np.complex64)[digits]
     digits.flags.writeable = phasors.flags.writeable = False
     return digits, phasors
@@ -142,8 +141,9 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     """Best configuration and objective ||A exp(j*Omega)||_p over `total`
     configurations; the first hit wins ties. `fill(start, out)` writes the
     codes of configurations start, start + 1, ... into the rows of `out`,
-    nc = ceil(n / d) columns of uint8 for B <= 8 and of intp for wider
-    lattices, of which the first n digits count (see the module docstring).
+    nc = ceil(n / d) columns of the smallest unsigned integer type that
+    holds every code (uint8 for B <= 8, uint16 above), of which the first n
+    digits count (see the module docstring).
 
     Each batch is screened in single precision and only the configurations
     that can still win are scored in double precision. The result is that of
@@ -151,20 +151,17 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
 
     Workspace. One call allocates the batch's codes, phasors and screen
     products (complex64) once and reuses them for every batch: the codes
-    are filled in place, the phasors gathered a row of d per code from a
-    table of every code's phasors with np.take(..., axis=0, out=,
-    mode="clip") (the codes are in range by construction, and the default
-    mode="raise" makes numpy buffer the call) and the products written by
-    np.matmul(..., out=). The phasor rows are n' = nc d <= n + 7 wide; the
-    digits past n pad the last code and meet zero rows of A^T, so they add
-    exact zeros to the screen products; the digits of the configurations
-    kept for the double precision score come from a table of every code's
-    digits, and only the first n count. At `_CHUNK` = 512 rows, 32 x 200 and
-    B = 2 the workspace is 0.95 MB, inside the 2 MB per-core L2 cache of the
-    x86-64 host it was sized on. For B > 8 a call that reads fewer phasors
-    than the 2^B table holds gathers each batch's in complex128 and casts
-    them, not the whole table (128 MB at B = 24); at 32 x 200, B = 16 and 20,
-    the two tie at half as many reads and the table is faster at twice.
+    are filled in place, the phasors gathered a row of d per code from the
+    cached table of every code's phasors (`_code_tables`) with np.take(...,
+    axis=0, out=, mode="clip") (the codes are in range by construction, and
+    the default mode="raise" makes numpy buffer the call) and the products
+    written by np.matmul(..., out=). The phasor rows are n' = nc d <= n + 7
+    wide; the digits past n pad the last code and meet zero rows of A^T, so
+    they add exact zeros to the screen products; the digits of the
+    configurations kept for the double precision score come from the table
+    of every code's digits, and only the first n count. At `_CHUNK` = 512
+    rows, 32 x 200 and B = 2 the workspace is 0.95 MB, inside the 2 MB
+    per-core L2 cache of the x86-64 host it was sized on.
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023), by `core._pow2_scale`. Multiplying by 2^-e is
@@ -218,13 +215,8 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     m, n = a.shape
     scaled, e = _pow2_scale(a)
     at = scaled.T.copy()
-    phase_table = dps.phasors
-    code_digits, code_phasors = None, None  # for B > 8 a code is one digit
-    if dps.bits <= 8:
-        code_digits, code_phasors = _byte_tables(dps.bits)
-    elif dps.levels <= total * n:  # the call reads as many phasors as the table holds
-        code_phasors = phase_table.astype(np.complex64)[:, None]
-    d = 1 if code_phasors is None else code_phasors.shape[1]
+    code_digits, code_phasors = _code_tables(dps.bits)
+    d = code_digits.shape[1]
     nc = -(-n // d)
     at32 = np.zeros((nc * d, m), dtype=np.complex64)
     at32[:n] = at
@@ -232,11 +224,10 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     big_e = float(np.linalg.norm(c, p))
     rho = 4 * (m + 2) * _U32
     rows = min(total, _CHUNK)
-    codes_ws = np.empty((rows, nc), dtype=np.intp if code_digits is None else np.uint8)
+    codes_ws = np.empty((rows, nc), dtype=np.min_scalar_type(len(code_digits) - 1))
     x_ws = np.empty((rows, nc * d), dtype=np.complex64)
     y_ws = np.empty((rows, m), dtype=np.complex64)
     w_ws = np.empty(rows, dtype=np.float32)
-    x64_ws = np.empty((rows, nc), dtype=np.complex128) if code_phasors is None else None
     w_star = -1.0
     best_val = -1.0
     best_idx: np.ndarray | None = None
@@ -244,11 +235,7 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
         k = min(rows, total - start)
         codes, x32, y32, w = codes_ws[:k], x_ws[:k], y_ws[:k], w_ws[:k]
         fill(start, codes)
-        if code_phasors is None:
-            np.take(phase_table, codes, out=x64_ws[:k], mode="clip")
-            x32[...] = x64_ws[:k]
-        else:
-            np.take(code_phasors, codes, axis=0, out=x32.reshape(k, nc, d), mode="clip")
+        np.take(code_phasors, codes, axis=0, out=x32.reshape(k, nc, d), mode="clip")
         np.matmul(x32, at32, out=y32)
         if p == 2.0:
             parts = y32.view(np.float32)
@@ -261,10 +248,8 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
         if top < bar:
             continue
         # compared in float64: a float32 threshold could round up past the bound
-        kept = codes[w >= np.float64(bar)]
-        if code_digits is not None:
-            kept = code_digits[kept].reshape(-1, nc * d)[:, :n]
-        x = phase_table[kept if kept.shape[0] > 1 else np.repeat(kept, 2, axis=0)]
+        kept = code_digits[codes[w >= np.float64(bar)]].reshape(-1, nc * d)[:, :n]
+        x = dps.phasors[kept if kept.shape[0] > 1 else np.repeat(kept, 2, axis=0)]
         vals = row_norms(x @ at, p)
         local = int(np.argmax(vals))
         if vals[local] > best_val:
@@ -294,7 +279,7 @@ def _random_codes(random_raw, out: np.ndarray, bits: int) -> None:
     row, by the rule of the module docstring: only the generator words are
     allocated per batch, and they are freed on return."""
     rows, nc = out.shape
-    width = 1 << (-(-bits // 8) - 1).bit_length()
+    width = 1 if bits <= 8 else 2
     u = random_raw(rows * -(-nc * width // 8)).astype("<u8", copy=False).view(f"<u{width}")
     if bits > 8:
         u >>= 8 * width - bits
@@ -306,9 +291,7 @@ def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleR
 
     Configuration k takes its codes from generator words k*W .. (k+1)*W - 1,
     W = ceil(ceil(n / d) w / 8), by the draw rule of the module docstring.
-    The generator advances by exactly trials * W words. Trees that drew one
-    byte per digit for B <= 4, or drew the digits with `Generator.integers`,
-    give other draws from the same distribution.
+    The generator advances by exactly trials * W words.
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)

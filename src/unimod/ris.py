@@ -12,10 +12,8 @@ is closed under, so nothing is lost by the detour through N+1 variables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +71,7 @@ class BeamformingProblem:
 
 
 class SnrValue(NamedTuple):
-    linear: float
+    linear: float | None
     db: float
 
 
@@ -137,7 +135,7 @@ def solve_ris(prob: BeamformingProblem, dps: DiscretePhaseSet,
 
 
 def snr(prob: BeamformingProblem, pv: PhaseVector, inst: RisInstance) -> SnrValue:
-    """Receiver SNR for a configuration: P * ||A x||_2^2 / sigma2.
+    """Receiver SNR for a configuration: P * ||A x||_2^2 / sigma2, by `_snr_value`.
 
     x appends a unit auxiliary entry in the augmented case, matching a
     de-rotated configuration.
@@ -155,13 +153,19 @@ def snr(prob: BeamformingProblem, pv: PhaseVector, inst: RisInstance) -> SnrValu
 def _snr_value(cost: float, inst: RisInstance) -> SnrValue:
     """The SNR P c^2 / sigma2 of a combined channel of l2 norm c > 0.
 
-    The dB value is 20 log10(c) + 10 (log10 P - log10 sigma2), so it stays
-    finite where c^2 or the linear value under- or overflows; at
-    P = sigma2 = 1 it is 20 log10(c) exactly.
+    The linear value is taken on the mantissas of c, P and sigma2 and scaled
+    by 2 to the sum of their exponents (the `core._pow2_scale` rule), so it
+    is right wherever the SNR is a normal double, and None where no positive
+    finite double holds it. The dB value is 20 log10(c) + 10 (log10 P -
+    log10 sigma2), finite at any c; at P = sigma2 = 1 it is 20 log10(c).
     """
-    linear = inst.power * (cost * cost) / inst.sigma2
+    (fc, ec), (fp, ep), (fs, es) = map(math.frexp, (cost, inst.power, inst.sigma2))
+    try:
+        linear = math.ldexp(fp * (fc * fc) / fs, ep + 2 * ec - es) or None  # None if it is 0
+    except OverflowError:
+        linear = None
     db = 20.0 * math.log10(cost) + 10.0 * (math.log10(inst.power) - math.log10(inst.sigma2))
-    return SnrValue(float(linear), db)
+    return SnrValue(linear, db)
 
 
 def instance_from_dict(doc: dict) -> RisInstance:
@@ -184,4 +188,4 @@ def instance_from_dict(doc: dict) -> RisInstance:
 
 
 def load_instance(path) -> RisInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(serialize.load_json_file(path))

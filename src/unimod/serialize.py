@@ -64,10 +64,20 @@ def json_to_matrix(obj) -> np.ndarray:
     return np.vstack(rows)
 
 
+def load_json_file(path):
+    """json.loads of a file's UTF-8 text; malformed JSON, bytes that are not
+    UTF-8 and an integer longer than int() reads (4300 digits) raise InvalidArgumentError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from None
+    except ValueError as exc:
+        raise InvalidArgumentError(f"unreadable JSON file {path}: {exc}") from None
+
+
 def load_matrix_file(path) -> np.ndarray:
     """Read a matrix fixture: a bare row-major nested array of [re, im] pairs."""
-    text = Path(path).read_text()
-    return json_to_matrix(json.loads(text))
+    return json_to_matrix(load_json_file(path))
 
 
 def dump_json(path, payload) -> None:

@@ -110,6 +110,20 @@ class TestSpec:
         with pytest.raises(InvalidArgumentError, match=field):
             make_spec("oracle-check", "out", trials=1, **{field: value})
 
+    @pytest.mark.parametrize("kind,field,value", [
+        pytest.param(kind, field, value, id=f"{field}={value!r}") for kind, field, value in [
+            ("snr-cdf", "bits", (2.7,)), ("snr-cdf", "bits", (True,)),
+            ("snr-cdf", "trials", 2.5), ("snr-cdf", "random_configs", 10.5),
+            ("snr-cdf", "m", True), ("snr-cdf", "n_values", (20.5,)),
+            ("snr-cdf", "seed", 1.5), ("oracle-check", "nmax", 3.0),
+        ]
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, kind, field, value):
+        # a float was truncated, or passed the spec and raised TypeError inside
+        # a trial; a bool is an int, so True passed as 1
+        with pytest.raises(InvalidArgumentError, match=field):
+            make_spec(kind, "out", **{field: value})
+
     @pytest.mark.parametrize("kind,field", [
         ("convergence", "n_values"), ("convergence", "bits"),
         ("lifting-stat", "n_values"), ("lifting-stat", "bits"),

@@ -17,12 +17,20 @@ FIXTURE_3X5 = DATA / "matrix_3x5.json"
 #: a JSON integer beyond the float range: json.loads reads it as a Python int
 BIG_INT = str(10 ** 400)
 
+#: a JSON integer longer than int() reads by default (4300 digits)
+LONG_INT = "1" + "0" * 5000
+
 
 def run_json(tmp_path, *argv):
     out = tmp_path / "result.json"
     code = main([*argv, "--out", str(out)])
-    payload = json.loads(out.read_text()) if out.exists() else None
+    payload = json.loads(out.read_text(), parse_constant=reject) if out.exists() else None
     return code, payload
+
+
+def reject(constant):
+    """A json.loads parse_constant: NaN and Infinity are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
 
 
 class TestSolve:
@@ -131,9 +139,11 @@ class TestSolve:
 
     def test_lattice_wider_than_the_widest_exits_2(self, tmp_path, capsys):
         # a lattice too wide to build exits 2 with one line, not a traceback
-        code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "64")
-        assert code == 2 and payload is None
-        assert "bits" in capsys.readouterr().err
+        for bits in ("17", "64"):
+            code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", bits)
+            assert code == 2 and payload is None
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "bits" in err
 
     def test_degenerate_exits_3(self, tmp_path):
         zf = tmp_path / "zero.json"
@@ -251,22 +261,53 @@ class TestSolveRis:
         doc["sigma2"] = 2.0**-1000
         rf = tmp_path / "ris.json"
         rf.write_text(json.dumps(doc))
-        out = tmp_path / "tiny.json"
-        assert main(["solve-ris", str(rf), "--bits", "2", "--out", str(out)]) == 0
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        tiny = json.loads(out.read_text(), parse_constant=reject)
+        code, tiny = run_json(tmp_path, "solve-ris", str(rf), "--bits", "2")
+        assert code == 0
         assert tiny["indices"] == unit["indices"]
         assert tiny["objective"] == math.ldexp(unit["objective"], -600)
         # 20 log10(2^-600) from the channel, -10 log10(2^-1000) from the noise
         assert tiny["snr_db"] == pytest.approx(unit["snr_db"] - 2000 * math.log10(2), abs=1e-9)
+        # the squared objective underflowed to 0, and "snr_linear" read 0.0
+        assert tiny["snr_linear"] == math.ldexp(unit["snr_linear"], -200)
+
+    def test_snr_beyond_the_double_range_is_null(self, tmp_path):
+        # P c^2 / sigma2 overflows at sigma2 = 1e-310, and "snr_linear" read
+        # Infinity, which is not JSON
+        doc = json.loads((DATA / "ris_nlos.json").read_text())
+        doc["sigma2"] = 1e-310
+        rf = tmp_path / "ris.json"
+        rf.write_text(json.dumps(doc))
+        code, payload = run_json(tmp_path, "solve-ris", str(rf), "--bits", "2")
+        assert code == 0
+        assert payload["snr_linear"] is None
+        assert payload["snr_db"] == pytest.approx(
+            20 * math.log10(payload["objective"]) + 3100, abs=1e-9)
 
     def test_missing_field_exits_2(self, tmp_path):
         rf = tmp_path / "ris.json"
         rf.write_text(json.dumps({"H_ris_bs": [[[1.0, 0.0]]]}))
         assert main(["solve-ris", str(rf), "--bits", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "solve-ris"])
+@pytest.mark.parametrize("kind,message", [pytest.param("long", "4300 digits", id="long"),
+                                          pytest.param("binary", "decode", id="binary")])
+def test_a_file_json_cannot_read_exits_2(tmp_path, capsys, command, kind, message):
+    # int() refuses a string of more than 4300 digits, and reading text that
+    # is not UTF-8 fails, each with a ValueError that json.loads or
+    # read_text passed on: a traceback and exit 1
+    if command == "solve":
+        text = f"[[[{LONG_INT}, 0]]]"
+    else:
+        doc = json.loads((DATA / "ris_nlos.json").read_text())
+        doc["H_ris_bs"][0][0] = ["LONG", 0]
+        text = json.dumps(doc).replace('"LONG"', LONG_INT)
+    rf = tmp_path / "file.json"
+    rf.write_bytes(text.encode() if kind == "long" else b"\xff\xfe" + text.encode())
+    code, payload = run_json(tmp_path, command, str(rf), "--bits", "1")
+    assert code == 2 and payload is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 class TestOracleCommand:
@@ -308,6 +349,7 @@ class TestBenchCommand:
             (["oracle-check", "--p", "1", "--n-values", "3"], ["p", "n_values"]),
             (["oracle-check", "--nmax", "20", "--m", "12", "--bits", "3"], ["nmax"]),
             (["oracle-check", "--m", "12"], ["m"]),
+            (["snr-cdf", "--bits", "17"], ["bits"]),
             (["snr-cdf", "--bits", "64"], ["bits"]),
         ]
     ])

@@ -119,12 +119,17 @@ class TestDiscretePhaseSet:
         assert table[0] == 1.0
 
     def test_bad_bits(self):
-        # the widest lattice's phasor table takes 1 GB; B = 27 would take
-        # 2 GB, B = 40 an 8 TiB arange, and 2^64 overflows a C long
+        # the widest lattice's phasor table takes 1 MB; B = 40 would ask for
+        # an 8 TiB arange, and 2^64 overflows a C long
         for bits in (0, -3, MAX_LATTICE_BITS + 1, 40, 64):
             with pytest.raises(InvalidArgumentError, match="bits"):
                 DiscretePhaseSet(bits)
-        assert DiscretePhaseSet(MAX_LATTICE_BITS).levels == 2 ** 26
+        assert DiscretePhaseSet(MAX_LATTICE_BITS).levels == 2 ** 16
+
+    def test_a_bool_is_not_a_width(self):
+        # a bool is an int, so True passed as a 1-bit lattice
+        with pytest.raises(InvalidArgumentError, match="bits"):
+            DiscretePhaseSet(True)
 
 
 class TestPhaseVector:
