@@ -2,13 +2,14 @@
 
 Every experiment is a row of the EXPERIMENTS table, driven by an
 ExperimentSpec; `run_experiment` writes its CSV table plus a JSON envelope
-into the output directory. The envelope records the spec, the results and
-the environment: Python and numpy versions, CPU count, the worker count that
-ran the trials and the git commit (null outside a checkout). All randomness
-flows through (seed, stream) pairs where the stream is derived from the
-trial index, so results are bit-identical across reruns and independent of
-how many workers execute the trials. Timing numbers are the one exception:
-wall-clock fields vary run to run, everything else in the timing table is
+into the output directory, both named after the kind with "_" for "-". The
+envelope records the spec, the results and the environment: Python and
+numpy versions, CPU count, the worker count that ran the trials and the git
+commit (null outside a checkout). All randomness flows through (seed,
+stream) pairs where the stream is derived from the trial index, so results
+are bit-identical across reruns and independent of how many workers
+execute the trials. Timing numbers are the one exception: wall-clock
+fields vary run to run, everything else in the timing table is
 reproducible.
 
 Desk-scale trial counts are the defaults; the full-scale studies behind the
@@ -90,7 +91,9 @@ class ExperimentSpec:
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         # SolveConfig's norm rule: p in {1, 2}, since no experiment runs p = inf
         object.__setattr__(self, "p", SolveConfig(p=self.p).p)
-        for name in ("trials", "seed", "m", "random_configs", "nmax"):
+        # Rng's seed rule: a nonnegative integer
+        object.__setattr__(self, "seed", Rng(self.seed).seed)
+        for name in ("trials", "m", "random_configs", "nmax"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
         object.__setattr__(self, "n_values", tuple(_as_int(n, "n_values") for n in self.n_values))
         # the lattice widths DiscretePhaseSet takes, and no other rule
@@ -135,7 +138,6 @@ class Experiment:
     others. Only lifting-stat reads p: convergence runs p = 1 and p = 2
     itself, and received SNR is a p = 2 quantity."""
 
-    stem: str
     header: tuple[str, ...]
     rows: Callable[[ExperimentSpec], list]
     summarize: Callable[[ExperimentSpec, list], list]
@@ -288,10 +290,17 @@ def _envelope(spec: ExperimentSpec, experiment: Experiment, results, workers: in
     }
 
 
-def _nlos_channel(rng: Rng, n: int, m: int, variance: float) -> RisInstance:
-    h = sample_complex_gaussian(rng, n, m, variance)
-    h_ue = sample_complex_gaussian(rng, 1, n, variance).ravel()
-    return RisInstance(h, h_ue)
+def _ris_instance(spec: ExperimentSpec, block: int,
+                  trial: int) -> tuple[RisInstance, np.ndarray, Rng]:
+    """The one draw of the RIS studies: trial `trial`'s NLoS channel at unit
+    count n_values[block], its validated solver matrix, and the Rng it was
+    drawn from, stream (block << 32) | trial, which the random baseline reads on."""
+    n = spec.n_values[block]
+    rng = Rng(spec.seed, stream=(block << 32) | trial)
+    h = sample_complex_gaussian(rng, n, spec.m, spec.variance)
+    h_ue = sample_complex_gaussian(rng, 1, n, spec.variance).ravel()
+    inst = RisInstance(h, h_ue)
+    return inst, as_complex_matrix(build_problem(inst).matrix), rng
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +359,13 @@ _SNR_METHODS = ("pipeline", "rounded", "random", "zero")
 
 def _snr_trial(spec: ExperimentSpec, task: tuple[int, int]) -> list:
     block, trial = task
-    n = spec.n_values[block]
-    rng = Rng(spec.seed, stream=(block << 32) | trial)
-    inst = _nlos_channel(rng, n, spec.m, spec.variance)
-    prob = build_problem(inst)
+    inst, a, rng = _ris_instance(spec, block, trial)
+    n = a.shape[1]
     dps = DiscretePhaseSet(spec.bits[0])
 
-    result = default_pipeline(prob.matrix, dps, 2)
-    best_random = random_search(prob.matrix, dps, 2, spec.random_configs, rng)
-    zero_cost = norm_lp(prob.matrix @ np.ones(n, dtype=complex), 2)
+    result = default_pipeline(a, dps, 2)
+    best_random = random_search(a, dps, 2, spec.random_configs, rng)
+    zero_cost = norm_lp(a @ np.ones(n, dtype=complex), 2)
 
     costs = (result.final_cost, result.rounded_cost, best_random.objective, zero_cost)
     return [(n, trial, method, float(cost), _snr_value(cost, inst).db)
@@ -401,9 +408,7 @@ def _snr_cdf_summary(spec: ExperimentSpec, rows) -> list:
 
 def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     """SNR loss of B-bit pipelines against the continuous solution."""
-    rng = Rng(spec.seed, stream=trial)
-    inst = _nlos_channel(rng, spec.n_values[0], spec.m, spec.variance)
-    a = as_complex_matrix(build_problem(inst).matrix)
+    inst, a, _ = _ris_instance(spec, 0, trial)
     ah = a.conj().T
     # one warm start, lifted onto each lattice as default_pipeline would
     continuous = _warm_start(a, ah, SolveConfig(p=2))
@@ -437,17 +442,13 @@ def _timing_rows(spec: ExperimentSpec) -> tuple[list, int]:
     dps = DiscretePhaseSet(spec.bits[0])
     rows = []
     for block, n in enumerate(spec.n_values):
-        instances = []
-        for t in range(spec.trials):
-            rng = Rng(spec.seed, stream=(block << 32) | t)
-            instances.append((build_problem(_nlos_channel(rng, n, spec.m, spec.variance)), rng))
-
+        instances = [_ris_instance(spec, block, t)[1:] for t in range(spec.trials)]
         for method, solve in (
-                ("pipeline", lambda prob, _: default_pipeline(prob.matrix, dps, 2).final_cost),
-                ("random", lambda prob, rng: random_search(
-                    prob.matrix, dps, 2, spec.random_configs, rng).objective)):
+                ("pipeline", lambda a, _: default_pipeline(a, dps, 2).final_cost),
+                ("random", lambda a, rng: random_search(
+                    a, dps, 2, spec.random_configs, rng).objective)):
             t0 = time.perf_counter()
-            objs = [solve(prob, rng) for prob, rng in instances]
+            objs = [solve(a, rng) for a, rng in instances]
             total = time.perf_counter() - t0
             rows.append((n, method, spec.trials, total, total / spec.trials,
                          float(np.mean(objs))))
@@ -535,7 +536,7 @@ _SNR_READS = ("n_values", "bits", "random_configs")
 
 EXPERIMENTS: dict[str, Experiment] = {
     "convergence": Experiment(
-        "convergence", ("trial", "mode", "p", "iter", "cost"),
+        ("trial", "mode", "p", "iter", "cost"),
         partial(_map_trials, _convergence_trial), _convergence_summary,
         ("costs are listed per iteration; every trace is non-decreasing",
          "a continuous iteration is one SQUAREM cycle of three map evaluations, "
@@ -543,27 +544,25 @@ EXPERIMENTS: dict[str, Experiment] = {
          "is one map evaluation"),
         dict(trials=3, m=10, n_values=(100,), bits=(2,)), reads=("n_values", "bits")),
     "lifting-stat": Experiment(
-        "lifting_stat", ("trial", "unrounded", "rounded", "lifted", "gain", *_STAGE_HEADER),
+        ("trial", "unrounded", "rounded", "lifted", "gain", *_STAGE_HEADER),
         partial(_map_trials, _lifting_trial), _lifting_summary,
         (_CONTINUOUS_REFERENCE,
          "gain is empty when the rounding loss is below 1e-12 of the continuous cost"),
         dict(trials=500, m=10, n_values=(100,), bits=(1,)), reads=("p", "n_values", "bits")),
     "snr-vs-n": Experiment(
-        "snr_vs_n", _SNR_HEADER, _snr_rows, _snr_vs_n_summary, _SNR_NOTES,
+        _SNR_HEADER, _snr_rows, _snr_vs_n_summary, _SNR_NOTES,
         dict(trials=100, m=32, n_values=(50, 100, 200), bits=(1,)),
         reads=_SNR_READS, sweeps=("n_values",)),
     "snr-cdf": Experiment(
-        "snr_cdf", _SNR_HEADER, _snr_rows, _snr_cdf_summary, _SNR_NOTES,
+        _SNR_HEADER, _snr_rows, _snr_cdf_summary, _SNR_NOTES,
         dict(trials=200, m=32, n_values=(200,), bits=(2,)),
         reads=_SNR_READS, sweeps=("n_values",)),
     "quantization-gap": Experiment(
-        "quantization_gap",
         ("trial", "bits", "pipeline_snr_db", "continuous_snr_db", "gap_db", *_STAGE_HEADER),
         partial(_map_trials, _gap_trial), _gap_summary, (_CONTINUOUS_REFERENCE, _SNR_CONVENTION),
         dict(trials=100, m=16, n_values=(200,), bits=(1, 2, 3, 4)),
         reads=("n_values", "bits"), sweeps=("bits",)),
     "timing": Experiment(
-        "timing",
         ("n", "method", "trials", "total_seconds", "mean_seconds", "mean_objective"),
         _timing_rows, _timing_summary,
         ("wall-clock fields vary run to run; mean_objective is reproducible",
@@ -571,7 +570,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         dict(trials=20, m=32, n_values=(10, 50, 100, 200, 500, 1000), bits=(1,),
              random_configs=1000), reads=_SNR_READS, sweeps=("n_values",)),
     "oracle-check": Experiment(
-        "oracle_check",
         ("check", "trial", "m", "n", "bits", "solver_objective", "oracle_objective", "match"),
         _oracle_rows, _oracle_summary,
         ("mismatching instances, if any, are dumped alongside",),
@@ -584,9 +582,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment: write its CSV table and JSON envelope into
     spec.out_dir and return the envelope."""
     experiment = EXPERIMENTS[spec.kind]
+    stem = spec.kind.replace("-", "_")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     rows, workers = experiment.rows(spec)
-    _write_csv(spec.out_dir / f"{experiment.stem}.csv", experiment.header, rows)
+    _write_csv(spec.out_dir / f"{stem}.csv", experiment.header, rows)
     envelope = _envelope(spec, experiment, experiment.summarize(spec, rows), workers)
-    dump_json(spec.out_dir / f"{experiment.stem}.json", envelope)
+    dump_json(spec.out_dir / f"{stem}.json", envelope)
     return envelope

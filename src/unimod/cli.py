@@ -1,8 +1,9 @@
 """Command-line surface: solve, solve-ris, oracle and bench subcommands.
 
-Exit codes: 0 success, 1 internal error, 2 parse or argument error,
-3 degenerate input. All file payloads are JSON with complex numbers as
-[re, im] pairs, so fixtures are language neutral.
+Exit codes: 0 success, 1 internal error, 2 parse or argument error or a
+file that cannot be read or written, 3 degenerate input. All file payloads
+are JSON with complex numbers as [re, im] pairs, so fixtures are language
+neutral.
 """
 
 from __future__ import annotations
@@ -223,13 +224,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidArgumentError, SizeLimitError) as exc:
+    except (OSError, InvalidArgumentError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnimodError as exc:  # pragma: no cover

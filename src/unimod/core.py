@@ -140,10 +140,12 @@ class PhaseVector:
             raise InvalidArgumentError("phases must be wrapped into [0, 2*pi)")
         object.__setattr__(self, "values", vals)
         if self.indices is not None:
-            idx = np.asarray(self.indices, dtype=np.int64)
+            idx = np.asarray(self.indices)
+            if idx.dtype.kind not in "iu":
+                raise InvalidArgumentError(f"lattice indices must be integers, got {idx.dtype}")
             if idx.shape != vals.shape:
                 raise InvalidArgumentError("indices and values disagree in length")
-            object.__setattr__(self, "indices", idx)
+            object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return self.values.size
@@ -155,7 +157,7 @@ class PhaseVector:
 
     @classmethod
     def from_indices(cls, indices, dps: DiscretePhaseSet) -> "PhaseVector":
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         if np.any(idx < 0) or np.any(idx >= dps.levels):
             raise InvalidArgumentError("lattice index out of range")
         return cls(idx * dps.step, idx)
@@ -171,14 +173,15 @@ class Rng:
     Identical (seed, stream) pairs reproduce identical draws across runs and
     platforms at double precision. Parallel workers each take their own
     stream; streams never overlap because they key the generator rather than
-    advancing a shared state.
+    advancing a shared state. Seed and stream are nonnegative integers: ints
+    or numpy integers, not bools or floats.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
+        self.seed = _as_int(seed, "seed")
+        self.stream = _as_int(stream, "stream")
+        if self.seed < 0 or self.stream < 0:
             raise InvalidArgumentError("seed and stream must be nonnegative")
-        self.seed = int(seed)
-        self.stream = int(stream)
         self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
     @property
@@ -275,7 +278,7 @@ def sample_complex_gaussian(rng: Rng, m: int, n: int, variance: float) -> np.nda
     and the argument is uniform, so the real and imaginary parts each carry
     variance/2. Deterministic given the Rng state.
     """
-    if not (m >= 1 and n >= 1):
+    if not (_as_int(m, "m") >= 1 and _as_int(n, "n") >= 1):
         raise InvalidArgumentError("matrix dimensions must be positive")
     if not (variance > 0 and math.isfinite(variance)):
         raise InvalidArgumentError(f"variance must be positive, got {variance!r}")

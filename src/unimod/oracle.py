@@ -60,8 +60,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import (DiscretePhaseSet, PhaseVector, Rng, _pow2_scale, as_complex_matrix,
-                   as_complex_vector, normalize_p, row_norms)
+from .core import (DiscretePhaseSet, PhaseVector, Rng, _as_int, _pow2_scale,
+                   as_complex_matrix, as_complex_vector, normalize_p, row_norms)
 from .errors import InvalidArgumentError, SizeLimitError
 
 #: refuse exhaustive enumerations beyond 2^24 configurations
@@ -295,7 +295,7 @@ def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleR
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
-    if trials < 1:
+    if _as_int(trials, "trials") < 1:
         raise InvalidArgumentError("trials must be >= 1")
     raw = rng.generator.bit_generator.random_raw
     idx, best = _scan(a, dps, p, trials, lambda start, out: _random_codes(raw, out, dps.bits))

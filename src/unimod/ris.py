@@ -140,13 +140,11 @@ def snr(prob: BeamformingProblem, pv: PhaseVector, inst: RisInstance) -> SnrValu
     x appends a unit auxiliary entry in the augmented case, matching a
     de-rotated configuration.
     """
+    if len(pv) != prob.n_units:
+        raise InvalidArgumentError("configuration length must match the unit count")
     x = pv.phasors()
     if prob.augmented:
-        if len(pv) != prob.n_units:
-            raise InvalidArgumentError("configuration length must match the unit count")
         x = np.concatenate([x, [1.0 + 0.0j]])
-    elif len(pv) != prob.matrix.shape[1]:
-        raise InvalidArgumentError("configuration length must match the unit count")
     return _snr_value(norm_lp(prob.matrix @ x, 2), inst)
 
 

@@ -75,6 +75,7 @@ from .core import (
     TWO_PI,
     DiscretePhaseSet,
     PhaseVector,
+    _as_int,
     _normal,
     _pow2_scale,
     _wrap_angle,
@@ -111,8 +112,9 @@ class SolveConfig:
         if math.isinf(self.p):
             raise UnsupportedNormError(
                 "p = inf has an exact non-iterative solver: solve_linf, or unimod solve --p inf")
-        if not (self.tolerance > 0):
-            raise InvalidArgumentError("tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise InvalidArgumentError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        object.__setattr__(self, "max_iterations", _as_int(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
 
@@ -249,9 +251,7 @@ def _lattice_phase_vector(omega0, dps: DiscretePhaseSet) -> PhaseVector:
     if isinstance(omega0, PhaseVector) and omega0.indices is not None:
         # indices mean nothing apart from their lattice: take them only if
         # they index this one and the values are theirs, bit for bit
-        idx = omega0.indices
-        if (np.any(idx < 0) or np.any(idx >= dps.levels)
-                or not np.array_equal(omega0.values, idx * dps.step)):
+        if not np.array_equal(omega0.values, PhaseVector.from_indices(omega0.indices, dps).values):
             raise InvalidArgumentError("phase indices are not on this phase lattice")
         return omega0
     pv = _as_phase_vector(omega0)

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimod import (DiscretePhaseSet, InvalidArgumentError, Rng, build_problem,
-                    default_pipeline, sample_complex_gaussian)
+from unimod import (DiscretePhaseSet, InvalidArgumentError, Rng, default_pipeline,
+                    sample_complex_gaussian)
 from unimod import bench
 from unimod.bench import (
     EXPERIMENTS,
@@ -102,7 +102,7 @@ class TestSpec:
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, bits=(0,))
 
     @pytest.mark.parametrize("field,value", [
-        ("random_configs", 0), ("nmax", 0),
+        ("random_configs", 0), ("nmax", 0), ("seed", -1),
         ("variance", 0.0), ("variance", -1.0), ("variance", math.inf), ("variance", math.nan),
     ])
     def test_rejects_bad_field_naming_it(self, field, value):
@@ -345,8 +345,7 @@ class TestQuantizationGap:
         header, rows = read_csv(tmp_path / "quantization_gap.csv")
         assert header[-4:] == STAGE_COLUMNS
         for r in rows:
-            inst = bench._nlos_channel(Rng(spec.seed, stream=r[0]), 30, 4, spec.variance)
-            a = build_problem(inst).matrix
+            a = bench._ris_instance(spec, 0, r[0])[1]
             # every lattice of a trial is lifted from its one warm start
             assert r[-4:] == stage_ends(default_pipeline(a, DiscretePhaseSet(r[1]), 2))
 
@@ -374,6 +373,36 @@ class TestTiming:
         _, r2 = read_csv(tmp_path / "b/timing.csv")
         # objective columns match; wall-clock columns may not
         assert [(r[0], r[1], r[5]) for r in r1] == [(r[0], r[1], r[5]) for r in r2]
+
+
+class TestSharedChannels:
+    """The RIS studies draw trial t at unit count n_values[b] from one stream,
+    so they share their channels and, where they draw one, random baseline."""
+
+    COMMON = dict(seed=5, m=8, n_values=(20, 40), bits=(2,), trials=4)
+
+    def snr_rows(self, tmp_path, random_configs=300):
+        run_experiment(make_spec("snr-vs-n", tmp_path / "snr", random_configs=random_configs,
+                                 **self.COMMON))
+        return read_csv(tmp_path / "snr" / "snr_vs_n.csv")[1]
+
+    def test_timing_objectives_are_those_of_snr_vs_n(self, tmp_path):
+        timing = run_experiment(make_spec("timing", tmp_path / "timing", random_configs=300,
+                                          **self.COMMON))["results"]
+        rows = self.snr_rows(tmp_path)
+        assert len(timing) == 4
+        for r in timing:
+            objs = [row[3] for row in rows if row[0] == r["n"] and row[2] == r["method"]]
+            assert len(objs) == 4 and r["mean_objective"] == float(np.mean(objs)), r
+
+    def test_quantization_gap_pipelines_are_those_of_snr_vs_n(self, tmp_path):
+        # quantization-gap runs one unit count, snr-vs-n's first
+        spec = make_spec("quantization-gap", tmp_path / "gap",
+                         **{**self.COMMON, "n_values": (20,)})
+        run_experiment(spec)
+        gap = {r[0]: r[2] for r in read_csv(tmp_path / "gap" / "quantization_gap.csv")[1]}
+        snr = {r[1]: r[4] for r in self.snr_rows(tmp_path) if r[0] == 20 and r[2] == "pipeline"}
+        assert gap == snr and len(gap) == 4
 
 
 class TestOracleCheck:
@@ -450,9 +479,10 @@ class TestHarness:
         # the spec lists the common fields and those the experiment reads
         common = {"kind", "out_dir", "trials", "seed", "m", "variance"}
         assert set(envelope["spec"]) == common | set(experiment.reads)
-        on_disk = json.loads((tmp_path / f"{experiment.stem}.json").read_text())
+        stem = kind.replace("-", "_")
+        on_disk = json.loads((tmp_path / f"{stem}.json").read_text())
         assert on_disk == envelope
-        header, rows = read_csv(tmp_path / f"{experiment.stem}.csv")
+        header, rows = read_csv(tmp_path / f"{stem}.csv")
         assert header == list(experiment.header)
         assert rows and all(len(row) == len(header) for row in rows)
 

@@ -153,6 +153,18 @@ class TestSolve:
     def test_missing_file_exits_2(self):
         assert main(["solve", "/nonexistent/m.json", "--bits", "1"]) == 2
 
+    def test_a_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        # IsADirectoryError is an OSError like FileNotFoundError, not exit 1
+        assert main(["solve", str(tmp_path), "--bits", "1"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_an_infinite_tolerance_exits_2_with_one_line(self, tmp_path, capsys):
+        # it stopped the warm start after one cycle, reporting "tolerance"
+        code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--tol", "inf")
+        assert code == 2 and payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tolerance" in err
+
     def test_rerun_byte_identical(self, tmp_path):
         # every byte but the two lines of the stages' wall times, the only
         # measured values in the file
@@ -351,15 +363,18 @@ class TestBenchCommand:
             (["oracle-check", "--m", "12"], ["m"]),
             (["snr-cdf", "--bits", "17"], ["bits"]),
             (["snr-cdf", "--bits", "64"], ["bits"]),
+            (["convergence", "--seed", "-1"], ["seed"]),
         ]
     ])
     def test_setting_the_experiment_cannot_run_exits_2_before_writing(
             self, tmp_path, capsys, args, fields):
-        # each of these used to run and record a value it ignored or clamped
+        # each of these used to run and record a value it ignored or clamped,
+        # or, the seed, make the output directory and fail in the first trial
         out = tmp_path / "out"
         code = main(["bench", "--experiment", *args, "--trials", "2", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert all(re.search(rf"\b{field}\b", err) for field in fields), err
         assert not out.exists()
 

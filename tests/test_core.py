@@ -151,6 +151,41 @@ class TestPhaseVector:
         with pytest.raises(InvalidArgumentError):
             PhaseVector.from_indices([4], DiscretePhaseSet(2))
 
+    @pytest.mark.parametrize("indices", [[1.7, 0.0], [1.0, 0.0], [True, False]],
+                             ids=["fraction", "whole float", "bool"])
+    def test_indices_must_be_integers(self, indices):
+        # an int64 cast read all three as [1, 0]
+        dps = DiscretePhaseSet(2)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            PhaseVector.from_indices(indices, dps)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            PhaseVector(np.array([dps.step, 0.0]), np.array(indices))
+
+    def test_integer_indices_of_any_width_are_kept_as_int64(self):
+        dps = DiscretePhaseSet(3)
+        for dtype in (np.uint8, np.int32, np.int64):
+            pv = PhaseVector.from_indices(np.array([7, 0, 3], dtype=dtype), dps)
+            assert pv.indices.dtype == np.int64 and pv.indices.tolist() == [7, 0, 3]
+
+
+class TestRng:
+    @pytest.mark.parametrize("seed,stream", [(1.5, 0), (True, 0), (0, 2.5), (0, False)],
+                             ids=["float seed", "bool seed", "float stream", "bool stream"])
+    def test_seed_and_stream_must_be_integers(self, seed, stream):
+        # int() truncated them: Rng(1.5) and Rng(True) both drew seed 1
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            Rng(seed, stream)
+
+    def test_seed_and_stream_must_be_nonnegative(self):
+        for seed, stream in ((-1, 0), (0, -1)):
+            with pytest.raises(InvalidArgumentError, match="nonnegative"):
+                Rng(seed, stream)
+
+    def test_a_numpy_integer_is_its_int(self):
+        rng = Rng(np.int64(7), np.uint32(3))
+        assert (type(rng.seed), type(rng.stream)) == (int, int)
+        assert rng.generator.random() == Rng(7, 3).generator.random()
+
 
 class TestSampling:
     def test_deterministic_under_seed(self):
@@ -183,6 +218,12 @@ class TestSampling:
             sample_complex_gaussian(Rng(1), 2, 2, 0.0)
         with pytest.raises(InvalidArgumentError):
             sample_complex_gaussian(Rng(1), 2, 2, -1.0)
+
+    @pytest.mark.parametrize("m,n", [(2.5, 3), (2, 3.0), (True, 3)])
+    def test_dimensions_must_be_integers(self, m, n):
+        # 2.5 raised TypeError from inside numpy, and True drew one row
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            sample_complex_gaussian(Rng(1), m, n, 1.0)
 
 
 class TestNorms:

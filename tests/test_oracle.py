@@ -7,6 +7,7 @@ import pytest
 
 from unimod import (
     DiscretePhaseSet,
+    InvalidArgumentError,
     Rng,
     SizeLimitError,
     das_maximize,
@@ -236,6 +237,13 @@ class TestPhaseTableEquivalence:
 
 
 class TestRandomSearch:
+    @pytest.mark.parametrize("trials", [2.5, True, 0], ids=["fraction", "bool", "zero"])
+    def test_the_draw_count_must_be_a_positive_integer(self, trials):
+        # 2.5 raised TypeError from inside the scan, and True drew once
+        a = sample_complex_gaussian(Rng(606), 3, 8, 1.0)
+        with pytest.raises(InvalidArgumentError, match="trials"):
+            random_search(a, DiscretePhaseSet(2), 2, trials, Rng(607))
+
     def test_deterministic_single_draw(self):
         a = sample_complex_gaussian(Rng(606), 3, 8, 1.0)
         dps = DiscretePhaseSet(2)

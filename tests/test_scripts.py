@@ -17,6 +17,13 @@ def run_script(name: str, *args) -> str:
                           env=env, capture_output=True, text=True, timeout=300, check=True).stdout
 
 
+def test_same_outputs_finds_a_tree_identical_to_itself():
+    summary = json.loads(run_script("same_outputs.py", "--parent-src", str(ROOT)))
+    assert summary["identical"] == "7 of 7"
+    for kind, s in summary["kinds"].items():
+        assert s["rows"] > 0 and s["differing_rows"] == 0, kind
+
+
 def test_linf_screen_counts_only_the_rows_linf_sweeps():
     summary = json.loads(run_script("linf_screen.py", "--count", "1", "--repeat", "1"))
     assert len(summary) == 7

@@ -110,6 +110,12 @@ class TestContinuousPhaseStep:
 
 
 class TestSolveDiscrete:
+    def test_a_start_of_another_length_is_rejected(self):
+        a = sample_complex_gaussian(Rng(4), 2, 5, 1.0)
+        dps = DiscretePhaseSet(2)
+        with pytest.raises(InvalidArgumentError, match="starting point length"):
+            solve_discrete(a, SolveConfig(p=2, dps=dps), zero_start(4, dps))
+
     def test_single_row_collapses_to_das(self):
         a = sample_complex_gaussian(Rng(4), 1, 12, 1.0)
         dps = DiscretePhaseSet(2)
@@ -210,6 +216,11 @@ class TestSolveDiscrete:
 
 
 class TestSolveContinuous:
+    def test_a_start_of_another_length_is_rejected(self):
+        a = sample_complex_gaussian(Rng(10), 2, 5, 1.0)
+        with pytest.raises(InvalidArgumentError, match="starting point length"):
+            solve_continuous(a, SolveConfig(p=2), PhaseVector.from_values(np.zeros(6)))
+
     def test_single_row_reaches_l1_alignment(self):
         a = sample_complex_gaussian(Rng(10), 1, 15, 1.0)
         trace = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
@@ -746,6 +757,21 @@ class TestSolveLinf:
         assert (row, swept) == (2, 1)
         assert all(np.abs(a[i]).sum() > obj for i in range(8) if i != 2)
 
+    def test_rows_below_the_underflow_floor_are_all_swept(self):
+        # below an l1 norm of n 2^-1000 products of the entries can underflow,
+        # the rounding allowance is inf and neither test skips a row; at scale
+        # 1 the same matrix has rows skipped
+        a = numpy_gaussian(29, 8, 64)
+        for bits in (2, 3):
+            dps = DiscretePhaseSet(bits)
+            assert das._linf(a, dps)[3] < 8
+            for scale in (2.0 ** -1010, 2.0 ** -1040):
+                idx, row, obj, swept = das._linf(a * scale, dps)
+                assert swept == 8
+                ref_idx, ref_row, ref_obj = self.row_by_row(a * scale, dps)
+                assert (row, obj) == (ref_row, ref_obj)
+                assert np.array_equal(idx, ref_idx)
+
     def test_a_spiky_row_is_not_swept(self):
         # one large entry gives row 1 the largest l2 norm, but its l1 norm
         # lies below row 6's optimum, so row 6 is visited first and alone swept
@@ -1010,6 +1036,18 @@ class TestSolveConfig:
             SolveConfig(p=2, max_iterations=0)
         with pytest.raises(InvalidArgumentError):
             SolveConfig(p=3)
+
+    @pytest.mark.parametrize("cap", [2.5, True, 3.0], ids=["fraction", "bool", "whole float"])
+    def test_the_iteration_cap_must_be_an_integer(self, cap):
+        # 2.5 raised TypeError from inside range(), and True capped at 1
+        with pytest.raises(InvalidArgumentError, match="max_iterations"):
+            SolveConfig(p=2, max_iterations=cap)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_the_tolerance_must_be_finite(self, tol):
+        # an infinite tolerance stopped every run after one iteration
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            SolveConfig(p=2, tolerance=tol)
 
     @pytest.mark.parametrize("p", [math.inf, "inf"], ids=["float", "str"])
     def test_p_inf_has_no_alternation(self, p):
