@@ -17,7 +17,9 @@ Families:
 * steering 8x10000 and 3x64: far-field responses of a uniform linear RIS
   with half-wavelength spacing, phase pi * i * s_k at element i, with
   s_k = sin(target) + sin(incidence) drawn in [-2, 2];
-* single row: 1 x 10^4.
+* single row: 1 x 10^4;
+* gaussian 32x1000 B=2: CN(0, 1) rows of 10^3 entries, so that the stage
+  times cover n = 10^3 as well as 10^4.
 
 Per family the summary gives the rows skipped by the l1 test and by the
 bound and the rows swept, per op; the microseconds per call of each stage;
@@ -65,6 +67,7 @@ def families(seed: int, count: int):
     out["steering 8x10000"] = [(steering([seed, 6, t], 8, 10000), 2 + t % 3) for t in range(count)]
     out["steering 3x64"] = [(steering([seed, 7, t], 3, 64), 1 + t % 4) for t in range(count)]
     out["single row 1x10000"] = [(gaussian([seed, 8, t], 1, 10000), 2 + t % 3) for t in range(count)]
+    out["gaussian 32x1000 B=2"] = [(gaussian([seed, 9, t], 32, 1000), 2) for t in range(count)]
     return out
 
 

@@ -1,4 +1,4 @@
-"""Check that two source trees write the same bench tables.
+"""Check that two source trees write the same bench tables and DaS outputs.
 
 For each experiment kind, run `python -m unimod.cli bench --experiment K
 --seed 31` at small trial counts on each tree's src/, with one worker
@@ -7,29 +7,39 @@ compare the CSV tables byte for byte. `timing.csv` is compared without its
 wall-clock columns, total_seconds and mean_seconds. The JSON envelopes are
 not compared: they record the output directory and the commit.
 
+The kernel digest is a sha256 over the outputs of `das._das_indices` and
+`das._linf` on fixed inputs (`kernel_inputs`), taken on each tree in its
+own interpreter: indices, and for `_linf` also the row, the objective's
+bits and the rows swept. It is reported under "kernel", apart from the
+kinds.
+
 A tree is a directory that holds src/unimod. The script runs no git: make
 the parent's tree with `git worktree add DIR REV` or
 `git archive REV | tar -x -C DIR`. --change-src defaults to this checkout.
 
     python3 scripts/same_outputs.py --parent-src DIR [--change-src DIR] [--kinds timing ...]
 
-Prints a JSON summary, one entry per kind, and exits 1 when a table
-differs or a run fails on either tree.
+Prints a JSON summary, one entry per kind and one for the kernel digest,
+and exits 1 when a table or the digest differs or a run fails on either
+tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 
 SEED = "31"
 
@@ -66,6 +76,79 @@ def run_bench(tree: Path, kind: str, out: Path) -> str:
     return buf.getvalue()
 
 
+def kernel_inputs():
+    """(kernel, input, bits) with kernel "das" for a vector and "linf" for a
+    matrix: perfbench-shaped linf inputs (8 x 10^4 CN(0, 1) from numpy keyed
+    by [31, B, t], B in {2, 3, 4}, every third one scaled by 1e-13), rows
+    of small integer magnitudes at multiples of pi/4 (tie-heavy, some with
+    zero entries), far-field steering rows of a uniform linear array,
+    8 copies of one row turned by e^{j theta}, whose optima tie, and rows
+    of pairs whose first edges lie a few ulps apart."""
+    import numpy as np
+
+    def gaussian(g, m, n):
+        return (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / math.sqrt(2)
+
+    for bits in (2, 3, 4):
+        for t in range(3):
+            a = gaussian(np.random.default_rng([int(SEED), bits, t]), 8, 10000)
+            yield "linf", a * (1e-13 if t == 2 else 1.0), bits
+    g = np.random.default_rng([int(SEED), 1])
+    for k in range(64):
+        n, bits = int(g.integers(1, 2000)), 1 + k % 4
+        v = g.integers(0 if k % 2 else 1, 3, n) * np.exp(0.25j * math.pi * g.integers(0, 8, n))
+        if not v.any():
+            v[0] = 1.0
+        yield "das", v, bits
+        s = g.uniform(-2.0, 2.0, 8)
+        yield "linf", np.exp(1j * math.pi * np.outer(s, np.arange(n))), bits
+        yield "das", np.exp(1j * math.pi * s[0] * np.arange(n)), bits
+        yield "linf", gaussian(g, 1, n) * np.exp(1j * g.uniform(0.0, 2 * math.pi, 8))[:, None], bits
+    for k in range(8):
+        n, bits = int(g.integers(1, 2000)), 1 + k % 4
+        yield "linf", g.integers(1, 3, (8, n)) * np.exp(0.25j * math.pi * g.integers(0, 8, (8, n))), bits
+        v = np.repeat(gaussian(g, 1, n).ravel(), 2)
+        v[1::2] *= g.uniform(0.5, 2.0, n) * np.exp(2e-15j * g.choice([-1, 1], n))
+        yield "das", v, bits
+
+
+def print_kernel_digest() -> None:
+    """Print the kernel digest of the unimod on sys.path as JSON."""
+    from unimod import DiscretePhaseSet
+    from unimod.das import _das_indices, _linf
+
+    h = hashlib.sha256()
+    counts = {"das": 0, "linf": 0}
+    for kernel, x, bits in kernel_inputs():
+        dps = DiscretePhaseSet(bits)
+        if kernel == "das":
+            h.update(_das_indices(x, dps).tobytes())
+        else:
+            idx, row, obj, swept = _linf(x, dps)
+            h.update(idx.tobytes())
+            h.update(f"{row} {obj.hex()} {swept}".encode())
+        counts[kernel] += 1
+    print(json.dumps({"sha256": h.hexdigest(), "das_vectors": counts["das"],
+                      "linf_matrices": counts["linf"]}))
+
+
+def kernel_digest(tree: Path) -> dict:
+    """`print_kernel_digest` run on `tree`'s src/ in a child interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(HERE)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", "import same_outputs; same_outputs.print_kernel_digest()"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def compare_kernels(parent: Path, change: Path) -> dict:
+    try:
+        digests = [kernel_digest(tree) for tree in (parent, change)]
+    except subprocess.CalledProcessError as exc:
+        return {"identical": False, "error": exc.stderr.strip().rpartition("\n")[2]}
+    return {"identical": digests[0] == digests[1], **digests[1]}
+
+
 def compare(parent: Path, change: Path, kind: str, work: Path) -> dict:
     try:
         tables = [run_bench(tree, kind, work / f"{kind}-{side}")
@@ -92,10 +175,12 @@ def main() -> int:
             parser.error(f"{tree} holds no src/unimod")
     with tempfile.TemporaryDirectory() as work:
         kinds = {kind: compare(*trees, kind, Path(work)) for kind in args.kinds}
+    kernel = compare_kernels(*trees)
     same = sum(k["identical"] for k in kinds.values())
     print(json.dumps({"parent": str(trees[0]), "change": str(trees[1]), "seed": int(SEED),
-                      "identical": f"{same} of {len(kinds)}", "kinds": kinds}, indent=2))
-    return 0 if same == len(kinds) else 1
+                      "identical": f"{same} of {len(kinds)}", "kinds": kinds,
+                      "kernel": kernel}, indent=2))
+    return 0 if same == len(kinds) and kernel["identical"] else 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .core import (DiscretePhaseSet, Rng, _as_int, as_complex_matrix, norm_lp,
+from .core import (DiscretePhaseSet, Rng, _as_int, _as_real, as_complex_matrix, norm_lp,
                    sample_complex_gaussian)
 from .das import das_maximize
 from .errors import InvalidArgumentError
@@ -105,6 +105,7 @@ class ExperimentSpec:
             raise InvalidArgumentError("all dimensions must be >= 1")
         if not self.bits:
             raise InvalidArgumentError("bits must name at least one lattice width")
+        object.__setattr__(self, "variance", _as_real(self.variance, "variance"))
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise InvalidArgumentError(
                 f"variance must be finite and positive, got {self.variance!r}")

@@ -43,6 +43,22 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _as_real(value, what: str) -> float:
+    """float(value) of an int, a float or a numpy integer or float, not of a
+    bool: the rule of every real-valued parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _lattice_indices(indices) -> np.ndarray:
+    """`indices` as an int64 array, of any integer dtype but no other."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise InvalidArgumentError(f"lattice indices must be integers, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def _as_float_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -140,12 +156,10 @@ class PhaseVector:
             raise InvalidArgumentError("phases must be wrapped into [0, 2*pi)")
         object.__setattr__(self, "values", vals)
         if self.indices is not None:
-            idx = np.asarray(self.indices)
-            if idx.dtype.kind not in "iu":
-                raise InvalidArgumentError(f"lattice indices must be integers, got {idx.dtype}")
+            idx = _lattice_indices(self.indices)
             if idx.shape != vals.shape:
                 raise InvalidArgumentError("indices and values disagree in length")
-            object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
+            object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
         return self.values.size
@@ -157,7 +171,7 @@ class PhaseVector:
 
     @classmethod
     def from_indices(cls, indices, dps: DiscretePhaseSet) -> "PhaseVector":
-        idx = np.asarray(indices)
+        idx = _lattice_indices(indices)
         if np.any(idx < 0) or np.any(idx >= dps.levels):
             raise InvalidArgumentError("lattice index out of range")
         return cls(idx * dps.step, idx)
@@ -211,7 +225,9 @@ def _wrap_angle(th: np.ndarray) -> np.ndarray:
     tau = (th < 0.0) * TWO_PI
     tau += th                                  # -0.0 becomes +0.0, as in np.mod
     # a tiny negative th rounds up to exactly 2*pi
-    tau[tau >= TWO_PI] = 0.0
+    over = tau >= TWO_PI
+    if over.any():
+        tau[over] = 0.0
     return tau
 
 
@@ -246,8 +262,9 @@ def _lattice_split(tau: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, 
     tred = q * hi
     np.subtract(tau, tred, out=tred)
     tred -= q * lo
-    high = (tred < 0.0).nonzero()[0]
-    if high.size:
+    high = tred < 0.0
+    if high.any():
+        high = high.nonzero()[0]
         qh = q[high] - 1.0
         q[high] = qh
         tred[high] = (tau[high] - qh * hi) - qh * lo
@@ -280,6 +297,7 @@ def sample_complex_gaussian(rng: Rng, m: int, n: int, variance: float) -> np.nda
     """
     if not (_as_int(m, "m") >= 1 and _as_int(n, "n") >= 1):
         raise InvalidArgumentError("matrix dimensions must be positive")
+    variance = _as_real(variance, "variance")
     if not (variance > 0 and math.isfinite(variance)):
         raise InvalidArgumentError(f"variance must be positive, got {variance!r}")
     g = rng.generator

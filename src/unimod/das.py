@@ -47,8 +47,15 @@ Each element's angle is reduced onto the lattice without a float modulo:
 `_wrap_angle` adds 2*pi to negative angles, and `_lattice_split` takes the
 remainder modulo delta with delta split in two terms (Cody and Waite) so
 that it is exact, bit for bit what np.mod gives; both live in `core`, and
-hard rounding uses the same split. The O(n log n) argsort is the largest
-single pass of the kernel.
+hard rounding uses the same split.
+
+The sweep order comes from one in-place integer sort, `_sweep_order`: a
+positive double's bits sort as its value, so each key is a first edge's
+bits with the low ones replaced by the element's index, and the sorted low
+bits are the stable order whenever the truncated edges are distinct. Where
+two agree (equal first edges, as on tie-heavy input, or ones a few ulps
+apart) it falls back to the stable argsort. This O(n log n) sort is the
+largest single pass of the kernel.
 
 Nothing that depends only on B is rebuilt per call: the phasor table is
 `DiscretePhaseSet.phasors`, one read-only array per B with the bits of
@@ -99,22 +106,51 @@ def _das_edges(v: np.ndarray, dps: DiscretePhaseSet):
     # Element i prefers Omega with angle(c_i) + Omega near the alignment
     # angle psi, so its center set is {angle(c_i) + k*delta} and its edges
     # sit half a step off the centers.
-    delta, mask = dps.step, dps.levels - 1
+    delta = dps.step
     half = 0.5 * delta
-    tred, shift = _lattice_split(_wrap_angle(np.angle(c)), dps)
+    tau = _wrap_angle(np.angle(c))
+    tred, k0 = _lattice_split(tau, dps)
 
     # candidate at psi = 0: the nearest center m0 = 0, or m0 = -1 past half a
     # step (lower edge inclusive), so k0 = (m0 - shift) mod 2^B and the first
-    # edge above 0 is tred + (m0 + 0.5)*delta = tred +- half, in (0, delta]
+    # edge above 0 is tred + (m0 + 0.5)*delta = tred +- half, in (0, delta];
+    # k0 starts as the shift and `first` takes the buffer of tau
     past = tred > half
-    k0 = (-shift - past) & mask
-    first = past * -delta
+    np.negative(k0, out=k0)
+    k0 -= past
+    k0 &= dps.levels - 1
+    first = np.multiply(past, -delta, out=tau)
     first += half
     first += tred
     # table[m] = exp(j*(m*delta)); an element's index before its crossing is
     # k0 < 2^B, and the crossing multiplies its phasor by table[1]
-    ct = c * dps.phasors[k0]
+    ct = dps.phasors.take(k0)
+    np.multiply(c, ct, out=ct)
     return nz, k0, first, ct
+
+
+def _sweep_order(first: np.ndarray) -> np.ndarray:
+    """np.argsort(first, kind="stable") for first edges in (0, delta]: the
+    order in which lap 0 crosses them, ties in index order.
+
+    A positive double's bit pattern, read as an int64, sorts as its value
+    does. Each key is that pattern with its low kb bits replaced by the
+    element's index, kb = max(1, bit length of n - 1), so one in-place
+    integer sort orders values and indices together. Where no two sorted
+    keys agree above the low kb bits, the first edges are distinct and in
+    the order of their keys, so the low bits are the stable order. Where two
+    do (equal first edges, or ones that differ only in those bits), the
+    stable argsort decides."""
+    n = first.size
+    kb = max(1, (n - 1).bit_length())
+    keys = first.view(np.int64) & -(1 << kb)
+    keys |= np.arange(n)
+    keys.sort()
+    top = keys >> kb
+    if np.count_nonzero(top[1:] == top[:-1]):
+        return np.argsort(first, kind="stable")
+    keys &= (1 << kb) - 1
+    return keys
 
 
 def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: np.ndarray,
@@ -122,14 +158,9 @@ def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: 
     """Second stage of `_das_indices`: the sweep over lap 0 from the edges of
     `_das_edges(v, dps)`, returning the int64 lattice indices. Takes `k0`
     over."""
-    # lap 0 crosses the first edges in ascending order, ties in index order;
-    # with distinct keys every sort gives that order, and only equal keys
-    # need the slower stable one
-    order = np.argsort(first)
-    keys = first[order]
-    if (keys[1:] == keys[:-1]).any():
-        order = np.argsort(first, kind="stable")
-    d = ct[order] * (dps.phasors[1] - 1.0)
+    order = _sweep_order(first)
+    d = ct.take(order)
+    d *= dps.phasors[1] - 1.0
 
     # sums[e] is S of candidate e, the state after crossing edges 0..e-1
     sums = np.empty_like(d)
@@ -178,8 +209,8 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
     T_b = sum of ct over the buckets below b and S_b = S_0 + (t1 - 1) T_b,
     t1 = table[1], a candidate whose prefix ends in bucket b has
         |S_e| <= |S_b| + |t1 - 1| W_b,   W_b = sum of |c_i| over bucket b.
-    S_b and W_b come from one np.bincount each of ct.real, ct.imag and
-    `mod` and a cumulative sum over the K + 1 buckets. The bound is
+    S_b and W_b come from one unbuffered add (np.add.at) each of ct and
+    `mod` into the K + 1 buckets and a cumulative sum over them. The bound is
     max_b(|S_b| + |t1 - 1| W_b) plus the allowance below; it is scaled by
     2^k exactly when v is, and its slack is about |t1 - 1| / K of the
     l1 norm, so it only separates rows whose optima differ by more.
@@ -217,11 +248,15 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
     n = first.size
     k = max(1, n // 8)
     b = (first * (k / dps.step)).astype(np.intp)
-    w = np.bincount(b, weights=mod, minlength=k + 1)
-    t = np.empty(w.size, dtype=np.complex128)
+    w = np.zeros(k + 1)
+    np.add.at(w, b, mod)
+    # np.add.at adds in index order, the real and imaginary parts apart, so
+    # each bucket sum has one fixed order of roundings
+    sb = np.zeros(k + 1, dtype=np.complex128)
+    np.add.at(sb, b, ct)
+    t = np.empty_like(sb)
     t[0] = 0.0
-    t.real[1:] = np.cumsum(np.bincount(b, weights=ct.real, minlength=k + 1)[:-1])
-    t.imag[1:] = np.cumsum(np.bincount(b, weights=ct.imag, minlength=k + 1)[:-1])
+    np.cumsum(sb[:-1], out=t[1:])
     t1m1 = dps.phasors[1] - 1.0
     t *= t1m1
     t += ct.sum()

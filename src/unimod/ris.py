@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DiscretePhaseSet, PhaseVector, as_complex_matrix, as_complex_vector, norm_lp
+from .core import DiscretePhaseSet, PhaseVector, _as_real, as_complex_matrix, as_complex_vector, norm_lp
 from .errors import InvalidArgumentError
 from .solver import PipelineResult, SolveConfig, _lattice_phase_vector, default_pipeline
 from . import serialize
@@ -50,6 +50,8 @@ class RisInstance:
             if d.size != h.shape[1]:
                 raise InvalidArgumentError("h_d length must match the antenna count")
             object.__setattr__(self, "h_d", d)
+        for name in ("power", "sigma2"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         if not (0 < self.power < np.inf and 0 < self.sigma2 < np.inf):
             raise InvalidArgumentError("transmit power and noise variance must be finite and positive")
 

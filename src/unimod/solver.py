@@ -76,6 +76,7 @@ from .core import (
     DiscretePhaseSet,
     PhaseVector,
     _as_int,
+    _as_real,
     _normal,
     _pow2_scale,
     _wrap_angle,
@@ -112,6 +113,7 @@ class SolveConfig:
         if math.isinf(self.p):
             raise UnsupportedNormError(
                 "p = inf has an exact non-iterative solver: solve_linf, or unimod solve --p inf")
+        object.__setattr__(self, "tolerance", _as_real(self.tolerance, "tolerance"))
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise InvalidArgumentError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         object.__setattr__(self, "max_iterations", _as_int(self.max_iterations, "max_iterations"))

@@ -124,6 +124,11 @@ class TestSpec:
         with pytest.raises(InvalidArgumentError, match=field):
             make_spec(kind, "out", **{field: value})
 
+    def test_rejects_a_variance_that_is_not_a_real_number(self):
+        # True was stored, and the envelope recorded "variance": true
+        with pytest.raises(InvalidArgumentError, match="variance"):
+            make_spec("snr-cdf", "out", variance=True)
+
     @pytest.mark.parametrize("kind,field", [
         ("convergence", "n_values"), ("convergence", "bits"),
         ("lifting-stat", "n_values"), ("lifting-stat", "bits"),

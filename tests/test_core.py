@@ -161,6 +161,11 @@ class TestPhaseVector:
         with pytest.raises(InvalidArgumentError, match="integers"):
             PhaseVector(np.array([dps.step, 0.0]), np.array(indices))
 
+    def test_indices_that_are_not_numbers_are_rejected(self):
+        # the range test ran first and raised numpy's UFuncTypeError
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            PhaseVector.from_indices(["a"], DiscretePhaseSet(2))
+
     def test_integer_indices_of_any_width_are_kept_as_int64(self):
         dps = DiscretePhaseSet(3)
         for dtype in (np.uint8, np.int32, np.int64):
@@ -218,6 +223,17 @@ class TestSampling:
             sample_complex_gaussian(Rng(1), 2, 2, 0.0)
         with pytest.raises(InvalidArgumentError):
             sample_complex_gaussian(Rng(1), 2, 2, -1.0)
+
+    @pytest.mark.parametrize("variance", [True, np.True_, "1.0"], ids=["bool", "numpy bool", "str"])
+    def test_the_variance_must_be_a_real_number(self, variance):
+        # True drew at variance 1, and a string raised TypeError
+        with pytest.raises(InvalidArgumentError, match="variance"):
+            sample_complex_gaussian(Rng(1), 2, 2, variance)
+
+    def test_a_real_variance_of_any_type_draws_as_its_float(self):
+        want = sample_complex_gaussian(Rng(3), 2, 3, 2.0)
+        for variance in (2, np.int32(2), np.float32(2.0)):
+            assert np.array_equal(sample_complex_gaussian(Rng(3), 2, 3, variance), want)
 
     @pytest.mark.parametrize("m,n", [(2.5, 3), (2, 3.0), (True, 3)])
     def test_dimensions_must_be_integers(self, m, n):

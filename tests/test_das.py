@@ -12,7 +12,8 @@ from unimod import (
     sample_complex_gaussian,
     wrap_phase,
 )
-from unimod.das import TIE_TOL, _das_bound, _das_edges, _das_indices, _lattice_split, _wrap_angle
+from unimod.das import (TIE_TOL, _das_bound, _das_edges, _das_indices, _lattice_split, _sweep_order,
+                        _wrap_angle)
 from unimod.oracle import exhaustive_inner
 
 
@@ -369,6 +370,57 @@ class TestLatticeReduction:
         assert np.array_equal(tau.view(np.int64), tau_ref.view(np.int64))
         assert np.array_equal(tred.view(np.int64), tred_ref.view(np.int64))
         assert np.array_equal(shift, shift_ref)
+
+
+class TestSweepOrder:
+    """_sweep_order must be np.argsort(first, kind="stable") on every input:
+    through the packed-key sort where the first edges are distinct in their
+    top bits, through the stable argsort where two are not."""
+
+    @staticmethod
+    def order(first, monkeypatch):
+        """(_sweep_order(first), whether it fell back to np.argsort)."""
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
+        return _sweep_order(first), bool(calls)
+
+    @staticmethod
+    def first_edges(n, seed):
+        g = np.random.default_rng([91, n, seed])
+        return _das_edges(g.standard_normal(n) + 1j * g.standard_normal(n), DiscretePhaseSet(2))[2]
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025])
+    def test_distinct_first_edges_take_the_key_sort(self, n, monkeypatch):
+        for seed in range(4):
+            first = self.first_edges(n, seed)
+            want = np.argsort(first, kind="stable")
+            got, fell_back = self.order(first, monkeypatch)
+            assert np.array_equal(got, want) and not fell_back
+
+    @pytest.mark.parametrize("n", [2, 1024, 1025])
+    def test_equal_first_edges_fall_back(self, n, monkeypatch):
+        g = np.random.default_rng([92, n])
+        first = g.choice([0.25, 0.5, 0.75], n)
+        first[-2:] = 0.5
+        want = np.argsort(first, kind="stable")
+        got, fell_back = self.order(first, monkeypatch)
+        assert np.array_equal(got, want) and fell_back
+
+    @pytest.mark.parametrize("n", [2, 1024, 1025])
+    def test_first_edges_apart_only_in_the_index_bits_fall_back(self, n, monkeypatch):
+        # the earlier element is the larger by a few ulps, so the index bits
+        # alone would put it first
+        kb = max(1, (n - 1).bit_length())
+        first = self.first_edges(n, 0)
+        bits = first.view(np.int64)
+        i, j = n // 3, n - 1
+        bits[j] = bits[i] & -(1 << kb)
+        bits[i] = bits[j] | ((1 << kb) - 1)
+        assert first[i] > first[j]
+        want = np.argsort(first, kind="stable")
+        got, fell_back = self.order(first, monkeypatch)
+        assert np.array_equal(got, want) and fell_back
 
 
 def _bound(v, dps):

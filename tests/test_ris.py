@@ -199,6 +199,13 @@ class TestValidation:
             RisInstance(h, np.ones(2, dtype=complex), sigma2=-1.0)
 
     @pytest.mark.parametrize("field", ["power", "sigma2"])
+    def test_power_and_noise_must_be_real_numbers(self, field):
+        # True was taken as 1
+        h = sample_complex_gaussian(Rng(17), 2, 2, 1.0)
+        with pytest.raises(InvalidArgumentError, match=field):
+            RisInstance(h, np.ones(2, dtype=complex), **{field: True})
+
+    @pytest.mark.parametrize("field", ["power", "sigma2"])
     def test_finiteness(self, field):
         # an infinite power or noise makes the SNR +-inf, which JSON cannot hold
         h = sample_complex_gaussian(Rng(17), 2, 2, 1.0)

@@ -22,11 +22,13 @@ def test_same_outputs_finds_a_tree_identical_to_itself():
     assert summary["identical"] == "7 of 7"
     for kind, s in summary["kinds"].items():
         assert s["rows"] > 0 and s["differing_rows"] == 0, kind
+    kernel = summary["kernel"]
+    assert kernel["identical"] and kernel["das_vectors"] > 0 and kernel["linf_matrices"] > 0
 
 
 def test_linf_screen_counts_only_the_rows_linf_sweeps():
     summary = json.loads(run_script("linf_screen.py", "--count", "1", "--repeat", "1"))
-    assert len(summary) == 7
+    assert len(summary) == 8
     for family, s in summary.items():
         assert s["identical_to_every_row"] == "1 of 1", family
         assert 1 <= s["swept_per_op"] <= s["rows_per_op"], family

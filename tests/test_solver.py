@@ -1049,6 +1049,17 @@ class TestSolveConfig:
         with pytest.raises(InvalidArgumentError, match="tolerance"):
             SolveConfig(p=2, tolerance=tol)
 
+    @pytest.mark.parametrize("tol", [True, "1e-3"], ids=["bool", "str"])
+    def test_the_tolerance_must_be_a_real_number(self, tol):
+        # True was stored as a tolerance of 1
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            SolveConfig(p=2, tolerance=tol)
+
+    def test_the_tolerance_is_stored_as_a_float(self):
+        for tol in (1, np.float32(0.5)):
+            cfg = SolveConfig(p=2, tolerance=tol)
+            assert type(cfg.tolerance) is float and cfg.tolerance == float(tol)
+
     @pytest.mark.parametrize("p", [math.inf, "inf"], ids=["float", "str"])
     def test_p_inf_has_no_alternation(self, p):
         # the one place that keeps p = inf out of the alternating solvers
