@@ -82,8 +82,11 @@ def kernel_inputs():
     by [31, B, t], B in {2, 3, 4}, every third one scaled by 1e-13), rows
     of small integer magnitudes at multiples of pi/4 (tie-heavy, some with
     zero entries), far-field steering rows of a uniform linear array,
-    8 copies of one row turned by e^{j theta}, whose optima tie, and rows
-    of pairs whose first edges lie a few ulps apart."""
+    8 copies of one row turned by e^{j theta}, whose optima tie, rows
+    of pairs whose first edges lie a few ulps apart, and partly-zero
+    CN(0, 1) matrices (about 30 % of the entries and one row zero, at 8 x n
+    for n up to 2000 and 8 x 10^4), whose rows `_linf` sweeps on their
+    nonzero entries."""
     import numpy as np
 
     def gaussian(g, m, n):
@@ -110,6 +113,13 @@ def kernel_inputs():
         v = np.repeat(gaussian(g, 1, n).ravel(), 2)
         v[1::2] *= g.uniform(0.5, 2.0, n) * np.exp(2e-15j * g.choice([-1, 1], n))
         yield "das", v, bits
+    g = np.random.default_rng([int(SEED), 2])
+    for k in range(12):
+        n, bits = (10000 if k < 3 else int(g.integers(1, 2000))), 1 + k % 4
+        a = gaussian(g, 8, n)
+        a[g.random((8, n)) < 0.3] = 0.0
+        a[k % 8] = 0.0
+        yield "linf", a, bits
 
 
 def print_kernel_digest() -> None:

@@ -13,7 +13,10 @@ Conventions used throughout the package:
   max|x * 2^-e| in [1/2, 1). The oracles' scan always works on it; the l2
   witness, the dominant-row start and `norm_lp` run again on it where a
   sum of squares leaves the normal double range (`_normal`), and scale
-  the result back by 2^e. So A and 2^k A run the same arithmetic.
+  the result back by 2^e. So A and 2^k A run the same arithmetic,
+* `_finite` is the one finiteness test of array inputs, and
+  `_finite_objective` the one rule of every objective and norm: a finite
+  double, InvalidArgumentError past 2^1024.
 """
 
 from __future__ import annotations
@@ -59,11 +62,36 @@ def _lattice_indices(indices) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def _finite(x: np.ndarray, message: str) -> np.ndarray:
+    """`x` itself once every entry is finite, the one finiteness rule of the
+    input checks; InvalidArgumentError(message) otherwise. A complex array
+    is tested on its float parts: one float64 view where its memory is
+    contiguous in some order, else its real and imaginary parts (a strided
+    complex array has no float64 view). Nothing is copied."""
+    if x.dtype.kind != "c":
+        parts = (x,)
+    elif x.flags.forc:
+        parts = (x.ravel("K").view(np.float64),)
+    else:
+        parts = (x.real, x.imag)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise InvalidArgumentError(message)
+    return x
+
+
+def _finite_objective(x: float, e: int = 0) -> float:
+    """The objective x * 2^e, for e in [-1023, 1023] as `_pow2_scale` gives
+    it, the one rule of every objective: it must be a finite double. An
+    optimum beyond the double range (|value| >= 2^1024) is
+    InvalidArgumentError, not inf or an OverflowError."""
+    value = x * math.ldexp(1.0, e)
+    if not math.isfinite(value):
+        raise InvalidArgumentError("the objective is beyond the double range")
+    return value
+
+
 def _as_float_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("non-finite value in input")
-    return arr
+    return _finite(np.asarray(x, dtype=np.float64), "non-finite value in input")
 
 
 def as_complex_vector(x) -> np.ndarray:
@@ -71,9 +99,7 @@ def as_complex_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.size == 0:
         raise InvalidArgumentError("expected a nonempty 1-d complex vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidArgumentError("non-finite entry in complex vector")
-    return v
+    return _finite(v, "non-finite entry in complex vector")
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -81,9 +107,7 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise InvalidArgumentError("expected a nonempty 2-d complex matrix")
-    if not np.all(np.isfinite(m)):
-        raise InvalidArgumentError("non-finite entry in complex matrix")
-    return m
+    return _finite(m, "non-finite entry in complex matrix")
 
 
 @dataclass(frozen=True)
@@ -350,16 +374,17 @@ def row_norms(y: np.ndarray, p: float) -> np.ndarray:
 def norm_lp(x, p) -> float:
     """l1 / l2 / l-infinity norm of a complex vector. The l2 norm is
     np.linalg.norm's, sqrt(re.re + im.im); where that sum of squares under-
-    or overflows it is the norm of `_pow2_scale`'s copy, scaled back."""
+    or overflows it is the norm of `_pow2_scale`'s copy, scaled back. A
+    norm beyond the double range is InvalidArgumentError."""
     v = as_complex_vector(x)
     p = normalize_p(p)
     if p == 1.0:
-        return float(np.sum(np.abs(v)))
+        return _finite_objective(float(np.sum(np.abs(v))))
     if p == 2.0:
         re, im = v.real, v.imag
         sq = re.dot(re) + im.dot(im)
         if not _normal(sq):
             u, e = _pow2_scale(v)
-            return math.ldexp(float(np.linalg.norm(u)), e)
+            return _finite_objective(float(np.linalg.norm(u)), e)
         return math.sqrt(sq)
-    return float(np.max(np.abs(v)))
+    return _finite_objective(float(np.max(np.abs(v))))

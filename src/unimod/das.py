@@ -27,15 +27,22 @@ whose objectives lie within a relative TIE_TOL of the best count as tied,
 and the one met first in the sweep wins; the choice therefore does not
 depend on the scale of v.
 
-`_das_indices` is the kernel: it takes a raw complex vector and returns int64
-lattice indices, with no validation and no PhaseVector, so its input must
-be finite. It runs two stages: `_das_edges` finds each element's first edge
-and its phasor product at psi = 0, and `_das_sweep` sorts the edges and
-sweeps lap 0. `das_maximize` validates its input once and wraps the kernel;
-the discrete solver calls the kernel directly on every iteration.
+`_das_indices` is the kernel: it takes a raw complex vector v and returns
+int64 lattice indices, with no validation and no PhaseVector, so its input
+must be finite. It conjugates v once, finds its nonzero entries with
+`_support` (an all-zero v is DegenerateInputError, raised there alone) and
+runs two stages on c, the conjugate of those entries: `_das_edges` finds
+each element's first edge and its phasor product at psi = 0, and
+`_das_sweep` sorts the edges and sweeps lap 0. `_scatter` puts the indices
+back on all n entries, 0 at the zero ones. `das_maximize` validates its
+input once and wraps the kernel; the discrete solver calls the kernel
+directly on every iteration.
 
 The l-infinity kernel `_linf`, which `solver.solve_linf` wraps, sweeps each
 row once, since the max over rows commutes with the max over configurations.
+Row a_i of A scores |<conj(a_i), x>|, so its c is a_i itself: the row goes
+to the stages as it is (a view into A where it has no zero entry), its zero
+test reads the row's moduli, and its objective is |a_i @ table[idx]|.
 It takes the rows' moduli and l1 norms once, visits the rows in descending
 l1 norm and calls the stages itself, and between them `_das_bound`: an upper
 bound on every candidate of the sweep, from the edges put into about n/8
@@ -66,8 +73,8 @@ two and with no copy.
 
 The inner product here, as everywhere in this package, is conjugate-linear in
 the first argument. The region construction below follows the classical
-alignment form sum_i |v_i| * exp(j * (tau_i + Omega_i)); the kernel therefore
-takes the angles of conj(v).
+alignment form sum_i |v_i| * exp(j * (tau_i + Omega_i)) with tau_i the angle
+of conj(v_i); the stages therefore work on c = conj(v).
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ import math
 
 import numpy as np
 
-from .core import DiscretePhaseSet, PhaseVector, _lattice_split, _wrap_angle, as_complex_vector
+from .core import (DiscretePhaseSet, PhaseVector, _finite_objective, _lattice_split, _wrap_angle,
+                   as_complex_vector)
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
@@ -90,19 +98,11 @@ _U = 2.0 ** -53
 _UNDERFLOW_FLOOR = 2.0 ** -1000
 
 
-def _das_edges(v: np.ndarray, dps: DiscretePhaseSet):
-    """First stage of `_das_indices`: (nz, k0, first, ct) for a raw complex
-    vector `v`. `nz` holds the indices of its nonzero entries, None when it
-    has no zero entry; on those entries `k0` are the lattice indices at
-    psi = 0, `first` the first edges in (0, delta] and ct = conj(v) * table[k0]."""
-    if v.all():
-        nz, c = None, np.conj(v)
-    else:
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            raise DegenerateInputError("all magnitudes are zero")
-        c = np.conj(v[nz])
-
+def _das_edges(c: np.ndarray, dps: DiscretePhaseSet):
+    """First stage of `_das_indices`: (k0, first, ct) for c, the conjugate of
+    a vector's nonzero entries: the lattice indices `k0` at psi = 0, the
+    first edges `first` in (0, delta] and ct = c * table[k0]. It only reads
+    `c`, which may be a view into the caller's array."""
     # Element i prefers Omega with angle(c_i) + Omega near the alignment
     # angle psi, so its center set is {angle(c_i) + k*delta} and its edges
     # sit half a step off the centers.
@@ -126,7 +126,7 @@ def _das_edges(v: np.ndarray, dps: DiscretePhaseSet):
     # k0 < 2^B, and the crossing multiplies its phasor by table[1]
     ct = dps.phasors.take(k0)
     np.multiply(c, ct, out=ct)
-    return nz, k0, first, ct
+    return k0, first, ct
 
 
 def _sweep_order(first: np.ndarray) -> np.ndarray:
@@ -153,11 +153,10 @@ def _sweep_order(first: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: np.ndarray,
-               ct: np.ndarray) -> np.ndarray:
+def _das_sweep(dps: DiscretePhaseSet, k0: np.ndarray, first: np.ndarray, ct: np.ndarray) -> np.ndarray:
     """Second stage of `_das_indices`: the sweep over lap 0 from the edges of
-    `_das_edges(v, dps)`, returning the int64 lattice indices. Takes `k0`
-    over."""
+    `_das_edges(c, dps)`, returning the int64 lattice indices of the
+    entries of c. Takes `k0` over."""
     order = _sweep_order(first)
     d = ct.take(order)
     d *= dps.phasors[1] - 1.0
@@ -173,18 +172,34 @@ def _das_sweep(v: np.ndarray, dps: DiscretePhaseSet, nz, k0: np.ndarray, first: 
     j = int((objs >= best * (1.0 - TIE_TOL)).argmax())
     k0[order[:j]] += 1
     k0 &= dps.levels - 1
+    return k0
+
+
+def _support(x: np.ndarray):
+    """The indices of the nonzero entries of `x`, or None where it has no
+    zero entry: the one zero test of the DaS callers."""
+    return None if x.all() else np.flatnonzero(x)
+
+
+def _scatter(idx: np.ndarray, nz, n: int) -> np.ndarray:
+    """The lattice indices `idx` of the entries `nz` of `_support` put back
+    on all n entries, 0 at the zero ones."""
     if nz is None:
-        return k0
-    full = np.zeros(v.size, dtype=np.int64)
-    full[nz] = k0
+        return idx
+    full = np.zeros(n, dtype=np.int64)
+    full[nz] = idx
     return full
 
 
 def _das_indices(v: np.ndarray, dps: DiscretePhaseSet) -> np.ndarray:
     """Kernel of `das_maximize`: int64 lattice indices of the maximizer for a
-    raw complex vector `v`, 0 at its zero entries."""
-    nz, k0, first, ct = _das_edges(v, dps)
-    return _das_sweep(v, dps, nz, k0, first, ct)
+    raw complex vector `v`, 0 at its zero entries. It conjugates `v` once
+    and runs the stages on the nonzero entries of the conjugate."""
+    c = np.conj(v)
+    nz = _support(c)
+    if nz is not None and nz.size == 0:
+        raise DegenerateInputError("all magnitudes are zero")
+    return _scatter(_das_sweep(dps, *_das_edges(c if nz is None else c[nz], dps)), nz, v.size)
 
 
 def _das_slack(l1: float, n: int) -> float:
@@ -199,8 +214,9 @@ def _das_slack(l1: float, n: int) -> float:
 
 def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np.ndarray) -> float:
     """Upper bound on every objective the sweep of `_das_sweep` could return,
-    as np.abs(np.vdot(v, table[idx])) computes it; `first` and `ct` come
-    from `_das_edges` and `mod` is |c| on the same elements.
+    as |c @ table[idx]| computes it (`_linf` on a whole row, whose zero
+    entries add nothing); `first` and `ct` come from `_das_edges` and `mod`
+    is |c| on the same elements.
 
     Buckets. Element i goes to bucket b_i = floor(first_i * K / delta) for
     K = max(1, n // 8) (b = K for first_i = delta). Rounding is monotone, so
@@ -212,7 +228,7 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
     S_b and W_b come from one unbuffered add (np.add.at) each of ct and
     `mod` into the K + 1 buckets and a cumulative sum over them. The bound is
     max_b(|S_b| + |t1 - 1| W_b) plus the allowance below; it is scaled by
-    2^k exactly when v is, and its slack is about |t1 - 1| / K of the
+    2^k exactly when c is, and its slack is about |t1 - 1| / K of the
     l1 norm, so it only separates rows whose optima differ by more.
 
     Allowance. Let u = 2^-53, L = ||c||_1 and tau_k = table[k]. The table
@@ -233,8 +249,8 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
         their cumulative sum and the product with t1 - 1;
       - 2.1 (n + 1) u L for W_b and the moduli in it;
       - about 30u L for t1 - 1, the products, the adds, |.| and the max.
-    vdot's own objective is off from the exact inner product by at most
-    1.5 (n + 1) u L + 6u L, and 49u L covers the r_i. That is below
+    The objective's own dot product is off from the exact inner product by
+    at most 1.5 (n + 1) u L + 6u L, and 49u L covers the r_i. That is below
     (8.5 n + 101) u L for K <= n/8 + 1, and `_das_slack` allows
     16 (n + 16) u L, nearly twice that, so the rounding of L itself and of the
     last add is covered too. The same allowance on L alone bounds the
@@ -265,6 +281,8 @@ def _das_bound(dps: DiscretePhaseSet, mod: np.ndarray, first: np.ndarray, ct: np
     return float(heads.max()) + _das_slack(float(w.sum()), n)
 
 
+# a sum past 2^1024 gives inf or nan, which `_finite_objective` rejects
+@np.errstate(over="ignore", invalid="ignore")
 def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float, int]:
     """Kernel of `solver.solve_linf` for a validated `a`: (indices, row,
     objective, rows swept).
@@ -276,9 +294,9 @@ def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float,
     the rounding allowance of `_das_slack`, lies below the best objective
     so far: both bound the objective its sweep would compute, so it could
     not win or tie. The largest objective wins, and of equal ones the
-    lowest row index, as in a sweep of every row in order.
+    lowest row index, as in a sweep of every row in order. A swept row's
+    objective must be a finite double (`core._finite_objective`).
     """
-    table = dps.phasors
     n = a.shape[1]
     mod = np.abs(a)
     l1 = mod.sum(axis=1)
@@ -289,13 +307,14 @@ def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float,
             break
         if best is not None and l1[i] + _das_slack(l1[i], n) < best[2]:
             continue
-        v = np.conj(a[i])
-        nz, k0, first, ct = _das_edges(v, dps)
-        if best is not None and _das_bound(dps, mod[i] if nz is None else mod[i, nz], first, ct) < best[2]:
+        nz = _support(mod[i])
+        c, m = (a[i], mod[i]) if nz is None else (a[i, nz], mod[i, nz])
+        k0, first, ct = _das_edges(c, dps)
+        if best is not None and _das_bound(dps, m, first, ct) < best[2]:
             continue
-        idx = _das_sweep(v, dps, nz, k0, first, ct)
+        idx = _scatter(_das_sweep(dps, k0, first, ct), nz, n)
         swept += 1
-        obj = float(np.abs(np.vdot(v, table[idx])))
+        obj = _finite_objective(float(np.abs(a[i] @ dps.phasors[idx])))
         if best is None or obj > best[2] or (obj == best[2] and i < best[1]):
             best = (idx, i, obj)
     if best is None:
@@ -309,8 +328,8 @@ def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:
     Returns the optimal configuration and its objective. Among candidates
     whose objectives tie within a relative 1e-12 of the best, the one
     generated earliest in the sweep wins. Zero entries of `v` get phase 0.
+    An objective beyond the double range is InvalidArgumentError.
     """
     v = as_complex_vector(v)
     pv = PhaseVector.from_indices(_das_indices(v, dps), dps)
-    objective = float(np.abs(np.vdot(v, pv.phasors())))
-    return pv, objective
+    return pv, _finite_objective(float(np.abs(np.vdot(v, pv.phasors()))))

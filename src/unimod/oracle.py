@@ -54,13 +54,12 @@ changes the cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
-from .core import (DiscretePhaseSet, PhaseVector, Rng, _as_int, _pow2_scale,
+from .core import (DiscretePhaseSet, PhaseVector, Rng, _as_int, _finite_objective, _pow2_scale,
                    as_complex_matrix, as_complex_vector, normalize_p, row_norms)
 from .errors import InvalidArgumentError, SizeLimitError
 
@@ -256,7 +255,7 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
             best_val = float(vals[local])
             best_idx = kept[local].copy()
     assert best_idx is not None
-    return best_idx, best_val * math.ldexp(1.0, e)
+    return best_idx, _finite_objective(best_val, e)
 
 
 def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:

@@ -77,6 +77,7 @@ from .core import (
     PhaseVector,
     _as_int,
     _as_real,
+    _finite_objective,
     _normal,
     _pow2_scale,
     _wrap_angle,
@@ -227,7 +228,8 @@ def _unit(v: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
 
 def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
-    """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2}."""
+    """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2};
+    a cost beyond the double range is InvalidArgumentError."""
     if p == 2.0:
         # np.linalg.norm(w) by its own formula, without the wrapper
         re, im = w.real, w.imag
@@ -239,11 +241,13 @@ def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
             x, e = _pow2_scale(w)
             if e:
                 z, cost = _witness(x, p)
-                return z, math.ldexp(cost, e)
+                return z, _finite_objective(cost, e)
         cost = math.sqrt(sq)
     else:
         mod = np.abs(w)
         cost = float(mod.sum())
+    # inf or nan: an l1 sum past 2^1024, or a w that overflowed (e = 0 above)
+    _finite_objective(cost)
     if cost == 0.0:
         raise DegenerateInputError("w = A exp(j*Omega) is zero and has no dual witness")
     return (w / cost if p == 2.0 else _unit(w, mod)), cost
@@ -296,8 +300,9 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
 
     termination = "iteration-cap"
     # near |w| = 1e170 the l2 witness's sum of squares overflows and
-    # _witness rescales; numpy need not warn on each such witness
-    with np.errstate(over="ignore"):
+    # _witness rescales; numpy need not warn on each such witness, nor on a
+    # w past 2^1024, which `_finite_objective` rejects
+    with np.errstate(over="ignore", invalid="ignore"):
         z, cost = score(state)
         costs = [cost]
         for _ in range(cfg.max_iterations):

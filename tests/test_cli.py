@@ -165,6 +165,29 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "tolerance" in err
 
+    @pytest.mark.parametrize("rows,argv", [
+        ([[[1.2e308, 0.0], [0.9e308, 0.0]]], ["--bits", "1"]),
+        ([[[1.2e308, 0.0], [0.9e308, 0.0]]], ["--p", "1", "--bits", "1"]),
+        ([[[1.2e308, 0.0], [0.9e308, 0.0]]], ["--p", "inf", "--bits", "2"]),
+        ([[[1.5e308, 0.0], [0.0, 0.0]], [[1.5e308, 0.0], [0.0, 0.0]]], ["--bits", "1"]),
+    ], ids=["p2", "p1", "pinf", "two-rows"])
+    def test_an_objective_beyond_the_double_range_exits_2_with_one_line(self, tmp_path, capsys,
+                                                                       rows, argv):
+        # it printed "objective": Infinity, which is not JSON, or a traceback
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(rows))
+        code, payload = run_json(tmp_path, "solve", str(mfile), *argv)
+        assert code == 2 and payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "double range" in err
+
+    @pytest.mark.parametrize("argv", [["--bits", "1"], ["--p", "inf", "--bits", "2"]])
+    def test_an_objective_just_inside_the_range_is_printed(self, tmp_path, argv):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps([[[0.6e308, 0.0], [0.6e308, 0.0]]]))
+        code, payload = run_json(tmp_path, "solve", str(mfile), *argv)
+        assert code == 0 and payload["objective"] == 1.2e308
+
     def test_rerun_byte_identical(self, tmp_path):
         # every byte but the two lines of the stages' wall times, the only
         # measured values in the file
@@ -327,6 +350,23 @@ class TestOracleCommand:
         big = tmp_path / "big.json"
         big.write_text(json.dumps([[[1.0, 0.0]] * 30]))
         assert main(["oracle", str(big), "--bits", "1"]) == 2
+
+
+    @pytest.mark.parametrize("rows", [[[[1.2e308, 0.0], [0.9e308, 0.0]]],
+                                      [[[1.5e308, 0.0], [0.0, 0.0]], [[1.5e308, 0.0], [0.0, 0.0]]]])
+    def test_an_objective_beyond_the_double_range_exits_2_with_one_line(self, tmp_path, capsys, rows):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps(rows))
+        code, payload = run_json(tmp_path, "oracle", str(mfile), "--bits", "2")
+        assert code == 2 and payload is None
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "double range" in err
+
+    def test_an_objective_just_inside_the_range_is_printed(self, tmp_path):
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps([[[0.6e308, 0.0], [0.6e308, 0.0]]]))
+        code, payload = run_json(tmp_path, "oracle", str(mfile), "--bits", "2")
+        assert code == 0 and payload["objective"] == 1.2e308
 
 
 class TestBenchCommand:

@@ -13,7 +13,7 @@ from unimod import (
     sample_complex_gaussian,
     wrap_phase,
 )
-from unimod.core import MAX_LATTICE_BITS
+from unimod.core import MAX_LATTICE_BITS, as_complex_matrix, as_complex_vector
 
 TWO_PI = 2 * math.pi
 
@@ -242,6 +242,35 @@ class TestSampling:
             sample_complex_gaussian(Rng(1), m, n, 1.0)
 
 
+class TestFiniteInput:
+    """One finiteness rule for every array input, in any memory layout, with
+    no copy of a complex128 array."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_every_layout_is_tested(self, bad):
+        a = np.ones((5, 4), dtype=complex)
+        for i, j, entry in [(0, 0, complex(bad, 1.0)), (3, 2, complex(1.0, bad)), (4, 3, complex(1.0, bad))]:
+            b = a.copy()
+            b[i, j] = entry
+            for view in (b, b.T, b[::-1], b[:, ::-1].T):
+                with pytest.raises(InvalidArgumentError, match="non-finite entry in complex matrix"):
+                    as_complex_matrix(view)
+            with pytest.raises(InvalidArgumentError, match="non-finite entry in complex vector"):
+                as_complex_vector(b[i])
+            with pytest.raises(InvalidArgumentError, match="non-finite entry in complex vector"):
+                as_complex_vector(b[:, j])
+        with pytest.raises(InvalidArgumentError, match="non-finite value in input"):
+            PhaseVector(np.array([0.5, bad]))
+
+    def test_returns_the_array_it_was_given(self):
+        a = np.ones((5, 4), dtype=complex)
+        a[1, 1] = math.nan
+        for view in (a[:, ::2], a[::2].T):
+            assert as_complex_matrix(view) is view
+        for view in (a[0], a[1, ::2], a[:, 0]):
+            assert as_complex_vector(view) is view
+
+
 class TestNorms:
     def test_examples(self):
         v = np.array([3.0, 4.0j])
@@ -271,6 +300,13 @@ class TestNorms:
                 assert got == scale * norm_lp(v, 2)
             else:
                 assert got == pytest.approx(scale * norm_lp(v, 2), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_a_norm_beyond_the_double_range_is_rejected(self, p):
+        # the l2 rescue overflowed in math.ldexp; l1 and l-infinity gave inf
+        with pytest.raises(InvalidArgumentError, match="double range"), np.errstate(over="ignore"):
+            norm_lp(np.array([1.5e308 + 1.5e308j, 1.5e308]), p)
+        assert norm_lp(np.array([0.6e308, 0.6e308]), 1) == 1.2e308
 
     @pytest.mark.parametrize("p,q", [(1, math.inf), (2, 2), (math.inf, 1)])
     def test_dual_norm_inequality(self, p, q):

@@ -740,13 +740,29 @@ class TestSolveLinf:
         # norm, so no other row even gets its edges built.
         edges = []
         das_edges = das._das_edges
-        monkeypatch.setattr(das, "_das_edges", lambda v, dps: edges.append(1) or das_edges(v, dps))
+        monkeypatch.setattr(das, "_das_edges", lambda c, dps: edges.append(1) or das_edges(c, dps))
         a = numpy_gaussian(21, 8, 2000)
         a[5] *= 1.5
         for bits in (2, 3, 4):
             edges.clear()
             idx, row, obj, swept = das._linf(a, DiscretePhaseSet(bits))
             assert (row, swept, len(edges)) == (5, 1, 1)
+
+    def test_rows_reach_the_edge_stage_as_views_of_a(self, monkeypatch):
+        # a row without zeros goes to the edge stage as it is, a view of A;
+        # a row with zeros as a copy of its nonzero entries. A keeps its bits.
+        rows = []
+        das_edges = das._das_edges
+        monkeypatch.setattr(das, "_das_edges", lambda c, dps: rows.append(c) or das_edges(c, dps))
+        a = numpy_gaussian(22, 6, 300)
+        a[2, ::7] = 0.0
+        a[4] = 0.0
+        before = a.view(np.int64).copy()
+        for bits in (1, 2, 3):
+            das._linf(a, DiscretePhaseSet(bits))
+            assert np.array_equal(a.view(np.int64), before)
+        assert {c.size for c in rows} == {300, 300 - 43}
+        assert all(np.shares_memory(c, a) == (c.size == 300) for c in rows)
 
     def test_the_bound_skips_rows_the_l1_test_keeps(self):
         # at B = 2 the optima lie near 0.9 of the l1 norms, so a row 5 %
@@ -820,6 +836,45 @@ class TestSolveLinf:
         assert np.array_equal(pv.indices, idx)
         if case == "partly-zero-row-wins":
             assert row == 2 and np.all(pv.indices[::3] == 0)
+
+
+class TestObjectiveRange:
+    """An objective must be a finite double: an optimum at or beyond 2^1024
+    is InvalidArgumentError wherever it is made, not inf or an OverflowError."""
+
+    #: |1.2e308 + 0.9e308| and ||(1.5e308, 1.5e308)||_2 lie beyond the double range
+    ONE_ROW = np.array([[1.2e308, 0.9e308]])
+    TWO_ROWS = np.array([[1.5e308, 0.0], [1.5e308, 0.0]])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("which", ["ONE_ROW", "TWO_ROWS"])
+    def test_pipeline(self, which, p):
+        with pytest.raises(InvalidArgumentError, match="double range"):
+            default_pipeline(getattr(self, which), DiscretePhaseSet(1), p)
+
+    def test_continuous_solve_and_witness(self):
+        with pytest.raises(InvalidArgumentError, match="double range"):
+            solve_continuous(self.TWO_ROWS, SolveConfig(p=2), np.zeros(2))
+        with pytest.raises(InvalidArgumentError, match="double range"), np.errstate(over="ignore"):
+            dual_witness(self.TWO_ROWS[:, 0], 2)
+
+    def test_linf_das_and_oracle(self):
+        dps = DiscretePhaseSet(2)
+        for call in (lambda: solve_linf(self.ONE_ROW, dps),
+                     lambda: das_maximize(self.ONE_ROW[0], dps),
+                     lambda: exhaustive_norm(self.ONE_ROW, dps, 2),
+                     lambda: exhaustive_norm(self.TWO_ROWS, dps, 2)):
+            with pytest.raises(InvalidArgumentError, match="double range"), np.errstate(over="ignore"):
+                call()
+
+    def test_an_optimum_just_inside_the_range_is_kept(self):
+        a = np.array([[0.6e308, 0.6e308]])
+        dps = DiscretePhaseSet(1)
+        assert default_pipeline(a, dps, 2).final_cost == 1.2e308
+        assert default_pipeline(a, dps, 1).final_cost == 1.2e308
+        assert solve_linf(a, dps)[2] == 1.2e308
+        assert das_maximize(a[0], dps)[1] == 1.2e308
+        assert exhaustive_norm(a, dps, 2).objective == 1.2e308
 
 
 class TestDefaultPipeline:
