@@ -98,17 +98,10 @@ class ExperimentSpec:
         object.__setattr__(self, "n_values", tuple(_as_int(n, "n_values") for n in self.n_values))
         # the lattice widths DiscretePhaseSet takes, and no other rule
         object.__setattr__(self, "bits", tuple(DiscretePhaseSet(b).bits for b in self.bits))
-        for name in ("trials", "random_configs", "nmax"):
-            if getattr(self, name) < 1:
-                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.m < 1 or any(n < 1 for n in self.n_values) or not self.n_values:
-            raise InvalidArgumentError("all dimensions must be >= 1")
-        if not self.bits:
-            raise InvalidArgumentError("bits must name at least one lattice width")
+        for name in ("n_values", "bits"):
+            if not getattr(self, name):
+                raise InvalidArgumentError(f"{name} must name at least one value")
         object.__setattr__(self, "variance", _as_real(self.variance, "variance"))
-        if not (self.variance > 0 and math.isfinite(self.variance)):
-            raise InvalidArgumentError(
-                f"variance must be finite and positive, got {self.variance!r}")
         unread = [f"{f.name} (got {getattr(self, f.name)!r})" for f in fields(self)
                   if f.name in _OPTIONAL_FIELDS and f.name not in experiment.reads
                   and getattr(self, f.name) != f.default]

@@ -16,7 +16,11 @@ Conventions used throughout the package:
   the result back by 2^e. So A and 2^k A run the same arithmetic,
 * `_finite` is the one finiteness test of array inputs, and
   `_finite_objective` the one rule of every objective and norm: a finite
-  double, InvalidArgumentError past 2^1024.
+  double, InvalidArgumentError past 2^1024,
+* `_as_int` is the one rule of every integer parameter (an int or a numpy
+  integer in low .. high, 1 .. inf by default) and `_as_real` of every real
+  one (a finite, positive int or float); each rejection names the
+  parameter and the value it got.
 """
 
 from __future__ import annotations
@@ -39,19 +43,28 @@ MAX_LATTICE_BITS = 16
 _MIN_NORMAL = math.ldexp(1.0, -1022)
 
 
-def _as_int(value, what: str) -> int:
-    """int(value) of an int or a numpy integer, not of a bool or a float."""
+def _as_int(value, what: str, low: int = 1, high: float = math.inf) -> int:
+    """int(value) of an int or a numpy integer in low .. high, not of a bool
+    or a float: the rule of every integer parameter."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if not low <= value <= high:
+        bound = f">= {low}" if value < low else f"<= {high}"
+        raise InvalidArgumentError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 def _as_real(value, what: str) -> float:
     """float(value) of an int, a float or a numpy integer or float, not of a
-    bool: the rule of every real-valued parameter."""
+    bool, once it is finite and positive: the rule of every real-valued
+    parameter."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise InvalidArgumentError(f"{what} must be finite and positive, got {value!r}")
+    return value
 
 
 def _lattice_indices(indices) -> np.ndarray:
@@ -134,9 +147,7 @@ class DiscretePhaseSet:
     levels: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _as_int(self.bits, "bits"))
-        if not 1 <= self.bits <= MAX_LATTICE_BITS:
-            raise InvalidArgumentError(f"bits must be in 1 .. {MAX_LATTICE_BITS}, got {self.bits}")
+        object.__setattr__(self, "bits", _as_int(self.bits, "bits", high=MAX_LATTICE_BITS))
         object.__setattr__(self, "levels", 1 << self.bits)
         object.__setattr__(self, "step", TWO_PI / self.levels)
 
@@ -216,10 +227,8 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = _as_int(seed, "seed")
-        self.stream = _as_int(stream, "stream")
-        if self.seed < 0 or self.stream < 0:
-            raise InvalidArgumentError("seed and stream must be nonnegative")
+        self.seed = _as_int(seed, "seed", low=0)
+        self.stream = _as_int(stream, "stream", low=0)
         self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
     @property
@@ -319,11 +328,7 @@ def sample_complex_gaussian(rng: Rng, m: int, n: int, variance: float) -> np.nda
     and the argument is uniform, so the real and imaginary parts each carry
     variance/2. Deterministic given the Rng state.
     """
-    if not (_as_int(m, "m") >= 1 and _as_int(n, "n") >= 1):
-        raise InvalidArgumentError("matrix dimensions must be positive")
-    variance = _as_real(variance, "variance")
-    if not (variance > 0 and math.isfinite(variance)):
-        raise InvalidArgumentError(f"variance must be positive, got {variance!r}")
+    m, n, variance = _as_int(m, "m"), _as_int(n, "n"), _as_real(variance, "variance")
     g = rng.generator
     u1 = g.random((m, n))
     u2 = g.random((m, n))
@@ -371,6 +376,7 @@ def row_norms(y: np.ndarray, p: float) -> np.ndarray:
     return np.abs(y).max(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def norm_lp(x, p) -> float:
     """l1 / l2 / l-infinity norm of a complex vector. The l2 norm is
     np.linalg.norm's, sqrt(re.re + im.im); where that sum of squares under-

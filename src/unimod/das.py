@@ -83,8 +83,8 @@ import math
 
 import numpy as np
 
-from .core import (DiscretePhaseSet, PhaseVector, _finite_objective, _lattice_split, _wrap_angle,
-                   as_complex_vector)
+from .core import (DiscretePhaseSet, PhaseVector, _finite_objective, _lattice_split, _pow2_scale,
+                   _wrap_angle, as_complex_vector)
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
@@ -156,7 +156,13 @@ def _sweep_order(first: np.ndarray) -> np.ndarray:
 def _das_sweep(dps: DiscretePhaseSet, k0: np.ndarray, first: np.ndarray, ct: np.ndarray) -> np.ndarray:
     """Second stage of `_das_indices`: the sweep over lap 0 from the edges of
     `_das_edges(c, dps)`, returning the int64 lattice indices of the
-    entries of c. Takes `k0` over."""
+    entries of c. Takes `k0` over.
+
+    The running sums exceed the objective by up to |t1 - 1| ||c||_1, so near
+    the top of the double range they overflow to inf or nan while every
+    candidate is finite. Where the best is not finite, the sweep runs again
+    on `_pow2_scale`'s copy of ct: c * 2^-e gives exactly ct * 2^-e, and
+    the same order and indices."""
     order = _sweep_order(first)
     d = ct.take(order)
     d *= dps.phasors[1] - 1.0
@@ -169,6 +175,8 @@ def _das_sweep(dps: DiscretePhaseSet, k0: np.ndarray, first: np.ndarray, ct: np.
     objs = np.abs(sums)
 
     best = objs.max()
+    if not math.isfinite(best):
+        return _das_sweep(dps, k0, first, _pow2_scale(ct)[0])
     j = int((objs >= best * (1.0 - TIE_TOL)).argmax())
     k0[order[:j]] += 1
     k0 &= dps.levels - 1
@@ -322,6 +330,7 @@ def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float,
     return (*best, swept)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:
     """Global maximizer of |<v, exp(j*Omega)>| over the lattice Delta^n.
 

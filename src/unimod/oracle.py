@@ -61,7 +61,7 @@ import numpy as np
 
 from .core import (DiscretePhaseSet, PhaseVector, Rng, _as_int, _finite_objective, _pow2_scale,
                    as_complex_matrix, as_complex_vector, normalize_p, row_norms)
-from .errors import InvalidArgumentError, SizeLimitError
+from .errors import SizeLimitError
 
 #: refuse exhaustive enumerations beyond 2^24 configurations
 MAX_EXHAUSTIVE_BITS = 24
@@ -294,8 +294,7 @@ def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleR
     """
     a = as_complex_matrix(a)
     p = normalize_p(p)
-    if _as_int(trials, "trials") < 1:
-        raise InvalidArgumentError("trials must be >= 1")
+    trials = _as_int(trials, "trials")
     raw = rng.generator.bit_generator.random_raw
     idx, best = _scan(a, dps, p, trials, lambda start, out: _random_codes(raw, out, dps.bits))
     return OracleResult(PhaseVector.from_indices(idx, dps), best, trials)

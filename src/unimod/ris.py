@@ -52,8 +52,6 @@ class RisInstance:
             object.__setattr__(self, "h_d", d)
         for name in ("power", "sigma2"):
             object.__setattr__(self, name, _as_real(getattr(self, name), name))
-        if not (0 < self.power < np.inf and 0 < self.sigma2 < np.inf):
-            raise InvalidArgumentError("transmit power and noise variance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,7 @@ class SolveConfig:
             raise UnsupportedNormError(
                 "p = inf has an exact non-iterative solver: solve_linf, or unimod solve --p inf")
         object.__setattr__(self, "tolerance", _as_real(self.tolerance, "tolerance"))
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise InvalidArgumentError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         object.__setattr__(self, "max_iterations", _as_int(self.max_iterations, "max_iterations"))
-        if self.max_iterations < 1:
-            raise InvalidArgumentError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -173,6 +169,7 @@ class PipelineResult:
         return self.trace.final_cost
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dual_witness(w, q) -> np.ndarray:
     """Unit-q-norm z achieving |<z, w>| = ||w||_p (Holder equality).
 

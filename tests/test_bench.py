@@ -100,15 +100,21 @@ class TestSpec:
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=0)
         with pytest.raises(InvalidArgumentError):
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, bits=(0,))
+        with pytest.raises(InvalidArgumentError, match="n_values must name at least one value"):
+            ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, n_values=())
+        # this was "all dimensions must be >= 1"
+        with pytest.raises(InvalidArgumentError, match="n_values must be >= 1, got 0"):
+            ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, n_values=(10, 0))
 
     @pytest.mark.parametrize("field,value", [
-        ("random_configs", 0), ("nmax", 0), ("seed", -1),
+        ("random_configs", 0), ("nmax", 0), ("seed", -1), ("m", 0), ("trials", 0),
         ("variance", 0.0), ("variance", -1.0), ("variance", math.inf), ("variance", math.nan),
     ])
     def test_rejects_bad_field_naming_it(self, field, value):
-        # these used to pass the spec and fail, if at all, inside a trial
-        with pytest.raises(InvalidArgumentError, match=field):
-            make_spec("oracle-check", "out", trials=1, **{field: value})
+        # these used to pass the spec and fail, if at all, inside a trial; a
+        # bad m raised "all dimensions must be >= 1"
+        with pytest.raises(InvalidArgumentError, match=rf"^{field} must be .*, got {value!r}$"):
+            make_spec("oracle-check", "out", **{"trials": 1, field: value})
 
     @pytest.mark.parametrize("kind,field,value", [
         pytest.param(kind, field, value, id=f"{field}={value!r}") for kind, field, value in [

@@ -269,20 +269,23 @@ class TestSolveRis:
             ("P", BIG_INT, "P is an integer beyond the float range"),
             ("sigma2", "false", "sigma2 must be a JSON number"),
             ("sigma2", '"inf"', "sigma2 must be a JSON number"), ("sigma2", "1e999", "finite"),
-            ("sigma2", BIG_INT, "sigma2 is an integer beyond the float range")]
+            ("sigma2", BIG_INT, "sigma2 is an integer beyond the float range"),
+            ("sigma2", "0", "sigma2 must be finite and positive, got 0.0")]
     ])
     def test_power_and_noise_must_be_finite_numbers(self, tmp_path, capsys, field, value,
                                                     message):
         # JSON true and strings are not numbers, and 1e999 reads as infinity,
         # which made the SNR +-Infinity, not JSON; float() of an integer
-        # beyond the float range raised OverflowError, a traceback
+        # beyond the float range raised OverflowError, a traceback; a zero
+        # sigma2 was "transmit power and noise variance must be ...", unnamed
         doc = json.loads((DATA / "ris_nlos.json").read_text())
         doc[field] = "VALUE"
         rf = tmp_path / "ris.json"
         rf.write_text(json.dumps(doc).replace('"VALUE"', value))
         code, payload = run_json(tmp_path, "solve-ris", str(rf), "--bits", "1")
         assert code == 2 and payload is None
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
     def test_snr_of_a_tiny_channel_is_finite(self, tmp_path):
         # channel amplitudes times 2^-300 (about 5e-91) and sigma2 = 2^-1000

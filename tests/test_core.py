@@ -122,7 +122,8 @@ class TestDiscretePhaseSet:
         # the widest lattice's phasor table takes 1 MB; B = 40 would ask for
         # an 8 TiB arange, and 2^64 overflows a C long
         for bits in (0, -3, MAX_LATTICE_BITS + 1, 40, 64):
-            with pytest.raises(InvalidArgumentError, match="bits"):
+            bound = ">= 1" if bits < 1 else f"<= {MAX_LATTICE_BITS}"
+            with pytest.raises(InvalidArgumentError, match=f"bits must be {bound}, got {bits}"):
                 DiscretePhaseSet(bits)
         assert DiscretePhaseSet(MAX_LATTICE_BITS).levels == 2 ** 16
 
@@ -182,8 +183,10 @@ class TestRng:
             Rng(seed, stream)
 
     def test_seed_and_stream_must_be_nonnegative(self):
-        for seed, stream in ((-1, 0), (0, -1)):
-            with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        # "seed and stream must be nonnegative" did not say which
+        for seed, stream, message in ((-1, 0, "seed must be >= 0, got -1"),
+                                      (0, -1, "stream must be >= 0, got -1")):
+            with pytest.raises(InvalidArgumentError, match=message):
                 Rng(seed, stream)
 
     def test_a_numpy_integer_is_its_int(self):
@@ -219,10 +222,17 @@ class TestSampling:
         assert abs(np.var(x.imag) - 0.5) < 0.01
 
     def test_bad_variance(self):
-        with pytest.raises(InvalidArgumentError):
-            sample_complex_gaussian(Rng(1), 2, 2, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            sample_complex_gaussian(Rng(1), 2, 2, -1.0)
+        for variance in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"variance must be finite and positive, got {variance!r}"):
+                sample_complex_gaussian(Rng(1), 2, 2, variance)
+
+    def test_a_bad_dimension_is_named(self):
+        # both raised "matrix dimensions must be positive"
+        with pytest.raises(InvalidArgumentError, match="m must be >= 1, got 0"):
+            sample_complex_gaussian(Rng(1), 0, 3, 1.0)
+        with pytest.raises(InvalidArgumentError, match="n must be >= 1, got -1"):
+            sample_complex_gaussian(Rng(1), 2, -1, 1.0)
 
     @pytest.mark.parametrize("variance", [True, np.True_, "1.0"], ids=["bool", "numpy bool", "str"])
     def test_the_variance_must_be_a_real_number(self, variance):
@@ -304,7 +314,7 @@ class TestNorms:
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_a_norm_beyond_the_double_range_is_rejected(self, p):
         # the l2 rescue overflowed in math.ldexp; l1 and l-infinity gave inf
-        with pytest.raises(InvalidArgumentError, match="double range"), np.errstate(over="ignore"):
+        with pytest.raises(InvalidArgumentError, match="double range"):
             norm_lp(np.array([1.5e308 + 1.5e308j, 1.5e308]), p)
         assert norm_lp(np.array([0.6e308, 0.6e308]), 1) == 1.2e308
 

@@ -12,8 +12,8 @@ from unimod import (
     sample_complex_gaussian,
     wrap_phase,
 )
-from unimod.das import (TIE_TOL, _das_bound, _das_edges, _das_indices, _lattice_split, _sweep_order,
-                        _wrap_angle)
+from unimod.das import (TIE_TOL, _das_bound, _das_edges, _das_indices, _lattice_split, _linf,
+                        _sweep_order, _wrap_angle)
 from unimod.oracle import exhaustive_inner
 
 
@@ -155,6 +155,41 @@ class TestDasMaximize:
             pv, obj = das_maximize(v, DiscretePhaseSet(bits))
             assert pv.indices.tolist() == expected
             assert obj == pytest.approx(float(np.sum(np.abs(v))))
+
+
+class TestTopOfTheDoubleRange:
+    """Inputs whose objective lies in [2^1023, 2^1024): the running sums of
+    the sweep exceed the objective by up to |t1 - 1| ||c||_1, overflowed
+    while every candidate was finite, and the argmax picked another one."""
+
+    @staticmethod
+    def to_the_top(x, obj):
+        """x times the power of two that puts its objective `obj` in
+        [2^1023, 2^1024), in two exact steps."""
+        e = 1024 - math.frexp(obj)[1]
+        return x * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+
+    @staticmethod
+    def draw(k, rows):
+        g = np.random.default_rng([89, rows, k])
+        n, bits = int(g.integers(2, 50)), int(g.integers(1, 4))
+        return g.standard_normal((rows, n)) + 1j * g.standard_normal((rows, n)), DiscretePhaseSet(bits)
+
+    def test_vectors_keep_their_indices(self):
+        for k in range(40):
+            (v,), dps = self.draw(k, 1)
+            pv, obj = das_maximize(v, dps)
+            top, top_obj = das_maximize(self.to_the_top(v, obj), dps)
+            assert np.array_equal(top.indices, pv.indices)
+            assert math.frexp(top_obj)[1] == 1024
+
+    def test_linf_keeps_its_row_and_indices(self):
+        for k in range(30):
+            a, dps = self.draw(k, 4)
+            idx, row, obj, _ = _linf(a, dps)
+            top_idx, top_row, top_obj, _ = _linf(self.to_the_top(a, obj), dps)
+            assert np.array_equal(top_idx, idx) and top_row == row
+            assert math.frexp(top_obj)[1] == 1024
 
 
 def _per_edge_exp_sweep(v, dps, polar=False, laps=None):

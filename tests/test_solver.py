@@ -855,7 +855,7 @@ class TestObjectiveRange:
     def test_continuous_solve_and_witness(self):
         with pytest.raises(InvalidArgumentError, match="double range"):
             solve_continuous(self.TWO_ROWS, SolveConfig(p=2), np.zeros(2))
-        with pytest.raises(InvalidArgumentError, match="double range"), np.errstate(over="ignore"):
+        with pytest.raises(InvalidArgumentError, match="double range"):
             dual_witness(self.TWO_ROWS[:, 0], 2)
 
     def test_linf_das_and_oracle(self):
@@ -864,7 +864,7 @@ class TestObjectiveRange:
                      lambda: das_maximize(self.ONE_ROW[0], dps),
                      lambda: exhaustive_norm(self.ONE_ROW, dps, 2),
                      lambda: exhaustive_norm(self.TWO_ROWS, dps, 2)):
-            with pytest.raises(InvalidArgumentError, match="double range"), np.errstate(over="ignore"):
+            with pytest.raises(InvalidArgumentError, match="double range"):
                 call()
 
     def test_an_optimum_just_inside_the_range_is_kept(self):
@@ -1085,9 +1085,9 @@ class TestMonotonicityProperty:
 
 class TestSolveConfig:
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="tolerance must be finite and positive, got 0.0"):
             SolveConfig(p=2, tolerance=0.0)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="max_iterations must be >= 1, got 0"):
             SolveConfig(p=2, max_iterations=0)
         with pytest.raises(InvalidArgumentError):
             SolveConfig(p=3)
