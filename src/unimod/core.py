@@ -51,8 +51,16 @@ def _as_int(value, what: str, low: int = 1, high: float = math.inf) -> int:
     value = int(value)
     if not low <= value <= high:
         bound = f">= {low}" if value < low else f"<= {high}"
-        raise InvalidArgumentError(f"{what} must be {bound}, got {value}")
+        raise InvalidArgumentError(f"{what} must be {bound}, got {_shown(value)}")
     return value
+
+
+def _shown(value: int) -> str:
+    """An int as the scalar rules' messages give it: its digits, or past 64
+    bits its sign and bit length (Python refuses to print an int of more
+    than 4300 digits)."""
+    bits = value.bit_length()
+    return str(value) if bits <= 64 else f"{'a negative' if value < 0 else 'an'} int of {bits} bits"
 
 
 def _as_real(value, what: str) -> float:
@@ -61,7 +69,10 @@ def _as_real(value, what: str) -> float:
     parameter."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidArgumentError(f"{what} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the double range
+        raise InvalidArgumentError(f"{what} must be finite and positive, got {_shown(value)}") from None
     if not 0.0 < value < math.inf:
         raise InvalidArgumentError(f"{what} must be finite and positive, got {value!r}")
     return value

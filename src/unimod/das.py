@@ -161,8 +161,11 @@ def _das_sweep(dps: DiscretePhaseSet, k0: np.ndarray, first: np.ndarray, ct: np.
     The running sums exceed the objective by up to |t1 - 1| ||c||_1, so near
     the top of the double range they overflow to inf or nan while every
     candidate is finite. Where the best is not finite, the sweep runs again
-    on `_pow2_scale`'s copy of ct: c * 2^-e gives exactly ct * 2^-e, and
-    the same order and indices."""
+    on `_pow2_scale`'s copy of the float parts of ct: c * 2^-e gives exactly
+    ct * 2^-e, and the same order and indices. The copy's parts are below 1,
+    so its sums are finite and it runs again at most once. Where a part of
+    ct is not finite (e = 0) it does not run again, and the caller's
+    `_finite_objective` rejects the objective."""
     order = _sweep_order(first)
     d = ct.take(order)
     d *= dps.phasors[1] - 1.0
@@ -176,7 +179,9 @@ def _das_sweep(dps: DiscretePhaseSet, k0: np.ndarray, first: np.ndarray, ct: np.
 
     best = objs.max()
     if not math.isfinite(best):
-        return _das_sweep(dps, k0, first, _pow2_scale(ct)[0])
+        scaled, e = _pow2_scale(ct.view(np.float64))
+        if e:
+            return _das_sweep(dps, k0, first, scaled.view(np.complex128))
     j = int((objs >= best * (1.0 - TIE_TOL)).argmax())
     k0[order[:j]] += 1
     k0 &= dps.levels - 1

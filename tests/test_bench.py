@@ -102,7 +102,6 @@ class TestSpec:
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, bits=(0,))
         with pytest.raises(InvalidArgumentError, match="n_values must name at least one value"):
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, n_values=())
-        # this was "all dimensions must be >= 1"
         with pytest.raises(InvalidArgumentError, match="n_values must be >= 1, got 0"):
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, n_values=(10, 0))
 
@@ -111,8 +110,7 @@ class TestSpec:
         ("variance", 0.0), ("variance", -1.0), ("variance", math.inf), ("variance", math.nan),
     ])
     def test_rejects_bad_field_naming_it(self, field, value):
-        # these used to pass the spec and fail, if at all, inside a trial; a
-        # bad m raised "all dimensions must be >= 1"
+        # these used to pass the spec and fail, if at all, inside a trial
         with pytest.raises(InvalidArgumentError, match=rf"^{field} must be .*, got {value!r}$"):
             make_spec("oracle-check", "out", **{"trials": 1, field: value})
 

@@ -170,7 +170,8 @@ class TestSolve:
         ([[[1.2e308, 0.0], [0.9e308, 0.0]]], ["--p", "1", "--bits", "1"]),
         ([[[1.2e308, 0.0], [0.9e308, 0.0]]], ["--p", "inf", "--bits", "2"]),
         ([[[1.5e308, 0.0], [0.0, 0.0]], [[1.5e308, 0.0], [0.0, 0.0]]], ["--bits", "1"]),
-    ], ids=["p2", "p1", "pinf", "two-rows"])
+        ([[[1.5e308, 1.5e308], [1.0, 0.0]]], ["--p", "inf", "--bits", "1"]),
+    ], ids=["p2", "p1", "pinf", "two-rows", "pinf-complex"])
     def test_an_objective_beyond_the_double_range_exits_2_with_one_line(self, tmp_path, capsys,
                                                                        rows, argv):
         # it printed "objective": Infinity, which is not JSON, or a traceback
@@ -276,8 +277,7 @@ class TestSolveRis:
                                                     message):
         # JSON true and strings are not numbers, and 1e999 reads as infinity,
         # which made the SNR +-Infinity, not JSON; float() of an integer
-        # beyond the float range raised OverflowError, a traceback; a zero
-        # sigma2 was "transmit power and noise variance must be ...", unnamed
+        # beyond the float range raised OverflowError, a traceback
         doc = json.loads((DATA / "ris_nlos.json").read_text())
         doc[field] = "VALUE"
         rf = tmp_path / "ris.json"

@@ -183,7 +183,6 @@ class TestRng:
             Rng(seed, stream)
 
     def test_seed_and_stream_must_be_nonnegative(self):
-        # "seed and stream must be nonnegative" did not say which
         for seed, stream, message in ((-1, 0, "seed must be >= 0, got -1"),
                                       (0, -1, "stream must be >= 0, got -1")):
             with pytest.raises(InvalidArgumentError, match=message):
@@ -228,7 +227,6 @@ class TestSampling:
                 sample_complex_gaussian(Rng(1), 2, 2, variance)
 
     def test_a_bad_dimension_is_named(self):
-        # both raised "matrix dimensions must be positive"
         with pytest.raises(InvalidArgumentError, match="m must be >= 1, got 0"):
             sample_complex_gaussian(Rng(1), 0, 3, 1.0)
         with pytest.raises(InvalidArgumentError, match="n must be >= 1, got -1"):

@@ -193,7 +193,6 @@ class TestValidation:
 
     def test_positivity(self):
         h = sample_complex_gaussian(Rng(17), 2, 2, 1.0)
-        # "transmit power and noise variance must be ..." did not say which
         with pytest.raises(InvalidArgumentError, match="power must be finite and positive, got 0.0"):
             RisInstance(h, np.ones(2, dtype=complex), power=0.0)
         with pytest.raises(InvalidArgumentError, match="sigma2 must be finite and positive, got -1.0"):

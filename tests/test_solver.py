@@ -867,6 +867,16 @@ class TestObjectiveRange:
             with pytest.raises(InvalidArgumentError, match="double range"):
                 call()
 
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_a_complex_entry_whose_modulus_is_past_the_range(self, bits):
+        # both parts are finite, |1.5e308 + 1.5e308j| is not: the sweep's
+        # rescue leaves it to the objective rule instead of running again
+        row = np.array([1.5e308 + 1.5e308j, 1.0])
+        dps = DiscretePhaseSet(bits)
+        for call in (lambda: das_maximize(row, dps), lambda: solve_linf(row[None, :], dps)):
+            with pytest.raises(InvalidArgumentError, match="double range"):
+                call()
+
     def test_an_optimum_just_inside_the_range_is_kept(self):
         a = np.array([[0.6e308, 0.6e308]])
         dps = DiscretePhaseSet(1)
@@ -1089,6 +1099,14 @@ class TestSolveConfig:
             SolveConfig(p=2, tolerance=0.0)
         with pytest.raises(InvalidArgumentError, match="max_iterations must be >= 1, got 0"):
             SolveConfig(p=2, max_iterations=0)
+        # Python prints no int of more than 4300 digits, and float() of one
+        # past the double range overflows
+        with pytest.raises(InvalidArgumentError,
+                           match="max_iterations must be >= 1, got a negative int of 16610 bits"):
+            SolveConfig(p=2, max_iterations=-10**5000)
+        with pytest.raises(InvalidArgumentError,
+                           match="tolerance must be finite and positive, got an int of 1329 bits"):
+            SolveConfig(p=2, tolerance=10**400)
         with pytest.raises(InvalidArgumentError):
             SolveConfig(p=3)
 
