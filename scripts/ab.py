@@ -1,0 +1,147 @@
+"""In-process A/B timing of two source trees.
+
+The unimod package of each tree is loaded into one process under its own
+name, through `importlib.util.spec_from_file_location` with
+`submodule_search_locations`; this works because unimod imports itself only
+relatively. The change tree is loaded twice. Every op runs four times, in
+random order: on the parent, twice on the change and once on the change's
+second load. The real set is the per-op time ratio change / parent, the
+null set the ratio second load / change, which reads 1 up to the noise of
+the method. Each set reports its median ratio with a 95 % bootstrap CI
+from 2000 resamples of the ops, and the ops whose outputs differ: the
+lifted indices or the final cost of a pipeline, the rows of an snr-cdf
+trial. The real set also gives the lifted cost's shift in dB (20 log10 of
+change / parent).
+
+Families:
+
+* pipeline-n<N>, for instance pipeline-n200, pipeline-n1000 and
+  pipeline-n10000: `default_pipeline` on a 32 x N matrix of CN(0, 1)
+  entries from numpy keyed by [seed, i], op i taking the (p, B) pair i % 8
+  of the benchmark's round (B = 1..4, p = 1, 2 within each B);
+* snr-cdf: one trial of the snr-cdf study, `bench._snr_trial` on the
+  benchmark's spec (32 x 200, B = 2, 10^4 random configurations) with the
+  seed (seed << 20) | i: a 32 x 200 pipeline and a random search.
+
+A tree is a directory that holds src/unimod; make the parent's with
+`git archive REV | tar -x -C DIR`. --change-src defaults to this checkout.
+Inputs are drawn outside the timed calls, and one untimed op on every load
+comes first.
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/ab.py --parent-src DIR [--change-src DIR] \\
+        --family pipeline-n1000 --ops 240
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import math
+import re
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ROUND = tuple((p, bits) for bits in (1, 2, 3, 4) for p in (1, 2))
+
+RESAMPLES = 2000
+
+
+def load(tree: Path, name: str):
+    """tree/src/unimod imported as the package `name`, with its bench module."""
+    init = tree / "src" / "unimod" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.bench")
+    return package
+
+
+def op_input(family: str, seed: int, i: int):
+    """Op i's input, a matrix or an snr-cdf seed, and its (p, B)."""
+    if family == "snr-cdf":
+        return (seed << 20) | i, (2, 2)
+    n = int(family.rsplit("-n", 1)[1])
+    g = np.random.default_rng([seed, i])
+    a = (g.standard_normal((32, n)) + 1j * g.standard_normal((32, n))) / math.sqrt(2)
+    return a, ROUND[i % len(ROUND)]
+
+
+def run_op(pkg, family: str, x, p: int, bits: int):
+    """One op on `pkg`: its lifted cost and the outputs the trees must agree on."""
+    if family == "snr-cdf":
+        spec = pkg.bench.ExperimentSpec(kind="snr-cdf", out_dir=".", trials=1, seed=x, m=32,
+                                        n_values=(200,), bits=(bits,), random_configs=10_000)
+        rows = pkg.bench._snr_trial(spec, (0, 0))
+        return rows[0][3], repr(rows)
+    res = pkg.default_pipeline(x, pkg.DiscretePhaseSet(bits), p)
+    return res.final_cost, (res.trace.phases.indices.tobytes(), res.final_cost)
+
+
+def summary(ratios, differing: int) -> dict:
+    ratios = np.asarray(ratios)
+    boot = np.median(ratios[np.random.default_rng(0).integers(0, ratios.size,
+                                                              (RESAMPLES, ratios.size))], axis=1)
+    lo, hi = np.percentile(boot, (2.5, 97.5))
+    return {"median_ratio": float(np.median(ratios)), "ci95": [float(lo), float(hi)],
+            "differing_outputs": differing}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent-src", type=Path, required=True)
+    parser.add_argument("--change-src", type=Path, default=ROOT)
+    parser.add_argument("--family", required=True, help="pipeline-n<N> or snr-cdf")
+    parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=31)
+    args = parser.parse_args()
+    if not re.fullmatch(r"snr-cdf|pipeline-n[1-9][0-9]*", args.family):
+        parser.error(f"unknown family {args.family!r}: pipeline-n<N> or snr-cdf")
+
+    change = load(args.change_src, "ab_change")
+    # the four runs of an op: the change runs twice, once for each set
+    sides = {"parent": load(args.parent_src, "ab_parent"), "change": change,
+             "change_again": change, "null": load(args.change_src, "ab_null")}
+    x, (p, bits) = op_input(args.family, args.seed, args.ops)
+    for pkg in sides.values():
+        run_op(pkg, args.family, x, p, bits)
+
+    order = np.random.default_rng([args.seed, 1])
+    seconds = {side: [] for side in sides}
+    real_differ = null_differ = 0
+    shifts = []
+    for i in range(args.ops):
+        x, (p, bits) = op_input(args.family, args.seed, i)
+        outs = {}
+        for side in order.permutation(list(sides)):
+            start = time.perf_counter()
+            outs[side] = run_op(sides[side], args.family, x, p, bits)
+            seconds[side].append(time.perf_counter() - start)
+        real_differ += outs["change"][1] != outs["parent"][1]
+        null_differ += outs["null"][1] != outs["change_again"][1]
+        shifts.append(20 * math.log10(outs["change"][0] / outs["parent"][0]))
+
+    t = {side: np.asarray(s) for side, s in seconds.items()}
+    real = summary(t["change"] / t["parent"], real_differ)
+    real["lifted_db_shift"] = {
+        "min": min(shifts), "q5": float(np.percentile(shifts, 5)),
+        "median": float(np.median(shifts)), "mean": float(np.mean(shifts)), "max": max(shifts)}
+    print(json.dumps({
+        "family": args.family, "ops": args.ops, "seed": args.seed,
+        "median_op_ms": {"parent": 1e3 * float(np.median(t["parent"])),
+                         "change": 1e3 * float(np.median(t["change"]))},
+        "real": real,
+        "null": summary(t["null"] / t["change_again"], null_differ),
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

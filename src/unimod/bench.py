@@ -311,7 +311,8 @@ def _convergence_trial(spec: ExperimentSpec, trial: int) -> list:
         cont = solve_continuous(a, SolveConfig(p=p), start)
         disc = solve_discrete(a, SolveConfig(p=p, dps=dps), hard_round(start, dps))
         for mode, trace in (("continuous", cont), ("discrete", disc)):
-            rows += [(trial, mode, p, it, float(cost)) for it, cost in enumerate(trace.costs)]
+            rows += [(trial, mode, p, it, float(cost))
+                     for it, cost in enumerate(trace.costs, trace.single_iterations)]
     return rows
 
 
@@ -535,7 +536,9 @@ EXPERIMENTS: dict[str, Experiment] = {
         ("costs are listed per iteration; every trace is non-decreasing",
          "a continuous iteration is one SQUAREM cycle of three map evaluations, "
          "four when the extrapolated witness is rejected; a discrete iteration "
-         "is one map evaluation"),
+         "is one map evaluation",
+         "at m * n >= 2^13 the continuous trace starts after its single-precision "
+         "cycles, which list no cost"),
         dict(trials=3, m=10, n_values=(100,), bits=(2,)), reads=("n_values", "bits")),
     "lifting-stat": Experiment(
         ("trial", "unrounded", "rounded", "lifted", "gain", *_STAGE_HEADER),

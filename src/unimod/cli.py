@@ -67,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--max-iter", type=int, default=None,
                          help=f"iteration cap (default {SolveConfig.max_iterations}): lift steps, "
                               "and SQUAREM cycles in the continuous warm start of three map "
-                              "evaluations, four when the extrapolated witness is rejected")
+                              "evaluations, four when the extrapolated witness is rejected; "
+                              "its cycles in single and in double precision count alike")
         cmd.add_argument("--out", default=None, help="result file (default: stdout)")
 
     oracle = sub.add_parser("oracle", help="exhaustive-search reference on a matrix file")
@@ -114,6 +115,7 @@ def _stages_payload(result: PipelineResult) -> dict:
         "iterations": result.trace.iterations,
         "continuous_termination": result.continuous_trace.termination,
         "continuous_iterations": result.continuous_trace.iterations,
+        "continuous_single_iterations": result.continuous_trace.single_iterations,
         "continuous_seconds": result.continuous_seconds,
         "lift_seconds": result.lift_seconds,
     }

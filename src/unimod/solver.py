@@ -48,6 +48,24 @@ start to its fixed point in far fewer evaluations. The lift only needs a
 monotone run from the rounded point, so the path the warm start takes is
 free to change.
 
+Two precisions. The continuous kernel `_align`, shared by
+`solve_continuous` and the pipeline's warm start, owes the rounding a
+float64 fixed point, not float64 arithmetic on every cycle. Where A has
+at least 2^13 entries (`_SINGLE_MIN_SIZE`), where the two products of a
+map evaluation run at memory speed and complex64 halves their bytes, it
+first runs the same SQUAREM cycles in single precision, until a cycle
+gains at most 1e-7 of the cost (`_SINGLE_TOLERANCE`), and hands their end
+point to the float64 cycles, which stop on the configured tolerance. The
+single-precision cycles run on a canonical complex64 copy, A times
+2^-e * conj(a_k) / |a_k| for the first entry a_k of largest modulus (up to
+a share 2^-20, so that moduli tied to rounding stay tied), from
+a start turned so that its entry 0 is 1: A and 2^k A give the same copy
+and start, and exp(j*theta) A gives them up to float64 roundings that the
+cast almost always absorbs, so the scale and rotation invariances below
+hold as in float64. The hand-off is turned back in float64, and it is the
+start itself unless it scores at least as high in float64. Below the size,
+the kernel is the float64 loop alone.
+
 Scale. The objective is homogeneous in A, and the solver's choices do not
 depend on its scale either. Where a sum of squares leaves the normal double
 range (the l2 witness of w = A x, the dominant-row start's l2 row norms),
@@ -106,7 +124,7 @@ class SolveConfig:
     tolerance: float = 1e-10
     #: cap on iterations: map steps in discrete mode, SQUAREM cycles in
     #: continuous mode of three map evaluations, four when the extrapolated
-    #: witness is rejected
+    #: witness is rejected, in single and in double precision together
     max_iterations: int = 500
 
     def __post_init__(self):
@@ -122,11 +140,15 @@ class SolveConfig:
 class SolveTrace:
     """Record of one alternating run.
 
-    costs[k] is ||A exp(j*Omega_k)||_p after k iterations, so costs[0]
-    belongs to the starting point and the sequence is non-decreasing up to
-    floating point noise. A continuous iteration is one SQUAREM cycle of
-    three map evaluations, four when the extrapolated witness is rejected;
-    a discrete one is a single map evaluation.
+    costs[k] is the float64 ||A exp(j*Omega_k)||_p after k float64
+    iterations, so costs[0] belongs to their starting point and the sequence
+    is non-decreasing up to floating point noise. A continuous iteration is
+    one SQUAREM cycle of three map evaluations, four when the extrapolated
+    witness is rejected; a discrete one is a single map evaluation. A
+    continuous run on an A of at least 2^13 entries first runs
+    `single_iterations` cycles in single precision, which record no cost:
+    costs[0] then belongs to their hand-off, and `iterations` counts the
+    cycles of both precisions.
     """
 
     costs: np.ndarray
@@ -134,10 +156,12 @@ class SolveTrace:
     termination: str
     phases: PhaseVector
     witness: np.ndarray
+    #: the single-precision cycles before costs[0]
+    single_iterations: int = 0
 
     @property
     def iterations(self) -> int:
-        return self.costs.size - 1
+        return self.costs.size - 1 + self.single_iterations
 
     @property
     def final_cost(self) -> float:
@@ -272,21 +296,22 @@ def _as_phase_vector(omega0) -> PhaseVector:
     return PhaseVector.from_values(omega0)
 
 
-def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarray, step,
-               phasors, advance):
+def _alternate(a: np.ndarray, ah: np.ndarray, p: float, state: np.ndarray, step, phasors,
+               advance, tolerance: float, cap: int):
     """Shared alternating loop on raw arrays; `ah` is a.conj().T.
 
     `state` is the iterate in its mode's own form, `phasors(state)` gives
     exp(j*Omega) and `step(u)` maps u = A^H z to the next state. With them
     the loop builds the map `f(z)`, one step from a dual witness z returning
     the next (state, witness, cost). `advance(f, z)` makes one iteration out
-    of it and returns its end (state, witness, cost). Returns the cost
-    sequence, the termination, the last state and its dual witness. cfg.p
-    is 1 or 2, as every SolveConfig's is.
+    of it and returns its end (state, witness, cost). The loop runs at most
+    `cap` iterations and stops once one raises the cost by at most
+    `tolerance` times the cost. Returns the cost sequence, the termination,
+    the last state and its dual witness. p is 1 or 2, as every
+    SolveConfig's is.
     """
     if state.size != a.shape[1]:
         raise InvalidArgumentError("starting point length does not match the matrix")
-    p = cfg.p
 
     def score(s):
         return _witness(a @ phasors(s), p)
@@ -302,11 +327,11 @@ def _alternate(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, state: np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         z, cost = score(state)
         costs = [cost]
-        for _ in range(cfg.max_iterations):
+        for _ in range(cap):
             state, z, cost = advance(f, z)
             costs.append(cost)
             gain = costs[-1] - costs[-2]
-            if gain <= cfg.tolerance * costs[-1]:
+            if gain <= tolerance * costs[-1]:
                 termination = "fixed-point" if gain == 0.0 else "tolerance"
                 break
     return np.asarray(costs), termination, state, z
@@ -356,7 +381,8 @@ def _lift(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, pv0: PhaseVector) -> 
     dps = cfg.dps
     table = dps.phasors
     costs, termination, idx, z = _alternate(
-        a, ah, cfg, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k], _map_step)
+        a, ah, cfg.p, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k], _map_step,
+        cfg.tolerance, cfg.max_iterations)
     return SolveTrace(costs, termination, PhaseVector.from_indices(idx, dps), z)
 
 
@@ -373,12 +399,92 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
     return _align(a, a.conj().T, cfg, _as_phase_vector(omega0).phasors())
 
 
+#: A with at least this many entries runs single-precision cycles before the
+#: float64 ones; below it they cost about what they save (scripts/ab.py on
+#: 32 x n: break-even at n = 256, a loss at n = 200)
+_SINGLE_MIN_SIZE = 1 << 13
+
+#: the single-precision cycles turn A by the first entry whose modulus is at
+#: least this share of the largest
+_TIE = 1.0 - 2.0**-20
+
+#: the single-precision cycles stop once one gains at most this share of the
+#: cost, just above float32's unit roundoff of 6e-8
+#: (scripts/tolerance_sweep.py --single-tolerances)
+_SINGLE_TOLERANCE = 1e-7
+
+
 def _align(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> SolveTrace:
     """Kernel of `solve_continuous` for a validated `a`, its `ah` = a.conj().T
-    and starting phasors `x0`."""
-    costs, termination, x, z = _alternate(
-        a, ah, cfg, x0, lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle)
-    return SolveTrace(costs, termination, PhaseVector(_wrap_angle(np.angle(x))), z)
+    and starting phasors `x0`: `_single_cycles` where A has at least
+    _SINGLE_MIN_SIZE entries, then float64 cycles from their hand-off, all
+    of them within cfg.max_iterations."""
+    single = 0
+    if a.size >= _SINGLE_MIN_SIZE:
+        x0, single = _single_cycles(a, cfg, x0)
+    costs, termination, x, z = _cycles(a, ah, cfg.p, x0, cfg.tolerance,
+                                       cfg.max_iterations - single)
+    return SolveTrace(costs, termination, PhaseVector(_wrap_angle(np.angle(x))), z, single)
+
+
+def _cycles(a: np.ndarray, ah: np.ndarray, p: float, x0: np.ndarray, tolerance: float, cap: int):
+    """`_alternate` in continuous mode, in the precision of `a`: SQUAREM
+    cycles carrying phasors, each step x = u / |u|."""
+    return _alternate(a, ah, p, x0, lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle,
+                      tolerance, cap)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _single_cycles(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> tuple[np.ndarray, int]:
+    """SQUAREM cycles in single precision: the float64 start they hand off
+    and the number of cycles they ran.
+
+    They run on a canonical complex64 copy of A, A * 2^-e * conj(a_k) / |a_k|
+    with a_k the first entry whose modulus is within a share 2^-20 of the
+    largest and e its `_pow2_scale` exponent, from x0 turned so that its
+    entry 0 is 1. A and 2^k A have the same copy and turned start bit for
+    bit, so they run the same cycles, and exp(j*theta) A has them up to
+    float64 roundings, which the cast to complex64 almost always absorbs.
+    The cycles stop at a gain of at most _SINGLE_TOLERANCE of the cost, or
+    after cfg.max_iterations. Their end point, turned back by x0[0] in
+    float64 and made unimodular, is the hand-off, unless its float64 cost
+    is below the start's: then x0 is.
+
+    An all-zero A, or one whose largest modulus is not finite, runs no
+    cycle. A zero or non-finite cost, in complex64, where 1 / |u| overflows
+    below about 2^-128, or in float64, discards the cycles, and so does a
+    start of another length, which the float64 cycles then reject: x0 is
+    handed off, after 0 cycles.
+    """
+    turn = _canonical_turn(a)
+    if turn is None:
+        return x0, 0
+    # cast from complex128 in numpy's buffered chunks, with no full-size temporary
+    a32 = np.multiply(a, turn, out=np.empty(a.shape, np.complex64), casting="same_kind")
+    x32 = np.multiply(x0, np.conj(x0[0]), out=np.empty(x0.shape, np.complex64),
+                      casting="same_kind")
+    try:
+        costs, _, x, _ = _cycles(a32, a32.conj().T, cfg.p, x32, _SINGLE_TOLERANCE,
+                                 cfg.max_iterations)
+        h = x * x0[0]
+        h = _unit(h, np.abs(h))
+        better = _witness(a @ h, cfg.p)[1] >= _witness(a @ x0, cfg.p)[1]
+    except (DegenerateInputError, InvalidArgumentError):
+        return x0, 0
+    return (h if better else x0), costs.size - 1
+
+
+def _canonical_turn(a: np.ndarray) -> complex | None:
+    """2^-e * conj(a_k) / |a_k| of `_single_cycles`, None for an all-zero A
+    or one whose largest modulus is not finite."""
+    mod = np.abs(a)
+    top = mod.max()
+    if not 0.0 < top < math.inf:
+        return None
+    # moduli that tie up to rounding, as in rows of steering phasors, stay
+    # tied when A turns, while the last bits of each move
+    k = np.argmax(mod >= top * _TIE)
+    return np.conj(a.flat[k]) / mod.flat[k] * math.ldexp(1.0, -_pow2_scale(a.flat[k])[1])
 
 
 def hard_round(omega, dps: DiscretePhaseSet) -> PhaseVector:

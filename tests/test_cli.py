@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,12 @@ def run_json(tmp_path, *argv):
     code = main([*argv, "--out", str(out)])
     payload = json.loads(out.read_text(), parse_constant=reject) if out.exists() else None
     return code, payload
+
+
+def write_matrix(tmp_path, a) -> Path:
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in a.tolist()]))
+    return mfile
 
 
 def reject(constant):
@@ -63,6 +70,7 @@ class TestSolve:
         assert code == 0
         assert payload["continuous_termination"] == "iteration-cap"
         assert payload["continuous_iterations"] == 1
+        assert payload["continuous_single_iterations"] == 0
         assert payload["termination"] == "fixed-point"
         assert payload["iterations"] == len(payload["trace"]) - 1
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2")
@@ -71,6 +79,30 @@ class TestSolve:
         assert payload["continuous_iterations"] == result.continuous_trace.iterations
         assert payload["iterations"] == result.trace.iterations
         assert payload["objective"] == result.final_cost
+
+    def test_the_cap_counts_the_cycles_of_both_precisions(self, tmp_path):
+        # 16 x 1024 is large enough for single-precision cycles before the
+        # float64 ones; the cap stops them after 3
+        g = np.random.default_rng(31)
+        a = g.standard_normal((16, 1024)) + 1j * g.standard_normal((16, 1024))
+        mfile = write_matrix(tmp_path, a)
+        code, payload = run_json(tmp_path, "solve", str(mfile), "--bits", "2", "--max-iter", "3")
+        assert code == 0
+        assert payload["continuous_termination"] == "iteration-cap"
+        assert payload["continuous_iterations"] == payload["continuous_single_iterations"] == 3
+        code, payload = run_json(tmp_path, "solve", str(mfile), "--bits", "2")
+        assert code == 0
+        assert payload["continuous_termination"] != "iteration-cap"
+        assert 0 < payload["continuous_single_iterations"] < payload["continuous_iterations"]
+
+    def test_an_all_zero_matrix_large_enough_for_single_precision_exits_3(self, tmp_path,
+                                                                        capsys):
+        # the single-precision cycles are skipped, and divide nothing by 0
+        mfile = write_matrix(tmp_path, np.zeros((16, 1024), dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(mfile), "--bits", "1"]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_reports_stage_wall_times(self, tmp_path):
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--bits", "2")
@@ -239,6 +271,7 @@ class TestSolveRis:
         assert code == 0
         assert payload["continuous_termination"] == "iteration-cap"
         assert payload["continuous_iterations"] == 1
+        assert payload["continuous_single_iterations"] == 0
         assert payload["termination"] == "fixed-point"
         code, payload = run_json(tmp_path, "solve-ris", str(instance), "--bits", "2")
         result = default_pipeline(build_problem(load_instance(instance)).matrix,

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,6 +36,17 @@ def test_linf_screen_counts_only_the_rows_linf_sweeps():
         assert 1 <= s["swept_per_op"] <= s["rows_per_op"], family
 
 
+@pytest.mark.parametrize("family", ["pipeline-n1000", "snr-cdf"])
+def test_ab_finds_a_tree_identical_to_itself(family):
+    # outputs only: a handful of ops times nothing worth asserting
+    summary = json.loads(run_script("ab.py", "--parent-src", str(ROOT), "--family", family,
+                                    "--ops", "3"))
+    for name in ("real", "null"):
+        assert summary[name]["differing_outputs"] == 0, name
+    shift = summary["real"]["lifted_db_shift"]
+    assert shift["min"] == shift["max"] == 0.0
+
+
 def test_tolerance_sweep_runs_both_families(tmp_path):
     out = tmp_path / "sweep.json"
     run_script("tolerance_sweep.py", "--tolerances", "1e-10", "--out", str(out))
@@ -43,5 +56,20 @@ def test_tolerance_sweep_runs_both_families(tmp_path):
         s = by_tol["1e-10"]
         assert s["identical_indices"] == s["problems"] > 0, family
         assert s["warm_start_cap_hits"] == 0, family
-        for key in ("lifted_db_shift_min", "lifted_db_shift_median", "lifted_db_shift_max"):
+        for key in ("lifted_db_shift_min", "lifted_db_shift_q5", "lifted_db_shift_median",
+                    "lifted_db_shift_max"):
             assert s[key] == 0.0, (family, key)
+        # only the 32 x 1000 family is large enough for single-precision cycles
+        assert (s["warm_start_single_cycles_mean"] > 0) == (family == "pipeline-n1000"), family
+        assert s["warm_start_single_cycles_mean"] + s["warm_start_double_cycles_mean"] == \
+            pytest.approx(s["warm_start_cycles_mean"]), family
+
+
+def test_tolerance_sweep_sets_the_single_precision_tolerance(tmp_path):
+    out = tmp_path / "sweep.json"
+    run_script("tolerance_sweep.py", "--tolerances", "1e-10", "--single-tolerances", "1e-6",
+               "1e-7", "--out", str(out))
+    s = json.loads(out.read_text())["summary"]["pipeline-n1000"]
+    # a looser single-precision stop leaves more cycles to float64
+    assert (s["1e-10/1e-06"]["warm_start_single_cycles_mean"]
+            < s["1e-10/1e-07"]["warm_start_single_cycles_mean"])

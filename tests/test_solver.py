@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -31,6 +32,11 @@ from unimod import das, solver
 from unimod.core import TWO_PI
 from unimod.oracle import exhaustive_norm
 from unimod.solver import _unit, _witness
+
+
+#: (m, n) below and above the size where the continuous solver runs
+#: single-precision cycles first
+SIZES = ((16, 200), (32, 1000))
 
 
 def zero_start(n, dps):
@@ -255,6 +261,20 @@ class TestSolveContinuous:
         trace = solve_continuous(a, SolveConfig(p=2), deterministic_init(a, 2))
         assert trace.termination == "tolerance"
         assert trace.iterations < 100
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_single_row_of_2_14_entries_starts_at_its_optimum(self, p):
+        # the single-precision cycles end on phasors a float32 rounding away
+        # from the optimum, which score below the start in float64: the
+        # float64 cycles start from the start instead
+        for t in range(4):
+            a = sample_complex_gaussian(Rng(40, t), 1, 1 << 14, 1.0)
+            start = deterministic_init(a, p)
+            trace = solve_continuous(a, SolveConfig(p=p), start)
+            assert trace.single_iterations == 1
+            assert trace.costs[0] >= norm_lp(a @ start.phasors(), p)
+            assert np.all(trace.costs[1:] >= trace.costs[:-1] * (1 - 1e-12))
+            assert trace.final_cost == pytest.approx(norm_lp(a[0], 1), rel=1e-15)
 
     def test_tiny_scale_witness_does_not_underflow(self):
         # ||w||_2 of |w| near 1e-170 underflows to 0 in the sum of squares
@@ -1001,12 +1021,15 @@ class TestInvariance:
     def test_power_of_two_scale_is_exact(self, k):
         # 2^k * A runs the same arithmetic on the same dual witnesses, every
         # cost scaled exactly; an absolute stop took 42 / 51 / 52 warm-start
-        # cycles at p = 1 and 23 / 32 / 35 at p = 2 for k = -20 / 0 / 20
+        # cycles at p = 1 and 23 / 32 / 35 at p = 2 for k = -20 / 0 / 20.
+        # The warm start runs single-precision cycles first, then float64 ones
         a = numpy_gaussian([11, 3], 32, 1000)
-        for p, cycles in ((1, 20), (2, 25)):
+        for p, single, cycles in ((1, 17, 20), (2, 22, 25)):
             unit = default_pipeline(a, DiscretePhaseSet(2), p)
             scaled = default_pipeline(2.0**k * a, DiscretePhaseSet(2), p)
+            assert unit.continuous_trace.single_iterations == single
             assert unit.continuous_trace.iterations == cycles
+            assert scaled.continuous_trace.single_iterations == single
             for ours, theirs in ((scaled.continuous_trace, unit.continuous_trace),
                                  (scaled.trace, unit.trace)):
                 assert ours.termination == theirs.termination
@@ -1019,12 +1042,13 @@ class TestInvariance:
         # at 2^k with |k| > 500 the l2 sums of squares under- or overflow, and
         # the rescues run on core._pow2_scale's copy, which is A's own: a
         # witness that divided by max|w| lifted other indices at every p = 2
-        # case here, and took other warm-start iterations
+        # case here, and took other warm-start iterations. 32 x 1000 runs
+        # single-precision cycles first, on a copy that is A's own too
         dps = DiscretePhaseSet(bits)
-        for t in range(4):
-            a = sample_complex_gaussian(Rng(78, t), 16, 200, 1.0)
+        for t, (m, n) in itertools.product(range(4), SIZES):
+            a = sample_complex_gaussian(Rng(78, t), m, n, 1.0)
             unit = default_pipeline(a, dps, p)
-            for k in (-600, -530, 505, 540):
+            for k in (-600, -530, 505, 540, 600):
                 scaled = default_pipeline(a * math.ldexp(1.0, k), dps, p)
                 assert np.array_equal(scaled.trace.phases.indices, unit.trace.phases.indices)
                 for ours, theirs in ((scaled.continuous_trace, unit.continuous_trace),
@@ -1059,10 +1083,11 @@ class TestInvariance:
     def test_global_rotation_keeps_the_objective(self, p, bits):
         # exp(j*theta)*A turns the warm start by -theta, so its rounding
         # moves unless theta is a multiple of the lattice step; then the
-        # lifted indices move by that many steps
+        # lifted indices move by that many steps. At 32 x 1000 a plain
+        # complex64 cast of A moved the continuous cost by 2.8e-11
         dps = DiscretePhaseSet(bits)
-        for t in range(4):
-            a = sample_complex_gaussian(Rng(4242, t), 16, 200, 1.0)
+        for t, (m, n) in itertools.product(range(4), SIZES):
+            a = sample_complex_gaussian(Rng(4242, t), m, n, 1.0)
             unit = default_pipeline(a, dps, p)
             for theta in (0.3, -1.1, 2.0):
                 turned = default_pipeline(np.exp(1j * theta) * a, dps, p)
@@ -1072,6 +1097,19 @@ class TestInvariance:
                 assert turned.final_cost == pytest.approx(unit.final_cost, rel=1e-12)
                 assert np.array_equal((turned.trace.phases.indices + steps) % dps.levels,
                                       unit.trace.phases.indices)
+
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_global_rotation_of_steering_rows_keeps_the_continuous_cost(self, p):
+        # every entry has modulus 1 up to its last bits, which move when A
+        # turns: single-precision cycles on A turned by the entry of largest
+        # modulus to the last bit moved the continuous cost by 0.2 % at p = 1
+        for t in range(2):
+            a = steering_rows(1000, np.random.default_rng([43, t]).uniform(-2.0, 2.0, 32))
+            unit = default_pipeline(a, DiscretePhaseSet(2), p)
+            for theta in (0.3, -1.1, 2.0):
+                turned = default_pipeline(np.exp(1j * theta) * a, DiscretePhaseSet(2), p)
+                assert turned.unrounded_cost == pytest.approx(unit.unrounded_cost, rel=1e-12)
 
 
 class TestMonotonicityProperty:
