@@ -26,9 +26,10 @@ Families:
 A tree is a directory that holds src/unimod; make the parent's with
 `git archive REV | tar -x -C DIR`. --change-src defaults to this checkout.
 Inputs are drawn outside the timed calls, and one untimed op on every load
-comes first.
+comes first. BLAS runs on one thread unless OPENBLAS_NUM_THREADS says
+otherwise.
 
-    OPENBLAS_NUM_THREADS=1 python3 scripts/ab.py --parent-src DIR [--change-src DIR] \\
+    python3 scripts/ab.py --parent-src DIR [--change-src DIR] \\
         --family pipeline-n1000 --ops 240
 """
 
@@ -39,10 +40,14 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import re
 import sys
 import time
 from pathlib import Path
+
+# before numpy loads: one BLAS thread unless the caller sets another count
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -1,17 +1,19 @@
 """Check that two source trees write the same bench tables and DaS outputs.
 
-For each experiment kind, run `python -m unimod.cli bench --experiment K
---seed 31` at small trial counts on each tree's src/, with one worker
-(UNIMOD_THREADS=1) and one BLAS thread (OPENBLAS_NUM_THREADS=1), and
-compare the CSV tables byte for byte. `timing.csv` is compared without its
-wall-clock columns, total_seconds and mean_seconds. The JSON envelopes are
-not compared: they record the output directory and the commit.
+Both trees' unimod packages are loaded into this one process by `ab.load`,
+each under its own name, and every check runs on each in turn; no CLI and no
+child interpreter runs. For each experiment kind, `bench.make_spec(kind, dir,
+seed=31, **FLAGS[kind])` at small trial counts goes to
+`bench.run_experiment`, with one worker (UNIMOD_THREADS=1) and one BLAS
+thread (OPENBLAS_NUM_THREADS=1), and the CSV tables are compared byte for
+byte. `timing.csv` is compared without its wall-clock columns,
+total_seconds and mean_seconds. The JSON envelopes are not compared: they
+record the output directory and the commit.
 
 The kernel digest is a sha256 over the outputs of `das._das_indices` and
-`das._linf` on fixed inputs (`kernel_inputs`), taken on each tree in its
-own interpreter: indices, and for `_linf` also the row, the objective's
-bits and the rows swept. It is reported under "kernel", apart from the
-kinds.
+`das._linf` on fixed inputs (`kernel_inputs`): indices, and for `_linf` also
+the row, the objective's bits and the rows swept. It is reported under
+"kernel", apart from the kinds.
 
 A tree is a directory that holds src/unimod. The script runs no git: make
 the parent's tree with `git worktree add DIR REV` or
@@ -20,11 +22,17 @@ the parent's tree with `git worktree add DIR REV` or
     python3 scripts/same_outputs.py --parent-src DIR [--change-src DIR] [--kinds timing ...]
 
 Prints a JSON summary, one entry per kind and one for the kernel digest,
-and exits 1 when a table or the digest differs or a run fails on either
-tree.
+and exits 1 when a table or the digest differs or a check raises on either
+tree; the entry of a check that raised gives its error line.
 """
 
 from __future__ import annotations
+
+import os
+
+# before numpy loads: one worker and one BLAS thread, as the tables assume
+os.environ["UNIMOD_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import csv
@@ -32,40 +40,35 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
+import numpy as np
 
-SEED = "31"
+from ab import ROOT, load
 
-#: per kind, the flags that run it in about a second
+SEED = 31
+
+#: per kind, the spec fields that run it in about a second
 FLAGS = {
-    "convergence": ["--trials", "3"],
-    "lifting-stat": ["--trials", "20"],
-    "snr-vs-n": ["--trials", "6", "--n-values", "20", "50", "--random-configs", "500"],
-    "snr-cdf": ["--trials", "8", "--random-configs", "1000"],
-    "quantization-gap": ["--trials", "6"],
-    "timing": ["--trials", "3", "--n-values", "10", "50", "--random-configs", "200"],
-    "oracle-check": ["--trials", "40"],
+    "convergence": {"trials": 3},
+    "lifting-stat": {"trials": 20},
+    "snr-vs-n": {"trials": 6, "n_values": (20, 50), "random_configs": 500},
+    "snr-cdf": {"trials": 8, "random_configs": 1000},
+    "quantization-gap": {"trials": 6},
+    "timing": {"trials": 3, "n_values": (10, 50), "random_configs": 200},
+    "oracle-check": {"trials": 40},
 }
 
 #: the columns of timing.csv that vary run to run
 CLOCK_COLUMNS = ("total_seconds", "mean_seconds")
 
 
-def run_bench(tree: Path, kind: str, out: Path) -> str:
-    """Run one experiment on `tree`'s src/ into `out`; its CSV table, without
-    the clock columns for timing."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
-           "UNIMOD_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-m", "unimod.cli", "bench", "--experiment", kind,
-                    "--seed", SEED, "--out", str(out), *FLAGS[kind]],
-                   env=env, cwd=out.parent, capture_output=True, text=True, check=True)
+def bench_table(pkg, kind: str, out: Path) -> str:
+    """Run one experiment on `pkg` into `out`; its CSV table, without the
+    clock columns for timing."""
+    pkg.bench.run_experiment(pkg.bench.make_spec(kind, out, seed=SEED, **FLAGS[kind]))
     text = (out / f"{kind.replace('-', '_')}.csv").read_text()
     if kind != "timing":
         return text
@@ -87,16 +90,15 @@ def kernel_inputs():
     CN(0, 1) matrices (about 30 % of the entries and one row zero, at 8 x n
     for n up to 2000 and 8 x 10^4), whose rows `_linf` sweeps on their
     nonzero entries."""
-    import numpy as np
 
     def gaussian(g, m, n):
         return (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / math.sqrt(2)
 
     for bits in (2, 3, 4):
         for t in range(3):
-            a = gaussian(np.random.default_rng([int(SEED), bits, t]), 8, 10000)
+            a = gaussian(np.random.default_rng([SEED, bits, t]), 8, 10000)
             yield "linf", a * (1e-13 if t == 2 else 1.0), bits
-    g = np.random.default_rng([int(SEED), 1])
+    g = np.random.default_rng([SEED, 1])
     for k in range(64):
         n, bits = int(g.integers(1, 2000)), 1 + k % 4
         v = g.integers(0 if k % 2 else 1, 3, n) * np.exp(0.25j * math.pi * g.integers(0, 8, n))
@@ -113,7 +115,7 @@ def kernel_inputs():
         v = np.repeat(gaussian(g, 1, n).ravel(), 2)
         v[1::2] *= g.uniform(0.5, 2.0, n) * np.exp(2e-15j * g.choice([-1, 1], n))
         yield "das", v, bits
-    g = np.random.default_rng([int(SEED), 2])
+    g = np.random.default_rng([SEED, 2])
     for k in range(12):
         n, bits = (10000 if k < 3 else int(g.integers(1, 2000))), 1 + k % 4
         a = gaussian(g, 8, n)
@@ -122,49 +124,41 @@ def kernel_inputs():
         yield "linf", a, bits
 
 
-def print_kernel_digest() -> None:
-    """Print the kernel digest of the unimod on sys.path as JSON."""
-    from unimod import DiscretePhaseSet
-    from unimod.das import _das_indices, _linf
-
+def kernel_digest(pkg) -> dict:
+    """The digest of `pkg.das`'s kernels on `kernel_inputs()`."""
     h = hashlib.sha256()
     counts = {"das": 0, "linf": 0}
     for kernel, x, bits in kernel_inputs():
-        dps = DiscretePhaseSet(bits)
+        dps = pkg.DiscretePhaseSet(bits)
         if kernel == "das":
-            h.update(_das_indices(x, dps).tobytes())
+            h.update(pkg.das._das_indices(x, dps).tobytes())
         else:
-            idx, row, obj, swept = _linf(x, dps)
+            idx, row, obj, swept = pkg.das._linf(x, dps)
             h.update(idx.tobytes())
             h.update(f"{row} {obj.hex()} {swept}".encode())
         counts[kernel] += 1
-    print(json.dumps({"sha256": h.hexdigest(), "das_vectors": counts["das"],
-                      "linf_matrices": counts["linf"]}))
+    return {"sha256": h.hexdigest(), "das_vectors": counts["das"], "linf_matrices": counts["linf"]}
 
 
-def kernel_digest(tree: Path) -> dict:
-    """`print_kernel_digest` run on `tree`'s src/ in a child interpreter."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(HERE)]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", "import same_outputs; same_outputs.print_kernel_digest()"],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+def failure(exc: Exception) -> dict:
+    """The entry of a check that raised: its error line."""
+    return {"identical": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def compare_kernels(parent: Path, change: Path) -> dict:
+def compare_kernels(pkgs) -> dict:
     try:
-        digests = [kernel_digest(tree) for tree in (parent, change)]
-    except subprocess.CalledProcessError as exc:
-        return {"identical": False, "error": exc.stderr.strip().rpartition("\n")[2]}
+        digests = [kernel_digest(pkg) for pkg in pkgs]
+    except Exception as exc:
+        return failure(exc)
     return {"identical": digests[0] == digests[1], **digests[1]}
 
 
-def compare(parent: Path, change: Path, kind: str, work: Path) -> dict:
+def compare(pkgs, kind: str, work: Path) -> dict:
     try:
-        tables = [run_bench(tree, kind, work / f"{kind}-{side}")
-                  for side, tree in (("parent", parent), ("change", change))]
-    except subprocess.CalledProcessError as exc:
-        return {"identical": False, "error": exc.stderr.strip().rpartition("\n")[2]}
+        tables = [bench_table(pkg, kind, work / f"{kind}-{side}")
+                  for side, pkg in zip(("parent", "change"), pkgs)]
+    except Exception as exc:
+        return failure(exc)
     lines = [t.splitlines() for t in tables]
     differing = sum(a != b for a, b in zip(*lines)) + abs(len(lines[0]) - len(lines[1]))
     return {"identical": tables[0] == tables[1], "rows": len(lines[0]) - 1,
@@ -183,11 +177,12 @@ def main() -> int:
     for tree in trees:
         if not (tree / "src" / "unimod").is_dir():
             parser.error(f"{tree} holds no src/unimod")
+    pkgs = [load(tree, f"same_{side}") for side, tree in zip(("parent", "change"), trees)]
     with tempfile.TemporaryDirectory() as work:
-        kinds = {kind: compare(*trees, kind, Path(work)) for kind in args.kinds}
-    kernel = compare_kernels(*trees)
+        kinds = {kind: compare(pkgs, kind, Path(work)) for kind in args.kinds}
+    kernel = compare_kernels(pkgs)
     same = sum(k["identical"] for k in kinds.values())
-    print(json.dumps({"parent": str(trees[0]), "change": str(trees[1]), "seed": int(SEED),
+    print(json.dumps({"parent": str(trees[0]), "change": str(trees[1]), "seed": SEED,
                       "identical": f"{same} of {len(kinds)}", "kinds": kinds,
                       "kernel": kernel}, indent=2))
     return 0 if same == len(kinds) and kernel["identical"] else 1

@@ -4,11 +4,13 @@ the lifted cost.
 Two problem families, each run through `default_pipeline` at every
 tolerance:
 
-* pipeline-n1000: 48 matrices of 32 x 1000 CN(0, 1) entries from numpy
-  keyed by [11, i], with operation i taking the (p, B) pair i % 8 of the
-  benchmark's round (B = 1..4, p = 1, 2 within each B);
-* snr-cdf: 40 NLoS RIS problems of the snr-cdf study, 32 x 200 with
-  Rng(31337, t), p = 2, B = 2.
+* pipeline-n1000: 48 matrices of 32 x 1000 CN(0, 1) entries, those of
+  `ab.op_input("pipeline-n1000", 11, i)`: numpy keyed by [11, i], with
+  operation i taking the (p, B) pair i % 8 of the benchmark's round
+  (B = 1..4, p = 1, 2 within each B);
+* snr-cdf: 40 NLoS RIS problems of the snr-cdf study, 32 x 200, drawn by
+  `bench._ris_instance` on the study's spec at seed 31337 (Rng(31337, t)),
+  p = 2, B = 2.
 
 --single-tolerances sweeps the continuous solver's single-precision stop,
 `solver._SINGLE_TOLERANCE`, which this script sets in-process; each run is
@@ -39,33 +41,20 @@ import math
 
 import numpy as np
 
-from unimod import (
-    DiscretePhaseSet,
-    RisInstance,
-    Rng,
-    SolveConfig,
-    build_problem,
-    default_pipeline,
-    sample_complex_gaussian,
-    solver,
-)
-
-ROUND = tuple((p, bits) for bits in (1, 2, 3, 4) for p in (1, 2))
+from ab import op_input
+from unimod import DiscretePhaseSet, SolveConfig, bench, default_pipeline, solver
 
 
 def pipeline_problems(count: int):
     for i in range(count):
-        g = np.random.default_rng([11, i])
-        a = (g.standard_normal((32, 1000)) + 1j * g.standard_normal((32, 1000))) / math.sqrt(2)
-        yield (i, *ROUND[i % len(ROUND)], a)
+        a, (p, bits) = op_input("pipeline-n1000", 11, i)
+        yield i, p, bits, a
 
 
 def snr_problems(count: int):
+    spec = bench.make_spec("snr-cdf", ".", seed=31337)
     for t in range(count):
-        rng = Rng(31337, t)
-        h = sample_complex_gaussian(rng, 200, 32, 1.0)
-        h_ue = sample_complex_gaussian(rng, 1, 200, 1.0).ravel()
-        yield t, 2, 2, build_problem(RisInstance(h, h_ue)).matrix
+        yield t, 2, 2, bench._ris_instance(spec, 0, t)[1]
 
 
 def run(problems, settings) -> dict:
