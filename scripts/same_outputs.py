@@ -12,8 +12,10 @@ record the output directory and the commit.
 
 The kernel digest is a sha256 over the outputs of `das._das_indices` and
 `das._linf` on fixed inputs (`kernel_inputs`): indices, and for `_linf` also
-the row, the objective's bits and the rows swept. It is reported under
-"kernel", apart from the kinds.
+the row, the objective's bits and the rows swept. On each vector it also
+takes the scorers' bits: `das_maximize`'s objective, and `norm_lp(v, p)`
+and `solver._witness(v, p)`, witness and cost, for p in {1, 2}. It is
+reported under "kernel", apart from the kinds.
 
 A tree is a directory that holds src/unimod. The script runs no git: make
 the parent's tree with `git worktree add DIR REV` or
@@ -125,13 +127,18 @@ def kernel_inputs():
 
 
 def kernel_digest(pkg) -> dict:
-    """The digest of `pkg.das`'s kernels on `kernel_inputs()`."""
+    """The digest of `pkg`'s DaS kernels and scorers on `kernel_inputs()`."""
     h = hashlib.sha256()
     counts = {"das": 0, "linf": 0}
     for kernel, x, bits in kernel_inputs():
         dps = pkg.DiscretePhaseSet(bits)
         if kernel == "das":
             h.update(pkg.das._das_indices(x, dps).tobytes())
+            h.update(pkg.das_maximize(x, dps)[1].hex().encode())
+            for p in (1.0, 2.0):
+                z, cost = pkg.solver._witness(x, p)
+                h.update(z.tobytes())
+                h.update(f"{pkg.norm_lp(x, p).hex()} {cost.hex()}".encode())
         else:
             idx, row, obj, swept = pkg.das._linf(x, dps)
             h.update(idx.tobytes())

@@ -10,10 +10,11 @@ Conventions used throughout the package:
 * `_lattice_split` is the one exact (Cody-Waite) reduction of a phase onto
   a lattice; hard rounding (`nearest_lattice`) and divide-and-sort read it,
 * `_pow2_scale` is the one scale rule: the exact copy x * 2^-e with
-  max|x * 2^-e| in [1/2, 1). The oracles' scan always works on it; the l2
-  witness, the dominant-row start and `norm_lp` run again on it where a
-  sum of squares leaves the normal double range (`_normal`), and scale
-  the result back by 2^e. So A and 2^k A run the same arithmetic,
+  max|x * 2^-e| in [1/2, 1). The oracles' scan always works on it; the
+  dominant-row start and `_l2`, the one l2 norm of `norm_lp` and of the
+  solvers' witness, run again on it where a sum of squares leaves the
+  normal double range (`_normal`), and scale the result back by 2^e. So A
+  and 2^k A run the same arithmetic,
 * `_finite` is the one finiteness test of array inputs, and
   `_finite_objective` the one rule of every objective and norm: a finite
   double, InvalidArgumentError past 2^1024,
@@ -387,21 +388,31 @@ def row_norms(y: np.ndarray, p: float) -> np.ndarray:
     return np.abs(y).max(axis=1)
 
 
+def _l2(v: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(x, e, c) with ||v||_2 = c * 2^e, the one l2 rule of every cost and
+    witness. c is np.linalg.norm's formula, sqrt(re.re + im.im), on x: v
+    itself with e = 0 where that sum of squares is a normal double, else
+    `_pow2_scale`'s exact copy v * 2^-e, whose sum is normal unless v is
+    zero or not finite (e = 0, and c is 0, inf or nan)."""
+    x, e = v, 0
+    for scaled in (False, True):
+        re, im = x.real, x.imag
+        sq = re.dot(re) + im.dot(im)
+        if scaled or _normal(sq):
+            break
+        x, e = _pow2_scale(v)
+    return x, e, math.sqrt(sq)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def norm_lp(x, p) -> float:
-    """l1 / l2 / l-infinity norm of a complex vector. The l2 norm is
-    np.linalg.norm's, sqrt(re.re + im.im); where that sum of squares under-
-    or overflows it is the norm of `_pow2_scale`'s copy, scaled back. A
-    norm beyond the double range is InvalidArgumentError."""
+    """l1 / l2 / l-infinity norm of a complex vector, the l2 norm by `_l2`.
+    A norm beyond the double range is InvalidArgumentError."""
     v = as_complex_vector(x)
     p = normalize_p(p)
     if p == 1.0:
         return _finite_objective(float(np.sum(np.abs(v))))
     if p == 2.0:
-        re, im = v.real, v.imag
-        sq = re.dot(re) + im.dot(im)
-        if not _normal(sq):
-            u, e = _pow2_scale(v)
-            return _finite_objective(float(np.linalg.norm(u)), e)
-        return math.sqrt(sq)
+        _, e, c = _l2(v)
+        return _finite_objective(c, e)
     return _finite_objective(float(np.max(np.abs(v))))

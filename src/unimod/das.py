@@ -66,7 +66,8 @@ largest single pass of the kernel.
 
 Nothing that depends only on B is rebuilt per call: the phasor table is
 `DiscretePhaseSet.phasors`, one read-only array per B with the bits of
-np.exp(1j * values), and the split of delta is cached per B. The candidate
+np.exp(1j * values), which `das_maximize` and `_linf` also score their
+optima on, and the split of delta is cached per B. The candidate
 sums are built in one buffer: the psi = 0 sum, then the cumulative sum of
 the increments, then that sum added on, the same roundings as joining the
 two and with no copy.
@@ -346,4 +347,4 @@ def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:
     """
     v = as_complex_vector(v)
     pv = PhaseVector.from_indices(_das_indices(v, dps), dps)
-    return pv, _finite_objective(float(np.abs(np.vdot(v, pv.phasors()))))
+    return pv, _finite_objective(float(np.abs(np.vdot(v, dps.phasors[pv.indices]))))

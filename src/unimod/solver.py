@@ -27,9 +27,12 @@ raises it by nothing.
 The map steps avoid numpy's slow paths without changing a bit. x = u / |u|
 is a plain division unless u has a zero entry: a division masked with
 `where=` runs the same arithmetic through a loop about twice as slow, and
-is kept for the zero entries, which get 1. Multiplying by 1/|u| would be
-cheaper, but it is other arithmetic and flips the sign of some zero parts.
-The l2 cost is np.linalg.norm's own formula, sqrt(re.re + im.im), without
+is kept for the zero entries, which get 1. In single precision the plain
+division is a multiply by 1/|u|: numpy's complex-by-real division forms
+(re + im*0) * (1/|u|), so the two agree bit for bit wherever no part of
+the quotient is zero, and elsewhere differ at most in the sign of a zero
+part. float64 keeps the division. The l2 cost is `core._l2`, the rule of
+`norm_lp`: np.linalg.norm's own formula, sqrt(re.re + im.im), without
 its wrapper.
 
 An iteration of the discrete mode is one map evaluation: a witness step and
@@ -96,6 +99,7 @@ from .core import (
     _as_int,
     _as_real,
     _finite_objective,
+    _l2,
     _normal,
     _pow2_scale,
     _wrap_angle,
@@ -237,9 +241,11 @@ def _unit(v: np.ndarray, mod: np.ndarray) -> np.ndarray:
     agree bit for bit; only a v with an entry of modulus at most 2^-1024
     pays for the masked one. That loop forms 1 / |v|, which overflows for
     those entries, so a nonzero one is scaled up by 2^600 first, exactly,
-    and divided by its own modulus."""
+    and divided by its own modulus. A complex64 v without such an entry is
+    multiplied by 1 / |v| instead, the loop's own arithmetic but for the
+    sign of a zero part (see the module docstring)."""
     if mod[mod.argmin()] > _TINY:
-        return v / mod
+        return v * np.reciprocal(mod) if v.dtype == np.complex64 else v / mod
     x = np.divide(v, mod, out=np.ones_like(v), where=mod > _TINY)
     tiny = (mod > 0.0) & (mod <= _TINY)
     if tiny.any():
@@ -249,29 +255,20 @@ def _unit(v: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
 
 def _witness(w: np.ndarray, p: float) -> tuple[np.ndarray, float]:
-    """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2};
-    a cost beyond the double range is InvalidArgumentError."""
+    """Dual witness of w = A exp(j*Omega) and the cost ||w||_p, p in {1, 2}:
+    for l2, x / c and c * 2^e of `_l2(w)`, for l1 the unit phasors of w and
+    the sum of their moduli. A cost beyond the double range is
+    InvalidArgumentError."""
     if p == 2.0:
-        # np.linalg.norm(w) by its own formula, without the wrapper
-        re, im = w.real, w.imag
-        sq = re.dot(re) + im.dot(im)
-        if not _normal(sq):
-            # the sum of squares under- or overflows (|w| near 1e-170 or
-            # 1e170): the witness and cost of the exactly scaled copy, whose
-            # e is 0 only for w = 0 or a w that is not finite
-            x, e = _pow2_scale(w)
-            if e:
-                z, cost = _witness(x, p)
-                return z, _finite_objective(cost, e)
-        cost = math.sqrt(sq)
+        x, e, c = _l2(w)
     else:
         mod = np.abs(w)
-        cost = float(mod.sum())
-    # inf or nan: an l1 sum past 2^1024, or a w that overflowed (e = 0 above)
-    _finite_objective(cost)
+        e, c = 0, float(mod.sum())
+    # inf or nan: an l1 sum past 2^1024, or a w that is not finite
+    cost = _finite_objective(c, e)
     if cost == 0.0:
         raise DegenerateInputError("w = A exp(j*Omega) is zero and has no dual witness")
-    return (w / cost if p == 2.0 else _unit(w, mod)), cost
+    return (x / c if p == 2.0 else _unit(w, mod)), cost
 
 
 def _lattice_phase_vector(omega0, dps: DiscretePhaseSet) -> PhaseVector:

@@ -64,7 +64,10 @@ def test_ab_finds_a_tree_identical_to_itself(family):
     summary = json.loads(run_script("ab.py", "--parent-src", str(ROOT), "--family", family,
                                     "--ops", "3"))
     for name in ("real", "null"):
-        assert summary[name]["differing_outputs"] == 0, name
+        s = summary[name]
+        assert s["differing_outputs"] == 0, name
+        assert s["ci95"][0] <= s["median_ratio"] <= s["ci95"][1], name
+        assert s["sum_ci95"][0] <= s["sum_ratio"] <= s["sum_ci95"][1], name
     shift = summary["real"]["lifted_db_shift"]
     assert shift["min"] == shift["max"] == 0.0
 

@@ -484,7 +484,26 @@ class TestMapStepFastPaths:
                     v[g.integers(n)] = 0.0
                 assert np.array_equal(bits_of(_unit(v, np.abs(v))), bits_of(self.masked_divide(v)))
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1.0, 1e150, 1e170])
+    @pytest.mark.parametrize("n", [1, 32, 1000, 1001])
+    @pytest.mark.parametrize("k", [-100, -60, -20, 0, 20, 60, 100])
+    def test_single_precision_unit_is_the_division(self, n, k):
+        # complex64 multiplies by 1/|v|: where no part of the quotient is zero
+        # it has the division's bits, elsewhere its value, so its modulus and
+        # angle, up to the sign of a zero part
+        g = np.random.default_rng([33, n, 128 + k])
+        v = math.ldexp(1.0, k) * (g.standard_normal(n) + 1j * g.standard_normal(n))
+        v[g.integers(n, size=max(1, n // 8))] = g.standard_normal()          # zero imaginary part
+        v[g.integers(n, size=max(1, n // 8))] = 1j * g.standard_normal()     # zero real part
+        v[g.integers(n)] = complex(-g.exponential(), -0.0)
+        v = v.astype(np.complex64)
+        x, ref = _unit(v, np.abs(v)), self.masked_divide(v)
+        whole = (ref.real != 0) & (ref.imag != 0)
+        assert whole.sum() >= n // 2
+        assert np.array_equal(bits_of(x[whole]), bits_of(ref[whole]))
+        assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1e-300, 1e-170, 1e-150, 1.0, 1e150, 1e170,
+                                       1e300, 2.0 ** 1000])
     def test_l2_witness_cost_is_the_norm(self, scale):
         g = np.random.default_rng(32)
         for m in (1, 32, 100):
@@ -493,6 +512,9 @@ class TestMapStepFastPaths:
                 with np.errstate(over="ignore"):
                     z, cost = _witness(x, 2.0)
                     ref = float(np.linalg.norm(x))
+                    # norm_lp and the witness score through one rule
+                    for p in (1.0, 2.0):
+                        assert bits_of(norm_lp(x, p)) == bits_of(_witness(x, p)[1])
                 if 2.0 ** -511 <= ref < math.inf:
                     z_ref = x / ref
                 else:
@@ -502,7 +524,7 @@ class TestMapStepFastPaths:
                     u = x * math.ldexp(1.0, -e)
                     ref = math.ldexp(float(np.linalg.norm(u)), e)
                     z_ref = u / np.linalg.norm(u)
-                    assert scale in (1e-170, 1e170)
+                    assert scale not in (1e-150, 1.0, 1e150)
                 assert np.float64(cost).view(np.uint64) == np.float64(ref).view(np.uint64)
                 assert np.array_equal(bits_of(z), bits_of(z_ref))
 
@@ -925,6 +947,25 @@ class TestDefaultPipeline:
             assert result.final_cost <= ref.objective + 1e-9
             gaps.append(ref.objective - result.final_cost)
         assert np.median(gaps) < 0.5  # near-optimal on average
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_rank_one_reaches_the_optimum_at_bench_sizes(self, n):
+        # ||u v^T x||_p = ||u||_p |v^T x| for every x, so the optimum is
+        # ||u||_p times DaS's objective on conj(v); the hard rounding alone
+        # misses it in most of these cases, so the lift must reach it
+        for t in range(3):
+            rng = Rng(n, t)
+            u = sample_complex_gaussian(rng, 4, 1, 1.0)[:, 0]
+            v = sample_complex_gaussian(rng, 1, n, 1.0)[0]
+            a = np.outer(u, v)
+            for bits in (1, 2, 3, 4):
+                dps = DiscretePhaseSet(bits)
+                best = das_maximize(np.conj(v), dps)[1]
+                for p in (1, 2):
+                    assert default_pipeline(a, dps, p).final_cost == pytest.approx(
+                        norm_lp(u, p) * best, rel=1e-12), (t, bits, p)
+                assert solve_linf(a, dps)[2] == pytest.approx(norm_lp(u, "inf") * best,
+                                                              rel=1e-12), (t, bits)
 
     def test_lifting_dominance_10x100(self):
         a = sample_complex_gaussian(Rng(20), 10, 100, 1.0)
