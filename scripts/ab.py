@@ -11,8 +11,9 @@ the method. Each set reports its median per-op ratio and the ratio of its
 summed op times (as a throughput reads them, slow ops weighing more), each
 with a 95 % bootstrap CI from 2000 resamples of the ops, and the ops whose
 outputs differ: the lifted indices or the final cost of a pipeline, the
-rows of an snr-cdf trial. The real set also gives the lifted cost's shift
-in dB (20 log10 of change / parent).
+rows of an snr-cdf trial, the indices, row and objective of an l-infinity
+solve. The real set also gives the shift of the final cost, the lifted one
+or the l-infinity objective, in dB (20 log10 of change / parent).
 
 Families:
 
@@ -20,6 +21,10 @@ Families:
   pipeline-n10000: `default_pipeline` on a 32 x N matrix of CN(0, 1)
   entries from numpy keyed by [seed, i], op i taking the (p, B) pair i % 8
   of the benchmark's round (B = 1..4, p = 1, 2 within each B);
+* linf-n<N>, for instance linf-n10000: `solve_linf` on an 8 x N matrix of
+  CN(0, 1) entries from numpy keyed by [seed, i], op i taking the
+  (B, scaled) pair i % 9 of the benchmark's round (B = 2, 3, 4, and within
+  each B two matrices as drawn and one scaled by 1e-13);
 * snr-cdf: one trial of the snr-cdf study, `bench._snr_trial` on the
   benchmark's spec (32 x 200, B = 2, 10^4 random configurations) with the
   seed (seed << 20) | i: a 32 x 200 pipeline and a random search.
@@ -56,6 +61,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ROUND = tuple((p, bits) for bits in (1, 2, 3, 4) for p in (1, 2))
 
+LINF_ROUND = tuple((bits, scaled) for bits in (2, 3, 4) for scaled in (False, False, True))
+
+#: the factor of the scaled l-infinity ops
+LINF_SCALE = 1e-13
+
 RESAMPLES = 2000
 
 
@@ -75,19 +85,26 @@ def op_input(family: str, seed: int, i: int):
     """Op i's input, a matrix or an snr-cdf seed, and its (p, B)."""
     if family == "snr-cdf":
         return (seed << 20) | i, (2, 2)
-    n = int(family.rsplit("-n", 1)[1])
+    kind, n = family.rsplit("-n", 1)
+    shape = (8 if kind == "linf" else 32, int(n))
     g = np.random.default_rng([seed, i])
-    a = (g.standard_normal((32, n)) + 1j * g.standard_normal((32, n))) / math.sqrt(2)
-    return a, ROUND[i % len(ROUND)]
+    a = (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / math.sqrt(2)
+    if kind == "pipeline":
+        return a, ROUND[i % len(ROUND)]
+    bits, scaled = LINF_ROUND[i % len(LINF_ROUND)]
+    return (LINF_SCALE * a if scaled else a), (math.inf, bits)
 
 
 def run_op(pkg, family: str, x, p: int, bits: int):
-    """One op on `pkg`: its lifted cost and the outputs the trees must agree on."""
+    """One op on `pkg`: its final cost and the outputs the trees must agree on."""
     if family == "snr-cdf":
         spec = pkg.bench.ExperimentSpec(kind="snr-cdf", out_dir=".", trials=1, seed=x, m=32,
                                         n_values=(200,), bits=(bits,), random_configs=10_000)
         rows = pkg.bench._snr_trial(spec, (0, 0))
         return rows[0][3], repr(rows)
+    if math.isinf(p):
+        pv, row, obj = pkg.solve_linf(x, pkg.DiscretePhaseSet(bits))
+        return obj, (pv.indices.tobytes(), row, obj)
     res = pkg.default_pipeline(x, pkg.DiscretePhaseSet(bits), p)
     return res.final_cost, (res.trace.phases.indices.tobytes(), res.final_cost)
 
@@ -110,12 +127,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent-src", type=Path, required=True)
     parser.add_argument("--change-src", type=Path, default=ROOT)
-    parser.add_argument("--family", required=True, help="pipeline-n<N> or snr-cdf")
+    parser.add_argument("--family", required=True, help="pipeline-n<N>, linf-n<N> or snr-cdf")
     parser.add_argument("--ops", type=int, required=True)
     parser.add_argument("--seed", type=int, default=31)
     args = parser.parse_args()
-    if not re.fullmatch(r"snr-cdf|pipeline-n[1-9][0-9]*", args.family):
-        parser.error(f"unknown family {args.family!r}: pipeline-n<N> or snr-cdf")
+    if not re.fullmatch(r"snr-cdf|(pipeline|linf)-n[1-9][0-9]*", args.family):
+        parser.error(f"unknown family {args.family!r}: pipeline-n<N>, linf-n<N> or snr-cdf")
 
     change = load(args.change_src, "ab_change")
     # the four runs of an op: the change runs twice, once for each set

@@ -404,13 +404,12 @@ def _snr_cdf_summary(spec: ExperimentSpec, rows) -> list:
 def _gap_trial(spec: ExperimentSpec, trial: int) -> list:
     """SNR loss of B-bit pipelines against the continuous solution."""
     inst, a, _ = _ris_instance(spec, 0, trial)
-    ah = a.conj().T
     # one warm start, lifted onto each lattice as default_pipeline would
-    continuous = _warm_start(a, ah, SolveConfig(p=2))
+    continuous = _warm_start(a, SolveConfig(p=2))
     cont_db = _snr_value(continuous.final_cost, inst).db
     rows = []
     for bits in spec.bits:
-        result = _round_and_lift(a, ah, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
+        result = _round_and_lift(a, SolveConfig(p=2, dps=DiscretePhaseSet(bits)), continuous)
         pipe_db = _snr_value(result.final_cost, inst).db
         rows.append((trial, bits, pipe_db, cont_db, cont_db - pipe_db, *_stage_ends(result)))
     return rows

@@ -37,9 +37,9 @@ Both searches share one scan. It divides A by a power of two near max|A|,
 which is exact, so the arithmetic is the same at every scale of A and no
 sum of squares overflows or flushes to zero near 1e170 or 1e-170 (the
 scale rule of `core._pow2_scale`). It works in one workspace per call,
-sized to stay in L2 cache and reused for every batch of 512
-configurations: their codes, phasors and products are written in place,
-not allocated per batch. A code's phasors and digits come from one row of
+sized by bytes (at most 2^18, unless 512 rows need more) and reused for
+every batch of configurations: their codes, phasors and products are
+written in place, not allocated per batch. A code's phasors and digits come from one row of
 the tables of all codes (`_code_tables`), built once per B, never from exp
 per entry or a cast of the 2^B phasor table per call. Each batch is
 screened in single precision, and only the configurations whose screen
@@ -50,6 +50,12 @@ makes every dropped configuration score strictly below a kept one in
 double precision, so the winner, its objective and the first-hit rule are
 those of scoring every configuration in double precision; the screen only
 changes the cost.
+
+The objective a search reports is that double precision score of its
+winner: ||(A / 2^e) x||_p for a row x of the batch's phasors, with the
+product taken as a row of a matrix product, times 2^e. It is not
+`norm_lp(A @ x, p)` recomputed: the two sum in different orders and may
+differ in the last bits (up to about 1e-15 relative for p in {1, 2, inf}).
 """
 
 from __future__ import annotations
@@ -66,8 +72,11 @@ from .errors import SizeLimitError
 #: refuse exhaustive enumerations beyond 2^24 configurations
 MAX_EXHAUSTIVE_BITS = 24
 
-#: configurations per batch: the scan's workspace stays in L2 cache (see `_scan`)
+#: configurations per batch at the least (see `_scan`)
 _CHUNK = 1 << 9
+
+#: bytes of the scan's workspace, which takes more than _CHUNK rows where they fit
+_BUDGET = 1 << 18
 
 #: unit roundoff of float32
 _U32 = 2.0 ** -24
@@ -158,9 +167,13 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     wide; the digits past n pad the last code and meet zero rows of A^T, so
     they add exact zeros to the screen products; the digits of the
     configurations kept for the double precision score come from the table
-    of every code's digits, and only the first n count. At `_CHUNK` = 512
-    rows, 32 x 200 and B = 2 the workspace is 0.95 MB, inside the 2 MB
-    per-core L2 cache of the x86-64 host it was sized on.
+    of every code's digits, and only the first n count. A row takes
+    nc codes, n' complex64 phasors, m complex64 products and a float32
+    score, and a batch holds as many rows as fit in `_BUDGET` = 2^18 bytes,
+    but at least `_CHUNK` = 512, so that a narrow A does not pay numpy's
+    per-call overhead on small batches: 3276 rows at 1 x 8 and B = 3, and
+    512 at 32 x 200 and B = 2, where the workspace is 0.95 MB, inside the
+    2 MB per-core L2 cache of the x86-64 host it was sized on.
 
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023), by `core._pow2_scale`. Multiplying by 2^-e is
@@ -222,8 +235,10 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     c = 4 * (nc * d + 4) * _U32 * np.abs(at).sum(axis=0) + 2.0 ** -60
     big_e = float(np.linalg.norm(c, p))
     rho = 4 * (m + 2) * _U32
-    rows = min(total, _CHUNK)
-    codes_ws = np.empty((rows, nc), dtype=np.min_scalar_type(len(code_digits) - 1))
+    code_type = np.min_scalar_type(len(code_digits) - 1)
+    row_bytes = nc * (code_type.itemsize + 8 * d) + 8 * m + 4
+    rows = min(total, max(_CHUNK, _BUDGET // row_bytes))
+    codes_ws = np.empty((rows, nc), dtype=code_type)
     x_ws = np.empty((rows, nc * d), dtype=np.complex64)
     y_ws = np.empty((rows, m), dtype=np.complex64)
     w_ws = np.empty(rows, dtype=np.float32)

@@ -13,12 +13,12 @@ lattice split of `core`, the one the divide-and-sort kernel reads.
 
 Both modes share one loop, `_alternate`, that works on raw complex arrays.
 The public solvers validate their input and build PhaseVectors once, outside
-it, and then call private kernels on raw arrays. `default_pipeline` validates
-A once and forms A^H once for all of its stages: its warm start, rounding
-and lift run on those kernels, not through the public solvers, and give the
-same bits as composing the public functions. Inside the loop the witness and
-the cost come from w = A x with plain numpy, and the iterate is carried in
-its cheapest form: phasors x = u / |u| in continuous mode (1 where u == 0),
+it, and then call private kernels on raw arrays, which take A alone.
+`default_pipeline` validates A once: its warm start, rounding and lift run
+on those kernels, not through the public solvers, and give the same bits as
+composing the public functions. Inside the loop the witness and the cost
+come from w = A x with plain numpy, and the iterate is carried in its
+cheapest form: phasors x = u / |u| in continuous mode (1 where u == 0),
 lattice indices from the divide-and-sort kernel in discrete mode. The loop
 stops once an iteration raises the cost by at most the tolerance times the
 cost, so A and s*A stop after the same iterations; an exact fixed point
@@ -293,9 +293,9 @@ def _as_phase_vector(omega0) -> PhaseVector:
     return PhaseVector.from_values(omega0)
 
 
-def _alternate(a: np.ndarray, ah: np.ndarray, p: float, state: np.ndarray, step, phasors,
-               advance, tolerance: float, cap: int):
-    """Shared alternating loop on raw arrays; `ah` is a.conj().T.
+def _alternate(a: np.ndarray, p: float, state: np.ndarray, step, phasors, advance,
+               tolerance: float, cap: int):
+    """Shared alternating loop on raw arrays; it forms A^H once per call.
 
     `state` is the iterate in its mode's own form, `phasors(state)` gives
     exp(j*Omega) and `step(u)` maps u = A^H z to the next state. With them
@@ -309,6 +309,8 @@ def _alternate(a: np.ndarray, ah: np.ndarray, p: float, state: np.ndarray, step,
     """
     if state.size != a.shape[1]:
         raise InvalidArgumentError("starting point length does not match the matrix")
+    # a transposed view: a C-ordered copy of A^H moves the last bits of u
+    ah = a.conj().T
 
     def score(s):
         return _witness(a @ phasors(s), p)
@@ -369,16 +371,16 @@ def solve_discrete(a, cfg: SolveConfig, omega0) -> SolveTrace:
     a = as_complex_matrix(a)
     if cfg.dps is None:
         raise InvalidArgumentError("solve_discrete needs a DiscretePhaseSet in the config")
-    return _lift(a, a.conj().T, cfg, _lattice_phase_vector(omega0, cfg.dps))
+    return _lift(a, cfg, _lattice_phase_vector(omega0, cfg.dps))
 
 
-def _lift(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, pv0: PhaseVector) -> SolveTrace:
-    """Kernel of `solve_discrete` for a validated `a`, its `ah` = a.conj().T
-    and a start `pv0` with indices on cfg.dps."""
+def _lift(a: np.ndarray, cfg: SolveConfig, pv0: PhaseVector) -> SolveTrace:
+    """Kernel of `solve_discrete` for a validated `a` and a start `pv0` with
+    indices on cfg.dps."""
     dps = cfg.dps
     table = dps.phasors
     costs, termination, idx, z = _alternate(
-        a, ah, cfg.p, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k], _map_step,
+        a, cfg.p, pv0.indices, lambda u: _das_indices(u, dps), lambda k: table[k], _map_step,
         cfg.tolerance, cfg.max_iterations)
     return SolveTrace(costs, termination, PhaseVector.from_indices(idx, dps), z)
 
@@ -393,7 +395,7 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
     four when the extrapolated witness is rejected.
     """
     a = as_complex_matrix(a)
-    return _align(a, a.conj().T, cfg, _as_phase_vector(omega0).phasors())
+    return _align(a, cfg, _as_phase_vector(omega0).phasors())
 
 
 #: A with at least this many entries runs single-precision cycles before the
@@ -411,23 +413,22 @@ _TIE = 1.0 - 2.0**-20
 _SINGLE_TOLERANCE = 1e-7
 
 
-def _align(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> SolveTrace:
-    """Kernel of `solve_continuous` for a validated `a`, its `ah` = a.conj().T
-    and starting phasors `x0`: `_single_cycles` where A has at least
-    _SINGLE_MIN_SIZE entries, then float64 cycles from their hand-off, all
-    of them within cfg.max_iterations."""
+def _align(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> SolveTrace:
+    """Kernel of `solve_continuous` for a validated `a` and starting phasors
+    `x0`: `_single_cycles` where A has at least _SINGLE_MIN_SIZE entries,
+    then float64 cycles from their hand-off, all of them within
+    cfg.max_iterations."""
     single = 0
     if a.size >= _SINGLE_MIN_SIZE:
         x0, single = _single_cycles(a, cfg, x0)
-    costs, termination, x, z = _cycles(a, ah, cfg.p, x0, cfg.tolerance,
-                                       cfg.max_iterations - single)
+    costs, termination, x, z = _cycles(a, cfg.p, x0, cfg.tolerance, cfg.max_iterations - single)
     return SolveTrace(costs, termination, PhaseVector(_wrap_angle(np.angle(x))), z, single)
 
 
-def _cycles(a: np.ndarray, ah: np.ndarray, p: float, x0: np.ndarray, tolerance: float, cap: int):
+def _cycles(a: np.ndarray, p: float, x0: np.ndarray, tolerance: float, cap: int):
     """`_alternate` in continuous mode, in the precision of `a`: SQUAREM
     cycles carrying phasors, each step x = u / |u|."""
-    return _alternate(a, ah, p, x0, lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle,
+    return _alternate(a, p, x0, lambda u: _unit(u, np.abs(u)), lambda x: x, _squarem_cycle,
                       tolerance, cap)
 
 
@@ -461,8 +462,7 @@ def _single_cycles(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> tuple[np.
     x32 = np.multiply(x0, np.conj(x0[0]), out=np.empty(x0.shape, np.complex64),
                       casting="same_kind")
     try:
-        costs, _, x, _ = _cycles(a32, a32.conj().T, cfg.p, x32, _SINGLE_TOLERANCE,
-                                 cfg.max_iterations)
+        costs, _, x, _ = _cycles(a32, cfg.p, x32, _SINGLE_TOLERANCE, cfg.max_iterations)
         h = x * x0[0]
         h = _unit(h, np.abs(h))
         better = _witness(a @ h, cfg.p)[1] >= _witness(a @ x0, cfg.p)[1]
@@ -538,35 +538,32 @@ def default_pipeline(a, dps: DiscretePhaseSet, p, cfg: SolveConfig | None = None
 
     The lift runs the discrete alternation from the hard-rounded point.
     Monotonicity guarantees its final cost is at least the rounded cost, so it
-    can only recover quantization loss. A is validated once, here; the steps
-    run on their kernels and share one A^H. SolveConfig rejects p = inf;
+    can only recover quantization loss. A is validated once, here, and the
+    steps run on their kernels. SolveConfig rejects p = inf;
     p and dps override cfg's. The result carries both stages' wall times.
     """
     a = as_complex_matrix(a)
     cfg = SolveConfig(p=p, dps=dps) if cfg is None else replace(cfg, p=p, dps=dps)
-    ah = a.conj().T
     start = time.perf_counter()
-    continuous = _warm_start(a, ah, cfg)
+    continuous = _warm_start(a, cfg)
     warm = time.perf_counter()
-    result = _round_and_lift(a, ah, cfg, continuous)
+    result = _round_and_lift(a, cfg, continuous)
     return replace(result, continuous_seconds=warm - start,
                    lift_seconds=time.perf_counter() - warm)
 
 
-def _warm_start(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig) -> SolveTrace:
+def _warm_start(a: np.ndarray, cfg: SolveConfig) -> SolveTrace:
     """The pipeline's continuous stage, `solve_continuous` from
-    `deterministic_init`, for a validated `a`, its `ah` = a.conj().T and
-    cfg.p in {1, 2}."""
-    return _align(a, ah, cfg, np.exp(1j * _init_phases(a, cfg.p)))
+    `deterministic_init`, for a validated `a` and cfg.p in {1, 2}."""
+    return _align(a, cfg, np.exp(1j * _init_phases(a, cfg.p)))
 
 
-def _round_and_lift(a: np.ndarray, ah: np.ndarray, cfg: SolveConfig,
-                    continuous: SolveTrace) -> PipelineResult:
+def _round_and_lift(a: np.ndarray, cfg: SolveConfig, continuous: SolveTrace) -> PipelineResult:
     """The pipeline after its warm start: hard-round the continuous solution
-    onto cfg.dps, then lift. `a` is validated, `ah` is a.conj().T and cfg.p
-    in {1, 2}; callers that lift one warm start onto several lattices call
-    this once per lattice."""
+    onto cfg.dps, then lift. `a` is validated and cfg.p in {1, 2}; callers
+    that lift one warm start onto several lattices call this once per
+    lattice."""
     rounded = hard_round(continuous.phases, cfg.dps)
-    lifted = _lift(a, ah, cfg, rounded)
+    lifted = _lift(a, cfg, rounded)
     # the lift's first cost is the rounded point's, at no extra product
     return PipelineResult(lifted, continuous, rounded, float(lifted.costs[0]))

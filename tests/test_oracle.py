@@ -105,6 +105,8 @@ class TestExhaustiveNorm:
         scanned = dps.levels ** (n - 1)  # the rows with digit 0 at 0
         first = digits[np.argmax(evaluate(a, digits[:scanned], dps, p))]
         results = []
+        # no byte budget: every batch has exactly _CHUNK rows
+        monkeypatch.setattr(oracle, "_BUDGET", 0)
         for chunk in (7, oracle._CHUNK, 1024, 16384):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
             results.append(exhaustive_norm(a, dps, p))
@@ -293,6 +295,8 @@ class TestRandomSearch:
             # digits 1 tie for the best
             a = np.repeat(np.random.default_rng(632).integers(1, 5, (8, 1)) * 1.0, n, axis=1)
         default = oracle._CHUNK
+        # no byte budget: every batch has exactly _CHUNK rows
+        monkeypatch.setattr(oracle, "_BUDGET", 0)
         results = []
         for chunk in (7, default, 1024, 16384):
             monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -384,10 +388,11 @@ class TestRandomSearch:
 
 
 def test_exhaustive_inner_peak_memory():
-    # the scan's workspace of 512-row batches of byte codes peaks near
-    # 0.095 MB at n = 8, B = 3 (0.10 MB when the call builds the B = 3 code
-    # tables); the bound rules out any array sized by the 2^21
-    # configurations scanned (one complex128 value each is 32 MB)
+    # the scan's workspace of 3276-row batches of byte codes, 2^18 bytes,
+    # peaks near 0.51 MB at n = 8, B = 3 (0.52 MB when the call builds the
+    # B = 3 code tables; 512-row batches peaked near 0.095 MB); the bound
+    # rules out any array sized by the 2^21 configurations scanned (one
+    # complex128 value each is 32 MB)
     v = sample_complex_gaussian(Rng(630), 1, 8, 1.0).ravel()
     tracemalloc.start()
     try:

@@ -58,7 +58,7 @@ def test_linf_screen_counts_only_the_rows_linf_sweeps():
         assert 1 <= s["swept_per_op"] <= s["rows_per_op"], family
 
 
-@pytest.mark.parametrize("family", ["pipeline-n1000", "snr-cdf"])
+@pytest.mark.parametrize("family", ["pipeline-n1000", "linf-n1000", "snr-cdf"])
 def test_ab_finds_a_tree_identical_to_itself(family):
     # outputs only: a handful of ops times nothing worth asserting
     summary = json.loads(run_script("ab.py", "--parent-src", str(ROOT), "--family", family,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -1040,6 +1041,22 @@ class TestDefaultPipeline:
         monkeypatch.setattr(solver, "as_complex_matrix", counted)
         default_pipeline(sample_complex_gaussian(Rng(28), 8, 60, 1.0), DiscretePhaseSet(2), 2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_working_memory(self, p):
+        # each alternating run holds its own conjugate copy of A, and the
+        # call peaks near 1.3 A.nbytes, in the lift; one float64 A^H kept
+        # for the whole call, beside the single-precision cycles' complex64
+        # copy of A and its conjugate, peaked at 2.16 A.nbytes
+        a = sample_complex_gaussian(Rng(34), 32, 2048, 1.0)
+        assert a.size >= solver._SINGLE_MIN_SIZE
+        tracemalloc.start()
+        try:
+            default_pipeline(a, DiscretePhaseSet(2), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * a.nbytes
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("bits", [1, 3])
