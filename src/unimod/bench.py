@@ -99,8 +99,11 @@ class ExperimentSpec:
         # the lattice widths DiscretePhaseSet takes, and no other rule
         object.__setattr__(self, "bits", tuple(DiscretePhaseSet(b).bits for b in self.bits))
         for name in ("n_values", "bits"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise InvalidArgumentError(f"{name} must name at least one value")
+            if len(set(values)) < len(values):
+                raise InvalidArgumentError(f"{name} must not repeat a value, got {values!r}")
         object.__setattr__(self, "variance", _as_real(self.variance, "variance"))
         unread = [f"{f.name} (got {getattr(self, f.name)!r})" for f in fields(self)
                   if f.name in _OPTIONAL_FIELDS and f.name not in experiment.reads

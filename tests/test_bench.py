@@ -3,6 +3,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -104,6 +105,17 @@ class TestSpec:
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, n_values=())
         with pytest.raises(InvalidArgumentError, match="n_values must be >= 1, got 0"):
             ExperimentSpec(kind="timing", out_dir=Path("x"), trials=1, n_values=(10, 0))
+
+    @pytest.mark.parametrize("kind,field,values", [
+        ("snr-vs-n", "n_values", (20, 20)), ("quantization-gap", "bits", (2, 2)),
+        ("timing", "n_values", (10, 50, 10)),
+    ])
+    def test_rejects_a_repeated_value(self, kind, field, values):
+        # a repeated value used to run its block twice and be listed twice
+        # in the summary, each entry averaging both blocks' trials
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"{field} must not repeat a value, got {values!r}")):
+            make_spec(kind, "out", trials=1, **{field: values})
 
     @pytest.mark.parametrize("field,value", [
         ("random_configs", 0), ("nmax", 0), ("seed", -1), ("m", 0), ("trials", 0),

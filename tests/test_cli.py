@@ -440,6 +440,8 @@ class TestBenchCommand:
             (["snr-cdf", "--bits", "17"], ["bits"]),
             (["snr-cdf", "--bits", "64"], ["bits"]),
             (["convergence", "--seed", "-1"], ["seed"]),
+            (["quantization-gap", "--bits", "2", "2"], ["bits"]),
+            (["snr-vs-n", "--n-values", "20", "20"], ["n_values"]),
         ]
     ])
     def test_setting_the_experiment_cannot_run_exits_2_before_writing(

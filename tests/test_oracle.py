@@ -386,6 +386,20 @@ class TestRandomSearch:
             tracemalloc.stop()
         assert peak < 1.6 * 2 ** 20
 
+    def test_peak_memory_at_the_widest_lattice(self):
+        # 100 draws at B = 16 peak near 0.62 MB once a call has built the
+        # lattice's cached tables (2.7 MB in the call that builds them); the
+        # bound rules out rebuilding the 1 MB phasor table on every call
+        a = sample_complex_gaussian(Rng(641, 200), 32, 200, 1.0)
+        random_search(a, DiscretePhaseSet(16), 2, 100, Rng(642))
+        tracemalloc.start()
+        try:
+            random_search(a, DiscretePhaseSet(16), 2, 100, Rng(642))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 def test_exhaustive_inner_peak_memory():
     # the scan's workspace of 3276-row batches of byte codes, 2^18 bytes,

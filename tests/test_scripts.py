@@ -58,11 +58,13 @@ def test_linf_screen_counts_only_the_rows_linf_sweeps():
         assert 1 <= s["swept_per_op"] <= s["rows_per_op"], family
 
 
-@pytest.mark.parametrize("family", ["pipeline-n1000", "linf-n1000", "snr-cdf"])
+@pytest.mark.parametrize("family", ["pipeline-n1000", "linf-n1000", "snr-cdf", "norm-m1-n6-b2",
+                                    "random-m8-n40-b2"])
 def test_ab_finds_a_tree_identical_to_itself(family):
     # outputs only: a handful of ops times nothing worth asserting
     summary = json.loads(run_script("ab.py", "--parent-src", str(ROOT), "--family", family,
                                     "--ops", "3"))
+    assert set(summary["minflt_per_op"]) == {"parent", "change"}
     for name in ("real", "null"):
         s = summary[name]
         assert s["differing_outputs"] == 0, name
@@ -70,6 +72,12 @@ def test_ab_finds_a_tree_identical_to_itself(family):
         assert s["sum_ci95"][0] <= s["sum_ratio"] <= s["sum_ci95"][1], name
     shift = summary["real"]["lifted_db_shift"]
     assert shift["min"] == shift["max"] == 0.0
+
+
+@pytest.mark.parametrize("family", ["norm-m0-n6-b2", "random-n40-b2", "inner-n8-b3"])
+def test_ab_rejects_a_malformed_family_before_loading_a_tree(tmp_path, family):
+    # tmp_path holds no tree: loading one would fail with a traceback, not exit 2
+    run_script("ab.py", "--parent-src", str(tmp_path), "--family", family, "--ops", "3", code=2)
 
 
 @pytest.fixture(scope="module")
