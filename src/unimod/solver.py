@@ -409,7 +409,7 @@ _TIE = 1.0 - 2.0**-20
 
 #: the single-precision cycles stop once one gains at most this share of the
 #: cost, just above float32's unit roundoff of 6e-8
-#: (scripts/tolerance_sweep.py --single-tolerances)
+#: (scripts/ab.py --patch solver._SINGLE_TOLERANCE=X)
 _SINGLE_TOLERANCE = 1e-7
 
 

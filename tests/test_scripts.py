@@ -47,81 +47,96 @@ def test_both_gates_see_a_changed_tie_tolerance(tmp_path):
     summary = json.loads(run_script("ab.py", "--parent-src", str(tmp_path),
                                     "--family", "pipeline-n1000", "--ops", "3"))
     assert summary["real"]["differing_outputs"] > 0
-    assert summary["null"]["differing_outputs"] == 0
+    assert summary["null"]["differing_outputs"] == summary["aa"]["differing_outputs"] == 0
 
 
-def test_linf_screen_counts_only_the_rows_linf_sweeps():
-    summary = json.loads(run_script("linf_screen.py", "--count", "1", "--repeat", "1"))
-    assert len(summary) == 8
-    for family, s in summary.items():
-        assert s["identical_to_every_row"] == "1 of 1", family
-        assert 1 <= s["swept_per_op"] <= s["rows_per_op"], family
+def run_ab(*args) -> dict:
+    """The summary of scripts/ab.py on this checkout as both parent and
+    change, three ops of each family."""
+    return json.loads(run_script("ab.py", "--parent-src", str(ROOT), "--ops", "3", *args))
 
 
-@pytest.mark.parametrize("family", ["pipeline-n1000", "linf-n1000", "snr-cdf", "norm-m1-n6-b2",
+@pytest.mark.parametrize("family", ["pipeline-n1000", "ris-n200", "steer-n200", "linf-n1000",
+                                    "linf-steer-n1000", "snr-cdf", "norm-m1-n6-b2",
                                     "random-m8-n40-b2"])
 def test_ab_finds_a_tree_identical_to_itself(family):
-    # outputs only: a handful of ops times nothing worth asserting
-    summary = json.loads(run_script("ab.py", "--parent-src", str(ROOT), "--family", family,
-                                    "--ops", "3"))
+    # outputs and counts only: a handful of ops times nothing worth asserting
+    summary = run_ab("--family", family)
     assert set(summary["minflt_per_op"]) == {"parent", "change"}
-    for name in ("real", "null"):
+    for name in ("real", "null", "aa"):
         s = summary[name]
         assert s["differing_outputs"] == 0, name
         assert s["ci95"][0] <= s["median_ratio"] <= s["ci95"][1], name
         assert s["sum_ci95"][0] <= s["sum_ratio"] <= s["sum_ci95"][1], name
     shift = summary["real"]["lifted_db_shift"]
     assert shift["min"] == shift["max"] == 0.0
+    assert summary["real"]["ops_lower"] == 0
+    counts = summary["counts"]
+    assert counts["parent"] == counts["change"]
+    if family.startswith(("pipeline", "ris", "steer")):
+        c = counts["change"]
+        assert c["warm_start_cap_hits"] == 0 and c["lift_iterations"] >= 1
+        # only A of at least 2^13 entries runs single-precision cycles
+        assert (c["single_cycles"] > 0) == (family == "pipeline-n1000")
+        assert c["float64_cycles"] >= 1
+    elif family.startswith("linf"):
+        assert 1 <= counts["change"]["rows_swept"] <= 8
+    else:
+        assert counts["change"] == {}
+
+
+def test_ab_patch_makes_linf_sweep_every_row():
+    # an infinite rounding allowance turns off both row screens of das._linf,
+    # and skipping rows must change no bit of the answer
+    summary = run_ab("--family", "linf-n1000", "--patch", "das._UNDERFLOW_FLOOR=inf")
+    assert summary["patch"] == ["das._UNDERFLOW_FLOOR=inf"]
+    for name in ("real", "null", "aa"):
+        assert summary[name]["differing_outputs"] == 0, name
+    counts = summary["counts"]
+    assert 1 <= counts["parent"]["rows_swept"] < counts["change"]["rows_swept"] == 8
+
+
+def test_ab_patch_sets_the_single_precision_tolerance():
+    summary = run_ab("--family", "pipeline-n1000", "--patch", "solver._SINGLE_TOLERANCE=1e-6")
+    # a looser single-precision stop leaves more cycles to float64
+    counts = summary["counts"]
+    assert counts["change"]["single_cycles"] < counts["parent"]["single_cycles"]
+    assert counts["change"]["float64_cycles"] > counts["parent"]["float64_cycles"]
+    assert summary["null"]["differing_outputs"] == summary["aa"]["differing_outputs"] == 0
+
+
+def test_ab_tolerance_reaches_the_change_pipelines():
+    summary = run_ab("--family", "ris-n200", "--tolerance", "1e-6")
+    assert summary["tolerance"] == 1e-6
+    counts = summary["counts"]
+    assert counts["change"]["float64_cycles"] < counts["parent"]["float64_cycles"]
+    assert summary["null"]["differing_outputs"] == summary["aa"]["differing_outputs"] == 0
+
+
+def ab_exit_code(monkeypatch, tree: Path, *args) -> int:
+    """The exit code of scripts/ab.py's main on `args` with `tree` as the
+    parent, run in this process, which saves an interpreter's start; it
+    must exit before loading a tree."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import ab
+    monkeypatch.setattr(sys, "argv", ["ab.py", "--parent-src", str(tree), "--ops", "3", *args])
+    with pytest.raises(SystemExit) as exit_:
+        ab.main()
+    return exit_.value.code
 
 
 @pytest.mark.parametrize("family", ["norm-m0-n6-b2", "random-n40-b2", "inner-n8-b3"])
-def test_ab_rejects_a_malformed_family_before_loading_a_tree(tmp_path, family):
+def test_ab_rejects_a_malformed_family_before_loading_a_tree(tmp_path, monkeypatch, family):
     # tmp_path holds no tree: loading one would fail with a traceback, not exit 2
-    run_script("ab.py", "--parent-src", str(tmp_path), "--family", family, "--ops", "3", code=2)
+    assert ab_exit_code(monkeypatch, tmp_path, "--family", family) == 2
 
 
-@pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    """The records file of a one-tolerance sweep."""
-    out = tmp_path_factory.mktemp("sweep") / "sweep.json"
-    run_script("tolerance_sweep.py", "--tolerances", "1e-10", "--out", str(out))
-    return out
-
-
-def test_tolerance_sweep_runs_both_families(sweep):
-    summary = json.loads(sweep.read_text())["summary"]
-    assert set(summary) == {"pipeline-n1000", "snr-cdf"}
-    for family, by_tol in summary.items():
-        s = by_tol["1e-10"]
-        assert s["identical_indices"] == s["problems"] > 0, family
-        assert s["warm_start_cap_hits"] == 0, family
-        for key in ("lifted_db_shift_min", "lifted_db_shift_q5", "lifted_db_shift_median",
-                    "lifted_db_shift_max"):
-            assert s[key] == 0.0, (family, key)
-        # only the 32 x 1000 family is large enough for single-precision cycles
-        assert (s["warm_start_single_cycles_mean"] > 0) == (family == "pipeline-n1000"), family
-        assert s["warm_start_single_cycles_mean"] + s["warm_start_double_cycles_mean"] == \
-            pytest.approx(s["warm_start_cycles_mean"]), family
-
-
-def test_tolerance_sweep_reads_a_baseline(sweep, tmp_path):
-    out = tmp_path / "again.json"
-    run_script("tolerance_sweep.py", "--tolerances", "1e-10", "--baseline", str(sweep),
-               "--out", str(out))
-    again = json.loads(out.read_text())
-    assert again["baseline"] == str(sweep)
-    assert set(again["summary"]) == {"pipeline-n1000", "snr-cdf"}
-    for family, by_tol in again["summary"].items():
-        s = by_tol["1e-10"]
-        assert s["identical_indices"] == s["problems"] > 0, family
-        assert s["lifted_db_shift_min"] == s["lifted_db_shift_max"] == 0.0, family
-
-
-def test_tolerance_sweep_sets_the_single_precision_tolerance(tmp_path):
-    out = tmp_path / "sweep.json"
-    run_script("tolerance_sweep.py", "--tolerances", "1e-10", "--single-tolerances", "1e-6",
-               "1e-7", "--out", str(out))
-    s = json.loads(out.read_text())["summary"]["pipeline-n1000"]
-    # a looser single-precision stop leaves more cycles to float64
-    assert (s["1e-10/1e-06"]["warm_start_single_cycles_mean"]
-            < s["1e-10/1e-07"]["warm_start_single_cycles_mean"])
+@pytest.mark.parametrize("option", [("--patch", "nomodule._CHUNK=1"),
+                                    ("--patch", "das._NO_SUCH_NAME=1"),
+                                    ("--patch", "das._UNDERFLOW_FLOOR=big"),
+                                    ("--patch", "das._UNDERFLOW_FLOOR=nan"),
+                                    ("--tolerance", "1e-7")])
+def test_ab_rejects_a_malformed_option_before_loading_a_tree(tmp_path, monkeypatch, option):
+    # --tolerance reaches pipelines only, and linf-n1000 runs none
+    assert ab_exit_code(monkeypatch, tmp_path, "--family", "linf-n1000", *option) == 2
