@@ -17,15 +17,22 @@ takes the scorers' bits: `das_maximize`'s objective, and `norm_lp(v, p)`
 and `solver._witness(v, p)`, witness and cost, for p in {1, 2}. It is
 reported under "kernel", apart from the kinds.
 
+The pipeline digest is a sha256 over `default_pipeline`'s lifted indices,
+both cost traces (the warm start's and the lift's) and the warm start's
+single-precision cycle count on fixed 32 x 1000 inputs (`pipeline_inputs`),
+for p in {1, 2} and B in {1, 2}. No table reaches the 2^13 entries at which
+the warm start runs single-precision cycles, so this digest alone sees
+them. It is reported under "pipeline".
+
 A tree is a directory that holds src/unimod. The script runs no git: make
 the parent's tree with `git worktree add DIR REV` or
 `git archive REV | tar -x -C DIR`. --change-src defaults to this checkout.
 
     python3 scripts/same_outputs.py --parent-src DIR [--change-src DIR] [--kinds timing ...]
 
-Prints a JSON summary, one entry per kind and one for the kernel digest,
-and exits 1 when a table or the digest differs or a check raises on either
-tree; the entry of a check that raised gives its error line.
+Prints a JSON summary, one entry per kind and one for each digest, and
+exits 1 when a table or a digest differs or a check raises on either tree;
+the entry of a check that raised gives its error line.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -147,14 +155,39 @@ def kernel_digest(pkg) -> dict:
     return {"sha256": h.hexdigest(), "das_vectors": counts["das"], "linf_matrices": counts["linf"]}
 
 
+def pipeline_inputs():
+    """32 x 1000 matrices: two of CN(0, 1) entries from numpy keyed by
+    [31, 3, t], and 32 far-field steering rows of a uniform linear array."""
+    for t in range(2):
+        g = np.random.default_rng([SEED, 3, t])
+        yield (g.standard_normal((32, 1000)) + 1j * g.standard_normal((32, 1000))) / math.sqrt(2)
+    s = np.random.default_rng([SEED, 4]).uniform(-2.0, 2.0, 32)
+    yield np.exp(1j * math.pi * np.outer(s, np.arange(1000)))
+
+
+def pipeline_digest(pkg) -> dict:
+    """The digest of `pkg`'s `default_pipeline` on `pipeline_inputs()`."""
+    h = hashlib.sha256()
+    runs = 0
+    for a in pipeline_inputs():
+        for p, bits in itertools.product((1, 2), (1, 2)):
+            r = pkg.default_pipeline(a, pkg.DiscretePhaseSet(bits), p)
+            h.update(r.trace.phases.indices.tobytes())
+            h.update(r.continuous_trace.costs.tobytes())
+            h.update(r.trace.costs.tobytes())
+            h.update(str(r.continuous_trace.single_iterations).encode())
+            runs += 1
+    return {"sha256": h.hexdigest(), "pipelines": runs}
+
+
 def failure(exc: Exception) -> dict:
     """The entry of a check that raised: its error line."""
     return {"identical": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def compare_kernels(pkgs) -> dict:
+def compare_digests(pkgs, digest) -> dict:
     try:
-        digests = [kernel_digest(pkg) for pkg in pkgs]
+        digests = [digest(pkg) for pkg in pkgs]
     except Exception as exc:
         return failure(exc)
     return {"identical": digests[0] == digests[1], **digests[1]}
@@ -187,12 +220,13 @@ def main() -> int:
     pkgs = [load(tree, f"same_{side}") for side, tree in zip(("parent", "change"), trees)]
     with tempfile.TemporaryDirectory() as work:
         kinds = {kind: compare(pkgs, kind, Path(work)) for kind in args.kinds}
-    kernel = compare_kernels(pkgs)
+    digests = {"kernel": compare_digests(pkgs, kernel_digest),
+               "pipeline": compare_digests(pkgs, pipeline_digest)}
     same = sum(k["identical"] for k in kinds.values())
     print(json.dumps({"parent": str(trees[0]), "change": str(trees[1]), "seed": SEED,
                       "identical": f"{same} of {len(kinds)}", "kinds": kinds,
-                      "kernel": kernel}, indent=2))
-    return 0 if same == len(kinds) and kernel["identical"] else 1
+                      **digests}, indent=2))
+    return 0 if same == len(kinds) and all(d["identical"] for d in digests.values()) else 1
 
 
 if __name__ == "__main__":

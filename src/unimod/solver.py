@@ -59,15 +59,17 @@ map evaluation run at memory speed and complex64 halves their bytes, it
 first runs the same SQUAREM cycles in single precision, until a cycle
 gains at most 1e-7 of the cost (`_SINGLE_TOLERANCE`), and hands their end
 point to the float64 cycles, which stop on the configured tolerance. The
-single-precision cycles run on a canonical complex64 copy, A times
-2^-e * conj(a_k) / |a_k| for the first entry a_k of largest modulus (up to
-a share 2^-20, so that moduli tied to rounding stay tied), from
-a start turned so that its entry 0 is 1: A and 2^k A give the same copy
-and start, and exp(j*theta) A gives them up to float64 roundings that the
-cast almost always absorbs, so the scale and rotation invariances below
-hold as in float64. The hand-off is turned back in float64, and it is the
-start itself unless it scores at least as high in float64. Below the size,
-the kernel is the float64 loop alone.
+single-precision cycles run on a canonical complex64 copy, A / a_k for
+the first entry a_k of largest modulus (up to a share 2^-20, so that
+moduli tied to rounding stay tied), from a start turned so that its entry
+0 is 1. The one division both turns and scales: A, s*A for any s > 0 and
+exp(j*theta) A give the same copy and start up to float64 roundings that
+the cast almost always absorbs, and 2^k A gives them bit for bit wherever
+1 / a_k is a normal double, so the scale and rotation invariances below
+hold as in float64. Where 1 / a_k is not finite, at a pivot modulus below
+about 2^-1024, the float64 cycles run alone. The hand-off is turned back
+in float64, and it is the start itself unless it scores at least as high
+in float64. Below the size, the kernel is the float64 loop alone.
 
 Scale. The objective is homogeneous in A, and the solver's choices do not
 depend on its scale either. Where a sum of squares leaves the normal double
@@ -403,8 +405,8 @@ def solve_continuous(a, cfg: SolveConfig, omega0) -> SolveTrace:
 #: 32 x n: break-even at n = 256, a loss at n = 200)
 _SINGLE_MIN_SIZE = 1 << 13
 
-#: the single-precision cycles turn A by the first entry whose modulus is at
-#: least this share of the largest
+#: the single-precision cycles divide A by the first entry whose modulus is
+#: at least this share of the largest
 _TIE = 1.0 - 2.0**-20
 
 #: the single-precision cycles stop once one gains at most this share of the
@@ -437,22 +439,24 @@ def _single_cycles(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> tuple[np.
     """SQUAREM cycles in single precision: the float64 start they hand off
     and the number of cycles they ran.
 
-    They run on a canonical complex64 copy of A, A * 2^-e * conj(a_k) / |a_k|
-    with a_k the first entry whose modulus is within a share 2^-20 of the
-    largest and e its `_pow2_scale` exponent, from x0 turned so that its
-    entry 0 is 1. A and 2^k A have the same copy and turned start bit for
-    bit, so they run the same cycles, and exp(j*theta) A has them up to
-    float64 roundings, which the cast to complex64 almost always absorbs.
-    The cycles stop at a gain of at most _SINGLE_TOLERANCE of the cost, or
-    after cfg.max_iterations. Their end point, turned back by x0[0] in
-    float64 and made unimodular, is the hand-off, unless its float64 cost
-    is below the start's: then x0 is.
+    They run on a canonical complex64 copy of A, A * (1 / a_k) with a_k the
+    first entry whose modulus is within a share 2^-20 of the largest, from
+    x0 turned so that its entry 0 is 1. A, s*A for any s > 0 and
+    exp(j*theta) A have the same copy and turned start up to float64
+    roundings, which the cast to complex64 almost always absorbs (the
+    pivot's own entry, 1 + j*eps with |eps| near 1e-17, keeps its eps,
+    which the float32 sums absorb instead), so they run the same cycles;
+    2^k A has them bit for bit wherever 1 / a_k is a normal double. The cycles stop at a gain of at most _SINGLE_TOLERANCE
+    of the cost, or after cfg.max_iterations. Their end point, turned back
+    by x0[0] in float64 and made unimodular, is the hand-off, unless its
+    float64 cost is below the start's: then x0 is.
 
-    An all-zero A, or one whose largest modulus is not finite, runs no
-    cycle. A zero or non-finite cost, in complex64, where 1 / |u| overflows
-    below about 2^-128, or in float64, discards the cycles, and so does a
-    start of another length, which the float64 cycles then reject: x0 is
-    handed off, after 0 cycles.
+    An all-zero A, one whose largest modulus is not finite, or one whose
+    pivot has a modulus below about 2^-1024, so that 1 / a_k is not finite,
+    runs no cycle. A zero or non-finite cost, in complex64, where 1 / |u|
+    overflows below about 2^-128, or in float64, discards the cycles, and so
+    does a start of another length, which the float64 cycles then reject: x0
+    is handed off, after 0 cycles.
     """
     turn = _canonical_turn(a)
     if turn is None:
@@ -472,16 +476,18 @@ def _single_cycles(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> tuple[np.
 
 
 def _canonical_turn(a: np.ndarray) -> complex | None:
-    """2^-e * conj(a_k) / |a_k| of `_single_cycles`, None for an all-zero A
-    or one whose largest modulus is not finite."""
+    """1 / a_k of `_single_cycles`, which turns and scales A in one product;
+    None for an all-zero A, one whose largest modulus is not finite, or a
+    pivot a_k whose reciprocal is not finite (a modulus below about
+    2^-1024)."""
     mod = np.abs(a)
     top = mod.max()
     if not 0.0 < top < math.inf:
         return None
     # moduli that tie up to rounding, as in rows of steering phasors, stay
     # tied when A turns, while the last bits of each move
-    k = np.argmax(mod >= top * _TIE)
-    return np.conj(a.flat[k]) / mod.flat[k] * math.ldexp(1.0, -_pow2_scale(a.flat[k])[1])
+    turn = 1.0 / a.flat[np.argmax(mod >= top * _TIE)]
+    return turn if np.isfinite(turn) else None
 
 
 def hard_round(omega, dps: DiscretePhaseSet) -> PhaseVector:

@@ -24,6 +24,17 @@ def run_script(name: str, *args, code: int = 0) -> str:
     return proc.stdout
 
 
+def patched_tree(tmp_path: Path, module: str, line: str, new: str) -> Path:
+    """tmp_path holding a copy of this checkout's src, with the line `line`
+    of unimod/<module>.py replaced by `new`."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "src" / "unimod" / f"{module}.py"
+    text = source.read_text()
+    assert f"\n{line}\n" in text
+    source.write_text(text.replace(f"\n{line}\n", f"\n{new}\n"))
+    return tmp_path
+
+
 def test_same_outputs_finds_a_tree_identical_to_itself():
     summary = json.loads(run_script("same_outputs.py", "--parent-src", str(ROOT)))
     assert summary["identical"] == "7 of 7"
@@ -31,20 +42,27 @@ def test_same_outputs_finds_a_tree_identical_to_itself():
         assert s["rows"] > 0 and s["differing_rows"] == 0, kind
     kernel = summary["kernel"]
     assert kernel["identical"] and kernel["das_vectors"] > 0 and kernel["linf_matrices"] > 0
+    assert summary["pipeline"]["identical"] and summary["pipeline"]["pipelines"] > 0
+
+
+def test_only_the_pipeline_digest_sees_the_single_precision_stop(tmp_path):
+    # no table reaches the 2^13 entries at which the warm start runs
+    # single-precision cycles, and the kernel digest runs no pipeline
+    tree = patched_tree(tmp_path, "solver", "_SINGLE_TOLERANCE = 1e-7", "_SINGLE_TOLERANCE = 1e-6")
+    summary = json.loads(run_script("same_outputs.py", "--parent-src", str(tree), code=1))
+    assert summary["identical"] == "7 of 7"
+    assert summary["kernel"]["identical"]
+    assert not summary["pipeline"]["identical"]
 
 
 def test_both_gates_see_a_changed_tie_tolerance(tmp_path):
-    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    das = tmp_path / "src" / "unimod" / "das.py"
-    text = das.read_text()
-    assert "\nTIE_TOL = 1e-12\n" in text
-    das.write_text(text.replace("\nTIE_TOL = 1e-12\n", "\nTIE_TOL = 1e-2\n"))
-    summary = json.loads(run_script("same_outputs.py", "--parent-src", str(tmp_path),
+    tree = patched_tree(tmp_path, "das", "TIE_TOL = 1e-12", "TIE_TOL = 1e-2")
+    summary = json.loads(run_script("same_outputs.py", "--parent-src", str(tree),
                                     "--kinds", "convergence", code=1))
     assert summary["identical"] == "0 of 1"
     assert summary["kinds"]["convergence"]["differing_rows"] > 0
     assert not summary["kernel"]["identical"]
-    summary = json.loads(run_script("ab.py", "--parent-src", str(tmp_path),
+    summary = json.loads(run_script("ab.py", "--parent-src", str(tree),
                                     "--family", "pipeline-n1000", "--ops", "3"))
     assert summary["real"]["differing_outputs"] > 0
     assert summary["null"]["differing_outputs"] == summary["aa"]["differing_outputs"] == 0

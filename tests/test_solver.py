@@ -272,7 +272,7 @@ class TestSolveContinuous:
             a = sample_complex_gaussian(Rng(40, t), 1, 1 << 14, 1.0)
             start = deterministic_init(a, p)
             trace = solve_continuous(a, SolveConfig(p=p), start)
-            assert trace.single_iterations == 1
+            assert 1 <= trace.single_iterations <= 2
             assert trace.costs[0] >= norm_lp(a @ start.phasors(), p)
             assert np.all(trace.costs[1:] >= trace.costs[:-1] * (1 - 1e-12))
             assert trace.final_cost == pytest.approx(norm_lp(a[0], 1), rel=1e-15)
@@ -572,6 +572,18 @@ class TestSubnormalModuli:
         zeroed[:, 3] = 0.0
         assert res.final_cost == pytest.approx(default_pipeline(zeroed, DiscretePhaseSet(2), 2).final_cost,
                                                rel=1e-9)
+
+    def test_a_pivot_whose_reciprocal_overflows_runs_float64_alone(self):
+        # the single-precision copy is A * (1 / a_k), and 1 / a_k overflows
+        # below a pivot modulus of about 2^-1024
+        a = numpy_gaussian([11, 3], 32, 1000)
+        for k, single in ((-1000, True), (-1040, False)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = default_pipeline(a * 2.0**k, DiscretePhaseSet(2), 2)
+            assert (res.continuous_trace.single_iterations > 0) == single
+            assert res.continuous_trace.termination == "tolerance"
+            assert np.isfinite(res.continuous_trace.costs).all()
 
 
 class TestHardRound:
@@ -1082,7 +1094,7 @@ class TestInvariance:
         # cycles at p = 1 and 23 / 32 / 35 at p = 2 for k = -20 / 0 / 20.
         # The warm start runs single-precision cycles first, then float64 ones
         a = numpy_gaussian([11, 3], 32, 1000)
-        for p, single, cycles in ((1, 17, 20), (2, 22, 25)):
+        for p, single, cycles in ((1, 17, 20), (2, 22, 27)):
             unit = default_pipeline(a, DiscretePhaseSet(2), p)
             scaled = default_pipeline(2.0**k * a, DiscretePhaseSet(2), p)
             assert unit.continuous_trace.single_iterations == single
@@ -1121,17 +1133,23 @@ class TestInvariance:
         assert np.array_equal(deterministic_init(a * 2.0**-560, 2).values, unit.values)
         assert not np.array_equal(unit.values, deterministic_init(a[:1], 2).values)
 
-    @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("bits", [1, 2])
-    def test_scale_keeps_lifted_indices(self, p, bits):
+    @pytest.mark.parametrize("bits, p", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2)])
+    def test_scale_keeps_lifted_indices(self, bits, p):
         # with an absolute stop, t = 10 at p = 2, B = 2, s = 1e-6 stopped the
         # warm start after 12 cycles against 19 at s = 1 and lifted to other
-        # indices, 0.076 % below
+        # indices, 0.076 % below. At 32 x 1000 (op i of scripts/ab.py's
+        # pipeline-n1000 family at seed 77, B and p from i % 8), a
+        # single-precision copy scaled by a power of two near the pivot's
+        # modulus ran other cycles for s*A and lifted other indices at these s
         dps = DiscretePhaseSet(bits)
-        for t in range(12):
-            a = sample_complex_gaussian(Rng(4242, t), 16, 200, 1.0)
+        cases = [(sample_complex_gaussian(Rng(4242, t), 16, 200, 1.0), (1e-6, 1e6))
+                 for t in range(12)]
+        cases += [(numpy_gaussian([77, i], 32, 1000), scales)
+                  for i, scales in ((15, (0.3, 7.7)), (28, (3.0,)), (29, (1e170, 3.0, 0.3)))
+                  if (1 + i % 8 // 2, 1 + i % 2) == (bits, p)]
+        for a, scales in cases:
             unit = default_pipeline(a, dps, p)
-            for s in (1e-6, 1e6):
+            for s in scales:
                 scaled = default_pipeline(s * a, dps, p)
                 assert np.array_equal(scaled.trace.phases.indices, unit.trace.phases.indices)
                 assert scaled.final_cost == pytest.approx(s * unit.final_cost, rel=1e-12)
