@@ -24,6 +24,15 @@ for p in {1, 2} and B in {1, 2}. No table reaches the 2^13 entries at which
 the warm start runs single-precision cycles, so this digest alone sees
 them. It is reported under "pipeline".
 
+The search digest is a sha256 over the indices and the objective's bits of
+`exhaustive_norm` and `random_search` on fixed small inputs
+(`search_inputs`), for p in {1, 2, inf}, and of `random_search` at B = 2
+and B = 9, whose codes are bytes and uint16 integers. The tables run the
+exhaustive search only at p = inf and as the inner product, and random
+search only at p = 2 and B <= 4, all at unit scale; this digest also runs
+the other norms, the uint16 codes and inputs near 1e170 and 1e-170. It is
+reported under "search".
+
 A tree is a directory that holds src/unimod. The script runs no git: make
 the parent's tree with `git worktree add DIR REV` or
 `git archive REV | tar -x -C DIR`. --change-src defaults to this checkout.
@@ -180,6 +189,38 @@ def pipeline_digest(pkg) -> dict:
     return {"sha256": h.hexdigest(), "pipelines": runs}
 
 
+def search_inputs():
+    """(m x n matrix, trials) pairs: CN(0, 1) entries from numpy keyed by
+    [31, 5, t], tie-heavy rows of small integers at multiples of pi/4, and
+    the CN(0, 1) ones scaled by 1e170 and 1e-170; 4 x 8 for the exhaustive
+    search (trials 0) and 8 x 40 for random search (500 draws)."""
+    for m, n, trials in ((4, 8, 0), (8, 40, 500)):
+        g = np.random.default_rng([SEED, 5, n])
+        a = (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / math.sqrt(2)
+        for x in (a, g.integers(1, 3, (m, n)) * np.exp(0.25j * math.pi * g.integers(0, 8, (m, n))),
+                  1e170 * a, 1e-170 * a):
+            yield x, trials
+
+
+def search_digest(pkg) -> dict:
+    """The digest of `pkg`'s `exhaustive_norm` and `random_search` on
+    `search_inputs()`."""
+    h = hashlib.sha256()
+    runs = 0
+    for a, trials in search_inputs():
+        for p in (1, 2, math.inf):
+            if trials:
+                results = [pkg.random_search(a, pkg.DiscretePhaseSet(bits), p, trials, pkg.Rng(SEED))
+                           for bits in (2, 9)]
+            else:
+                results = [pkg.exhaustive_norm(a, pkg.DiscretePhaseSet(2), p)]
+            for r in results:
+                h.update(r.phases.indices.tobytes())
+                h.update(r.objective.hex().encode())
+                runs += 1
+    return {"sha256": h.hexdigest(), "searches": runs}
+
+
 def failure(exc: Exception) -> dict:
     """The entry of a check that raised: its error line."""
     return {"identical": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -221,7 +262,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         kinds = {kind: compare(pkgs, kind, Path(work)) for kind in args.kinds}
     digests = {"kernel": compare_digests(pkgs, kernel_digest),
-               "pipeline": compare_digests(pkgs, pipeline_digest)}
+               "pipeline": compare_digests(pkgs, pipeline_digest),
+               "search": compare_digests(pkgs, search_digest)}
     same = sum(k["identical"] for k in kinds.values())
     print(json.dumps({"parent": str(trees[0]), "change": str(trees[1]), "seed": SEED,
                       "identical": f"{same} of {len(kinds)}", "kinds": kinds,

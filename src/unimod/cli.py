@@ -150,6 +150,8 @@ def _cmd_solve(args) -> int:
             "objective": trace.final_cost,
             "trace": [float(c) for c in trace.costs],
             "termination": trace.termination,
+            "iterations": trace.iterations,
+            "single_iterations": trace.single_iterations,
         }
     else:
         result = default_pipeline(a, DiscretePhaseSet(args.bits), args.p, cfg=_config(args))

@@ -18,6 +18,10 @@ Conventions used throughout the package:
 * `_finite` is the one finiteness test of array inputs, and
   `_finite_objective` the one rule of every objective and norm: a finite
   double, InvalidArgumentError past 2^1024,
+* `_norm`, the kernel of `norm_lp`, also scores the oracles' winners, and
+  the solvers' costs (`solver._witness`) take the same sums, so a search
+  and a pipeline that return the same phases report the same objective
+  bit for bit,
 * `_as_int` is the one rule of every integer parameter (an int or a numpy
   integer in low .. high, 1 .. inf by default) and `_as_real` of every real
   one (a finite, positive int or float); each rejection names the
@@ -404,12 +408,19 @@ def _l2(v: np.ndarray) -> tuple[np.ndarray, int, float]:
     return x, e, math.sqrt(sq)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def norm_lp(x, p) -> float:
     """l1 / l2 / l-infinity norm of a complex vector, the l2 norm by `_l2`.
     A norm beyond the double range is InvalidArgumentError."""
-    v = as_complex_vector(x)
-    p = normalize_p(p)
+    return _norm(as_complex_vector(x), normalize_p(p))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _norm(v: np.ndarray, p: float) -> float:
+    """The kernel of `norm_lp`, which also scores the oracles' winners. It
+    checks nothing: `norm_lp` has made v a nonempty 1-d complex128 array with
+    finite entries and p 1.0, 2.0 or inf (`normalize_p`). The oracles call
+    it on A x, whose entries may be past the double range; that, like a
+    norm past it, is InvalidArgumentError with no numpy warning."""
     if p == 1.0:
         return _finite_objective(float(np.sum(np.abs(v))))
     if p == 2.0:

@@ -47,15 +47,15 @@ score is within a worst-case rounding bound of the best screen score so
 far are scored again in double precision; a batch with none is not scored
 again. The bound (standard summation error analysis, derived in `_scan`)
 makes every dropped configuration score strictly below a kept one in
-double precision, so the winner, its objective and the first-hit rule are
-those of scoring every configuration in double precision; the screen only
-changes the cost.
+double precision, so the winner and the first-hit rule are those of
+scoring every configuration in double precision; the screen only changes
+the cost.
 
-The objective a search reports is that double precision score of its
-winner: ||(A / 2^e) x||_p for a row x of the batch's phasors, with the
-product taken as a row of a matrix product, times 2^e. It is not
-`norm_lp(A @ x, p)` recomputed: the two sum in different orders and may
-differ in the last bits (up to about 1e-15 relative for p in {1, 2, inf}).
+The scan only chooses the winner. The objective a search reports is
+`norm_lp`'s kernel (`core._norm`) on A x for the winner's phasors x, the
+rule of every pipeline cost, so a search and a solver that return the same
+phases report the same objective bit for bit. An optimum past 2^1024 is
+InvalidArgumentError, as it is for `norm_lp`.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import (DiscretePhaseSet, PhaseVector, Rng, _as_int, _finite_objective, _pow2_scale,
+from .core import (DiscretePhaseSet, PhaseVector, Rng, _as_int, _norm, _pow2_scale,
                    as_complex_matrix, as_complex_vector, normalize_p, row_norms)
 from .errors import SizeLimitError
 
@@ -145,17 +145,21 @@ def _code_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
-          fill) -> tuple[np.ndarray, float]:
-    """Best configuration and objective ||A exp(j*Omega)||_p over `total`
-    configurations; the first hit wins ties. `fill(start, out)` writes the
-    codes of configurations start, start + 1, ... into the rows of `out`,
-    nc = ceil(n / d) columns of the smallest unsigned integer type that
-    holds every code (uint8 for B <= 8, uint16 above), of which the first n
-    digits count (see the module docstring).
+          fill) -> np.ndarray:
+    """Lattice indices of the configuration that maximizes
+    ||A exp(j*Omega)||_p over `total` configurations; the first hit wins
+    ties. `fill(start, out)` writes the codes of configurations start,
+    start + 1, ... into the rows of `out`, nc = ceil(n / d) columns of the
+    smallest unsigned integer type that holds every code (uint8 for B <= 8,
+    uint16 above), of which the first n digits count (see the module
+    docstring).
 
     Each batch is screened in single precision and only the configurations
-    that can still win are scored in double precision. The result is that of
-    scoring every configuration in double precision.
+    that can still win are scored in double precision. The winner is that
+    of scoring every configuration in double precision. Those scores only
+    choose it: the scan returns no objective, and the searches score the
+    winner by the one rule of every objective, `core._norm` on A x
+    (`_scored`).
 
     Workspace. One call allocates the batch's codes, phasors and screen
     products (complex64) once and reuses them for every batch: the codes
@@ -178,7 +182,8 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     Scale. A is divided by s = 2^e with max|a| in [s/2, s), so |a/s| < 1
     (< 2 if max|a| >= 2^1023), by `core._pow2_scale`. Multiplying by 2^-e is
     exact, float32 neither overflows nor flushes the large entries to zero,
-    and the objective is s times that of a/s, with the same roundings.
+    and every score is s times that of a/s, with the same roundings, so
+    the winner does not depend on the scale of A.
 
     Bound. Fix a configuration with exact unit phasors x. Let y = (a/s) x,
     V = ||y||_p, F its double precision score, y' the single precision
@@ -225,8 +230,7 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
     scored as two equal rows.
     """
     m, n = a.shape
-    scaled, e = _pow2_scale(a)
-    at = scaled.T.copy()
+    at = _pow2_scale(a)[0].T.copy()
     code_digits, code_phasors = _code_tables(dps.bits)
     d = code_digits.shape[1]
     nc = -(-n // d)
@@ -270,7 +274,14 @@ def _scan(a: np.ndarray, dps: DiscretePhaseSet, p: float, total: int,
             best_val = float(vals[local])
             best_idx = kept[local].copy()
     assert best_idx is not None
-    return best_idx, _finite_objective(best_val, e)
+    return best_idx
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _scored(a: np.ndarray, dps: DiscretePhaseSet, p: float, idx, evaluated: int) -> OracleResult:
+    """The winner `idx` of a scan and its objective `_norm(A x, p)`, the
+    product taken without a numpy warning where it overflows."""
+    return OracleResult(PhaseVector.from_indices(idx, dps), _norm(a @ dps.phasors[idx], p), evaluated)
 
 
 def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
@@ -284,8 +295,8 @@ def exhaustive_norm(a, dps: DiscretePhaseSet, p) -> OracleResult:
     a = as_complex_matrix(a)
     p = normalize_p(p)
     total = _guard(a.shape[1], dps)
-    idx, best = _scan(a, dps, p, total, partial(_flat_codes, bits=dps.bits, n=a.shape[1]))
-    return OracleResult(PhaseVector.from_indices(idx, dps), best, total)
+    idx = _scan(a, dps, p, total, partial(_flat_codes, bits=dps.bits, n=a.shape[1]))
+    return _scored(a, dps, p, idx, total)
 
 
 def _random_codes(random_raw, out: np.ndarray, bits: int) -> None:
@@ -311,5 +322,5 @@ def random_search(a, dps: DiscretePhaseSet, p, trials: int, rng: Rng) -> OracleR
     p = normalize_p(p)
     trials = _as_int(trials, "trials")
     raw = rng.generator.bit_generator.random_raw
-    idx, best = _scan(a, dps, p, trials, lambda start, out: _random_codes(raw, out, dps.bits))
-    return OracleResult(PhaseVector.from_indices(idx, dps), best, trials)
+    idx = _scan(a, dps, p, trials, lambda start, out: _random_codes(raw, out, dps.bits))
+    return _scored(a, dps, p, idx, trials)

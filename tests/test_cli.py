@@ -115,6 +115,25 @@ class TestSolve:
         assert code == 0
         assert len(payload["trace"]) >= 2
 
+    def test_continuous_mode_reports_the_cycles_of_both_precisions(self, tmp_path):
+        # 32 x 300 is large enough for single-precision cycles, which record no cost
+        g = np.random.default_rng(39)
+        mfile = write_matrix(tmp_path, g.standard_normal((32, 300)) + 1j * g.standard_normal((32, 300)))
+        code, payload = run_json(tmp_path, "solve", str(mfile))
+        assert code == 0
+        assert payload["single_iterations"] > 0
+        assert payload["iterations"] == len(payload["trace"]) - 1 + payload["single_iterations"]
+
+    def test_prints_the_result_without_out(self, capsys):
+        assert main(["solve", str(FIXTURE_3X5), "--bits", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["objective"] == default_pipeline(load_matrix_file(FIXTURE_3X5),
+                                                        DiscretePhaseSet(1), 2).final_cost
+
+    def test_a_norm_other_than_1_2_or_inf_exits_2_naming_it(self, capsys):
+        assert main(["solve", str(FIXTURE_3X5), "--p", "3"]) == 2
+        assert "norm selector must be 1, 2 or inf, got 3.0" in capsys.readouterr().err
+
     def test_p_inf(self, tmp_path):
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--p", "inf", "--bits", "1")
         assert code == 0

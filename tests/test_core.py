@@ -167,6 +167,16 @@ class TestPhaseVector:
         with pytest.raises(InvalidArgumentError, match="integers"):
             PhaseVector.from_indices(["a"], DiscretePhaseSet(2))
 
+    @pytest.mark.parametrize("values", [np.zeros((2, 2)), np.zeros(0)], ids=["2-d", "empty"])
+    def test_values_must_be_nonempty_and_1_d(self, values):
+        with pytest.raises(InvalidArgumentError, match="nonempty and 1-d"):
+            PhaseVector(values)
+
+    def test_indices_must_match_the_values_in_length(self):
+        dps = DiscretePhaseSet(2)
+        with pytest.raises(InvalidArgumentError, match="disagree in length"):
+            PhaseVector(np.array([dps.step, 0.0]), np.array([1, 0, 0]))
+
     def test_integer_indices_of_any_width_are_kept_as_int64(self):
         dps = DiscretePhaseSet(3)
         for dtype in (np.uint8, np.int32, np.int64):
@@ -269,6 +279,12 @@ class TestFiniteInput:
                 as_complex_vector(b[:, j])
         with pytest.raises(InvalidArgumentError, match="non-finite value in input"):
             PhaseVector(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 3)), np.ones((3, 0)), np.ones((1, 1, 1))],
+                             ids=["1-d", "no rows", "no columns", "3-d"])
+    def test_a_matrix_must_be_nonempty_and_2_d(self, a):
+        with pytest.raises(InvalidArgumentError, match="nonempty 2-d complex matrix"):
+            as_complex_matrix(a)
 
     def test_returns_the_array_it_was_given(self):
         a = np.ones((5, 4), dtype=complex)

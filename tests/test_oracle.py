@@ -12,6 +12,7 @@ from unimod import (
     SizeLimitError,
     das_maximize,
     default_pipeline,
+    norm_lp,
     sample_complex_gaussian,
     solve_linf,
 )
@@ -74,6 +75,20 @@ class TestExhaustiveNorm:
         ref = exhaustive_norm(a, dps, 2)
         res = default_pipeline(a, dps, 2)
         assert res.final_cost <= ref.objective + 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_reports_the_pipeline_cost_of_the_same_phases(self, p):
+        # one rule for both: where the pipeline finds the oracle's optimum,
+        # its cost and the oracle's objective agree bit for bit
+        dps = DiscretePhaseSet(2)
+        shared = 0
+        for t in range(60):
+            a = sample_complex_gaussian(Rng(77, t), 3, 8, 1.0)
+            res, ref = default_pipeline(a, dps, p), exhaustive_norm(a, dps, p)
+            if np.array_equal(res.trace.phases.indices, ref.phases.indices):
+                assert res.final_cost == ref.objective
+                shared += 1
+        assert shared >= 10
 
     def test_permutation_stability(self):
         a = sample_complex_gaussian(Rng(604), 3, 6, 1.0)
@@ -453,3 +468,30 @@ class TestExtremeScales:
                     res = exhaustive_norm(s * a, dps, p)
                     assert np.array_equal(res.phases.indices, unit.phases.indices)
                     assert res.objective / s == pytest.approx(unit.objective, rel=1e-14)
+
+
+def test_every_search_objective_is_norm_lp_of_its_phases():
+    # one rule for every objective: a search reports norm_lp(A x, p) of its
+    # winner bit for bit, as the pipeline reports its costs, at every scale
+    # and on tie-heavy inputs, and with no numpy warning
+    def draw(kind, m, n, seed):
+        if kind == "tied":
+            return oracle_input("tied", m, n, [seed])
+        return sample_complex_gaussian(Rng(seed), m, n, 1.0)
+
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("gaussian", "tied"):
+            for s in (1.0, 1e170, 1e-170):
+                a, b = s * draw(kind, 4, 8, 640), s * draw(kind, 8, 40, 641)
+                runs = [(a[:1].conj(), 2, exhaustive_inner(a[0], DiscretePhaseSet(2)))]
+                for p in (1, 2, math.inf):
+                    runs.append((a, p, exhaustive_norm(a, DiscretePhaseSet(2), p)))
+                    for bits in (2, 9):  # byte codes and uint16 codes
+                        runs.append((b, p, random_search(b, DiscretePhaseSet(bits), p, 500,
+                                                         Rng(642))))
+                for matrix, p, res in runs:
+                    assert res.objective == norm_lp(matrix @ res.phases.phasors(), p), (kind, s, p)
+                    checked += 1
+    assert checked == 60

@@ -159,6 +159,12 @@ class TestSnr:
         assert value.linear == pytest.approx(objective ** 2, rel=1e-12)
         assert value.db == pytest.approx(10 * math.log10(value.linear))
 
+    def test_a_configuration_of_another_length_is_rejected(self):
+        inst = random_instance(13, 5, 3)
+        pv = PhaseVector.from_indices(np.zeros(4, dtype=int), DiscretePhaseSet(1))
+        with pytest.raises(InvalidArgumentError, match="must match the unit count"):
+            snr(build_problem(inst), pv, inst)
+
     def test_doubling_power_adds_3db(self):
         inst = random_instance(13, 5, 3)
         double = RisInstance(inst.h_ris_bs, inst.h_ue_ris, power=2.0)
@@ -246,6 +252,20 @@ class TestJsonInterface:
         entry = doc["H_ris_bs"][0][0]
         assert isinstance(entry, list) and len(entry) == 2
         assert np.array_equal(instance_from_dict(doc).h_ris_bs, inst.h_ris_bs)
+
+    @pytest.mark.parametrize("doc", [[], "instance", None])
+    def test_a_document_that_is_not_an_object_is_rejected(self, doc):
+        with pytest.raises(InvalidArgumentError, match="must be a JSON object"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("read, doc, message", [
+        (serialize.json_to_vector, [], "nonempty list of \\[re, im\\] pairs"),
+        (serialize.json_to_matrix, [], "nonempty list of matrix rows"),
+        (serialize.json_to_matrix, [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]], "inconsistent lengths"),
+    ], ids=["empty vector", "empty matrix", "ragged rows"])
+    def test_empty_or_ragged_arrays_are_rejected(self, read, doc, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            read(doc)
 
     def test_missing_field_rejected(self):
         with pytest.raises(InvalidArgumentError):

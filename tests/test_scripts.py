@@ -43,6 +43,7 @@ def test_same_outputs_finds_a_tree_identical_to_itself():
     kernel = summary["kernel"]
     assert kernel["identical"] and kernel["das_vectors"] > 0 and kernel["linf_matrices"] > 0
     assert summary["pipeline"]["identical"] and summary["pipeline"]["pipelines"] > 0
+    assert summary["search"]["identical"] and summary["search"]["searches"] > 0
 
 
 def test_only_the_pipeline_digest_sees_the_single_precision_stop(tmp_path):
@@ -53,6 +54,19 @@ def test_only_the_pipeline_digest_sees_the_single_precision_stop(tmp_path):
     assert summary["identical"] == "7 of 7"
     assert summary["kernel"]["identical"]
     assert not summary["pipeline"]["identical"]
+
+
+def test_only_the_search_digest_sees_a_changed_search_scorer(tmp_path):
+    # the winner's objective summed over A's columns in reverse order: the
+    # same winners, and objectives that differ in their last bits
+    line = "    return OracleResult(PhaseVector.from_indices(idx, dps), _norm(a @ dps.phasors[idx], p), evaluated)"
+    tree = patched_tree(tmp_path, "oracle", line,
+                        line.replace("a @ dps.phasors[idx]", "a[:, ::-1] @ dps.phasors[idx[::-1]]"))
+    summary = json.loads(run_script("same_outputs.py", "--parent-src", str(tree),
+                                    "--kinds", "convergence", code=1))
+    assert summary["identical"] == "1 of 1"
+    assert summary["kernel"]["identical"] and summary["pipeline"]["identical"]
+    assert not summary["search"]["identical"]
 
 
 def test_both_gates_see_a_changed_tie_tolerance(tmp_path):

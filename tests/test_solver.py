@@ -98,6 +98,11 @@ class TestDualWitness:
         with pytest.raises(DegenerateInputError):
             dual_witness(np.zeros(3, dtype=complex), 2)
 
+    def test_q1_is_unsupported(self):
+        # the dual of q = 1 is p = inf, whose witness is not unique
+        with pytest.raises(UnsupportedNormError, match="q in {2, inf}"):
+            dual_witness(np.array([3.0, 4.0]), 1)
+
 
 class TestContinuousPhaseStep:
     def test_examples(self):
@@ -117,6 +122,10 @@ class TestContinuousPhaseStep:
 
 
 class TestSolveDiscrete:
+    def test_a_config_without_a_lattice_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="needs a DiscretePhaseSet"):
+            solve_discrete(np.eye(2, dtype=complex), SolveConfig(p=2), [0.0, 0.0])
+
     def test_a_start_of_another_length_is_rejected(self):
         a = sample_complex_gaussian(Rng(4), 2, 5, 1.0)
         dps = DiscretePhaseSet(2)
@@ -572,6 +581,25 @@ class TestSubnormalModuli:
         zeroed[:, 3] = 0.0
         assert res.final_cost == pytest.approx(default_pipeline(zeroed, DiscretePhaseSet(2), 2).final_cost,
                                                rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cycles_that_reach_the_range_error_in_complex64_are_discarded(self, p):
+        # entries near 1e-44 are subnormal in float32, and the complex64
+        # cycles meet moduli whose reciprocal overflows: they raise the range
+        # error, and the warm start hands off its own start after 0 cycles
+        a = sample_complex_gaussian(Rng(39), 32, 300, 1.0)
+        cfg = SolveConfig(p=p)
+        assert solve_continuous(a, cfg, deterministic_init(a, p)).single_iterations > 0
+        a[:, :5] *= 1e-44
+        x0 = deterministic_init(a, p).phasors()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            handed, single = solver._single_cycles(a, cfg, x0)
+            trace = solve_continuous(a, cfg, deterministic_init(a, p))
+        assert handed is x0 and single == 0
+        assert trace.single_iterations == 0
+        assert trace.costs[0] == norm_lp(a @ x0, p)
+        assert trace.termination == "tolerance"
 
     def test_a_pivot_whose_reciprocal_overflows_runs_float64_alone(self):
         # the single-precision copy is A * (1 / a_k), and 1 / a_k overflows
