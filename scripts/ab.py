@@ -74,7 +74,9 @@ its runs, so that one tree can serve as both parent and change:
   das._UNDERFLOW_FLOOR=inf`, which makes `das._das_slack` infinite so that
   `_linf` sweeps every nonzero row;
 * --tolerance X runs the pipeline families' pipelines with
-  `SolveConfig(tolerance=X)`.
+  `SolveConfig(tolerance=X)`, which stops the float64 cycles and the lift
+  at X and the warm start's single-precision cycles at
+  max(X, solver._SINGLE_TOLERANCE).
 
 A tree is a directory that holds src/unimod; make the parent's with
 `git archive REV | tar -x -C DIR`. --change-src defaults to this checkout.
@@ -309,7 +311,9 @@ def main() -> None:
     parser.add_argument("--patch", action="append", default=[], metavar="MODULE.NAME=VALUE",
                         help="set a module global of the change's unimod (repeatable)")
     parser.add_argument("--tolerance", type=float,
-                        help="the change's pipelines run SolveConfig(tolerance=TOLERANCE)")
+                        help="the change's pipelines run SolveConfig(tolerance=TOLERANCE); "
+                             "single-precision cycles stop at max(TOLERANCE, "
+                             "solver._SINGLE_TOLERANCE)")
     args = parser.parse_args()
     if not re.fullmatch(FAMILIES, args.family):
         parser.error(f"unknown family {args.family!r}: {FAMILY_NAMES}")

@@ -14,7 +14,9 @@ The kernel digest is a sha256 over the outputs of `das._das_indices` and
 `das._linf` on fixed inputs (`kernel_inputs`): indices, and for `_linf` also
 the row, the objective's bits and the rows swept. On each vector it also
 takes the scorers' bits: `das_maximize`'s objective, and `norm_lp(v, p)`
-and `solver._witness(v, p)`, witness and cost, for p in {1, 2}. It is
+and `solver._witness(v, p)`, witness and cost, for p in {1, 2}. Both
+objectives' bits are `core._norm`'s, the kernel of `norm_lp`: of A x at
+p = inf for `_linf`, of conj(v) x at p = 2 for `das_maximize`. It is
 reported under "kernel", apart from the kinds.
 
 The pipeline digest is a sha256 over `default_pipeline`'s lifted indices,

@@ -21,8 +21,8 @@ from .errors import DegenerateInputError, InvalidArgumentError, SizeLimitError, 
 from .oracle import exhaustive_norm
 from .ris import build_problem, load_instance, snr, solve_ris
 from .serialize import dump_json, load_matrix_file
-from .solver import (PipelineResult, SolveConfig, default_pipeline, deterministic_init,
-                     solve_continuous)
+from .solver import (_SINGLE_TOLERANCE, PipelineResult, SolveConfig, default_pipeline,
+                     deterministic_init, solve_continuous)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -62,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (solve, sris):
         cmd.add_argument("--tol", type=float, default=None,
                          help="relative convergence tolerance: a stage stops once an "
-                              "iteration raises the cost by at most tol times the cost "
-                              f"(default {SolveConfig.tolerance})")
+                              "iteration raises the cost by at most tol times the cost, "
+                              "the warm start's single-precision cycles at max(tol, "
+                              f"{_SINGLE_TOLERANCE}) (default {SolveConfig.tolerance})")
         cmd.add_argument("--max-iter", type=int, default=None,
                          help=f"iteration cap (default {SolveConfig.max_iterations}): lift steps, "
                               "and SQUAREM cycles in the continuous warm start of three map "

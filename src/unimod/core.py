@@ -18,10 +18,11 @@ Conventions used throughout the package:
 * `_finite` is the one finiteness test of array inputs, and
   `_finite_objective` the one rule of every objective and norm: a finite
   double, InvalidArgumentError past 2^1024,
-* `_norm`, the kernel of `norm_lp`, also scores the oracles' winners, and
-  the solvers' costs (`solver._witness`) take the same sums, so a search
-  and a pipeline that return the same phases report the same objective
-  bit for bit,
+* `_norm`, the kernel of `norm_lp`, also scores the oracles' winners and
+  the optima of the exact solvers, `das_maximize` and the l-infinity row
+  sweep (`solver.solve_linf`), and the alternating solvers' costs
+  (`solver._witness`) take the same sums, so a search and a solver that
+  return the same phases report the same objective bit for bit,
 * `_as_int` is the one rule of every integer parameter (an int or a numpy
   integer in low .. high, 1 .. inf by default) and `_as_real` of every real
   one (a finite, positive int or float); each rejection names the
@@ -31,6 +32,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -371,15 +373,19 @@ def _normal(sq: float) -> bool:
 
 
 def normalize_p(p) -> float:
-    """Canonical float for a norm selector: 1.0, 2.0 or inf."""
+    """Canonical float for a norm selector, 1.0, 2.0 or inf, of an int, a
+    float or a numpy integer or float, not of a bool, or of a string that
+    float() reads as one, such as "2" or " inf". Any other value is
+    InvalidArgumentError, which names it as the scalar rules do."""
+    value = p
     if isinstance(p, str):
-        if p.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        p = float(p)
-    p = float(p)
-    if p in (1.0, 2.0) or math.isinf(p):
-        return p
-    raise InvalidArgumentError(f"norm selector must be 1, 2 or inf, got {p!r}")
+        with suppress(ValueError):
+            value = float(p)
+    if (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+            and value in (1, 2, math.inf)):
+        return float(value)
+    shown = _shown(value) if type(value) is int else repr(value)
+    raise InvalidArgumentError(f"norm selector must be 1, 2 or inf, got {shown}")
 
 
 def row_norms(y: np.ndarray, p: float) -> np.ndarray:
@@ -416,11 +422,12 @@ def norm_lp(x, p) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _norm(v: np.ndarray, p: float) -> float:
-    """The kernel of `norm_lp`, which also scores the oracles' winners. It
-    checks nothing: `norm_lp` has made v a nonempty 1-d complex128 array with
-    finite entries and p 1.0, 2.0 or inf (`normalize_p`). The oracles call
-    it on A x, whose entries may be past the double range; that, like a
-    norm past it, is InvalidArgumentError with no numpy warning."""
+    """The kernel of `norm_lp`, which also scores the oracles' winners and
+    the exact solvers' optima. It checks nothing: `norm_lp` has made v a
+    nonempty 1-d complex128 array with finite entries and p 1.0, 2.0 or inf
+    (`normalize_p`). The oracles and the exact solvers call it on A x, whose
+    entries may be past the double range; that, like a norm past it, is
+    InvalidArgumentError with no numpy warning."""
     if p == 1.0:
         return _finite_objective(float(np.sum(np.abs(v))))
     if p == 2.0:

@@ -42,7 +42,7 @@ The l-infinity kernel `_linf`, which `solver.solve_linf` wraps, sweeps each
 row once, since the max over rows commutes with the max over configurations.
 Row a_i of A scores |<conj(a_i), x>|, so its c is a_i itself: the row goes
 to the stages as it is (a view into A where it has no zero entry), its zero
-test reads the row's moduli, and its objective is |a_i @ table[idx]|.
+test reads the row's moduli, and rows are compared by |a_i @ table[idx]|.
 It takes the rows' moduli and l1 norms once, visits the rows in descending
 l1 norm and calls the stages itself, and between them `_das_bound`: an upper
 bound on every candidate of the sweep, from the edges put into about n/8
@@ -64,6 +64,14 @@ two agree (equal first edges, as on tie-heavy input, or ones a few ulps
 apart) it falls back to the stable argsort. This O(n log n) sort is the
 largest single pass of the kernel.
 
+The kernels choose and `norm_lp`'s kernel scores. `das_maximize` reports
+`core._norm(conj(v) @ x, 2)` of its phasors x, the objective that
+`oracle.exhaustive_inner` reports, and `_linf` reports
+`core._norm(A @ x, inf)` of its winner's, that of
+`oracle.exhaustive_norm(A, dps, inf)`, so a solver and its oracle that
+return the same phases report the same objective bit for bit. An objective
+past 2^1024 is InvalidArgumentError, with no numpy warning.
+
 Nothing that depends only on B is rebuilt per call: the phasor table is
 `DiscretePhaseSet.phasors`, one read-only array per B with the bits of
 np.exp(1j * values), which `das_maximize` and `_linf` also score their
@@ -84,8 +92,8 @@ import math
 
 import numpy as np
 
-from .core import (DiscretePhaseSet, PhaseVector, _finite_objective, _lattice_split, _pow2_scale,
-                   _wrap_angle, as_complex_vector)
+from .core import (DiscretePhaseSet, PhaseVector, _finite_objective, _lattice_split, _norm,
+                   _pow2_scale, _wrap_angle, as_complex_vector)
 from .errors import DegenerateInputError
 
 #: two candidates whose objectives differ by at most this fraction of the
@@ -307,9 +315,11 @@ def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float,
     skipped when its l1 norm, and then when `_das_bound` of its edges, plus
     the rounding allowance of `_das_slack`, lies below the best objective
     so far: both bound the objective its sweep would compute, so it could
-    not win or tie. The largest objective wins, and of equal ones the
-    lowest row index, as in a sweep of every row in order. A swept row's
-    objective must be a finite double (`core._finite_objective`).
+    not win or tie. The largest |a_i @ x| wins, and of equal ones the
+    lowest row index, as in a sweep of every row in order; it must be a
+    finite double (`core._finite_objective`). The objective is
+    `core._norm(A @ x, inf)` of the winner's phasors x, which may differ
+    from its row's |a_i @ x| in the last bits.
     """
     n = a.shape[1]
     mod = np.abs(a)
@@ -333,18 +343,21 @@ def _linf(a: np.ndarray, dps: DiscretePhaseSet) -> tuple[np.ndarray, int, float,
             best = (idx, i, obj)
     if best is None:
         raise DegenerateInputError("every row of A is zero")
-    return (*best, swept)
+    idx, i, _ = best
+    return idx, i, _norm(a @ dps.phasors[idx], math.inf), swept
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def das_maximize(v, dps: DiscretePhaseSet) -> tuple[PhaseVector, float]:
     """Global maximizer of |<v, exp(j*Omega)>| over the lattice Delta^n.
 
-    Returns the optimal configuration and its objective. Among candidates
-    whose objectives tie within a relative 1e-12 of the best, the one
-    generated earliest in the sweep wins. Zero entries of `v` get phase 0.
-    An objective beyond the double range is InvalidArgumentError.
+    Returns the optimal configuration and its objective, `norm_lp`'s l2
+    kernel on the one-entry product conj(v) @ x of its phasors x, as
+    `exhaustive_inner` scores it. Among candidates whose objectives tie
+    within a relative 1e-12 of the best, the one generated earliest in the
+    sweep wins. Zero entries of `v` get phase 0. An objective beyond the
+    double range is InvalidArgumentError.
     """
     v = as_complex_vector(v)
     pv = PhaseVector.from_indices(_das_indices(v, dps), dps)
-    return pv, _finite_objective(float(np.abs(np.vdot(v, dps.phasors[pv.indices]))))
+    return pv, _norm(np.conj(v)[None, :] @ dps.phasors[pv.indices], 2.0)

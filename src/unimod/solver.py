@@ -57,8 +57,9 @@ float64 fixed point, not float64 arithmetic on every cycle. Where A has
 at least 2^13 entries (`_SINGLE_MIN_SIZE`), where the two products of a
 map evaluation run at memory speed and complex64 halves their bytes, it
 first runs the same SQUAREM cycles in single precision, until a cycle
-gains at most 1e-7 of the cost (`_SINGLE_TOLERANCE`), and hands their end
-point to the float64 cycles, which stop on the configured tolerance. The
+gains at most the configured tolerance of the cost or 1e-7
+(`_SINGLE_TOLERANCE`), whichever is larger, and hands their end point to
+the float64 cycles, which stop on the configured tolerance. The
 single-precision cycles run on a canonical complex64 copy, A / a_k for
 the first entry a_k of largest modulus (up to a share 2^-20, so that
 moduli tied to rounding stay tied), from a start turned so that its entry
@@ -410,7 +411,8 @@ _SINGLE_MIN_SIZE = 1 << 13
 _TIE = 1.0 - 2.0**-20
 
 #: the single-precision cycles stop once one gains at most this share of the
-#: cost, just above float32's unit roundoff of 6e-8
+#: cost, just above float32's unit roundoff of 6e-8, or the configured
+#: tolerance where that is larger
 #: (scripts/ab.py --patch solver._SINGLE_TOLERANCE=X)
 _SINGLE_TOLERANCE = 1e-7
 
@@ -446,7 +448,8 @@ def _single_cycles(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> tuple[np.
     roundings, which the cast to complex64 almost always absorbs (the
     pivot's own entry, 1 + j*eps with |eps| near 1e-17, keeps its eps,
     which the float32 sums absorb instead), so they run the same cycles;
-    2^k A has them bit for bit wherever 1 / a_k is a normal double. The cycles stop at a gain of at most _SINGLE_TOLERANCE
+    2^k A has them bit for bit wherever 1 / a_k is a normal double. The
+    cycles stop at a gain of at most max(_SINGLE_TOLERANCE, cfg.tolerance)
     of the cost, or after cfg.max_iterations. Their end point, turned back
     by x0[0] in float64 and made unimodular, is the hand-off, unless its
     float64 cost is below the start's: then x0 is.
@@ -466,7 +469,8 @@ def _single_cycles(a: np.ndarray, cfg: SolveConfig, x0: np.ndarray) -> tuple[np.
     x32 = np.multiply(x0, np.conj(x0[0]), out=np.empty(x0.shape, np.complex64),
                       casting="same_kind")
     try:
-        costs, _, x, _ = _cycles(a32, cfg.p, x32, _SINGLE_TOLERANCE, cfg.max_iterations)
+        costs, _, x, _ = _cycles(a32, cfg.p, x32, max(_SINGLE_TOLERANCE, cfg.tolerance),
+                                 cfg.max_iterations)
         h = x * x0[0]
         h = _unit(h, np.abs(h))
         better = _witness(a @ h, cfg.p)[1] >= _witness(a @ x0, cfg.p)[1]
@@ -507,7 +511,8 @@ def solve_linf(a, dps: DiscretePhaseSet) -> tuple[PhaseVector, int, float]:
     order, and a row is swept only if an upper bound on its objective
     reaches the best objective found so far (see `das._linf`); the others
     score strictly below the winner, so skipping them changes no bit of
-    the result.
+    the result. The objective returned is norm_lp(A x, inf) of the
+    winner's phasors x, bit for bit, as `exhaustive_norm` scores it.
     """
     idx, i, obj, _ = _linf(as_complex_matrix(a), dps)
     return PhaseVector.from_indices(idx, dps), i, obj

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimod import DiscretePhaseSet, SolveConfig, default_pipeline
+from unimod import DiscretePhaseSet, SolveConfig, default_pipeline, norm_lp
 from unimod.cli import main
 from unimod.ris import build_problem, load_instance
 from unimod.serialize import load_matrix_file
@@ -134,6 +134,12 @@ class TestSolve:
         assert main(["solve", str(FIXTURE_3X5), "--p", "3"]) == 2
         assert "norm selector must be 1, 2 or inf, got 3.0" in capsys.readouterr().err
 
+    def test_a_norm_that_is_not_a_number_exits_2_naming_it(self, capsys):
+        # not a traceback, nor argparse's "invalid _norm_arg value"
+        for p, shown in (("abc", "'abc'"), ("-inf", "-inf")):
+            assert main(["solve", str(FIXTURE_3X5), f"--p={p}"]) == 2
+            assert f"norm selector must be 1, 2 or inf, got {shown}\n" in capsys.readouterr().err
+
     def test_p_inf(self, tmp_path):
         code, payload = run_json(tmp_path, "solve", str(FIXTURE_3X5), "--p", "inf", "--bits", "1")
         assert code == 0
@@ -154,6 +160,28 @@ class TestSolve:
             code, payload = run_json(tmp_path, "solve", str(mfile), "--p", "inf", "--bits", "2")
             assert code == 0
             assert payload["rows_swept"] == swept
+
+    def test_p_inf_objective_is_norm_lp_of_its_phases(self, tmp_path):
+        # bit for bit, and the oracle's objective wherever the phases agree
+        g = np.random.default_rng(25)
+        agreed, inputs = 0, []
+        for _ in range(4):
+            gaussian = g.standard_normal((3, 6)) + 1j * g.standard_normal((3, 6))
+            tied = g.integers(1, 3, (3, 6)) * np.exp(0.25j * np.pi * g.integers(0, 8, (3, 6)))
+            steering = np.exp(1j * np.pi * np.outer(g.uniform(-2.0, 2.0, 3), np.arange(6)))
+            inputs.extend((gaussian, 1e170 * gaussian, 1e-170 * gaussian, tied, steering))
+        for a in inputs:
+            mfile = write_matrix(tmp_path, a)
+            for bits in ("1", "2"):
+                code, payload = run_json(tmp_path, "solve", str(mfile), "--p", "inf", "--bits", bits)
+                assert code == 0
+                x = np.exp(1j * np.array(payload["phases"]))
+                assert payload["objective"] == norm_lp(a @ x, math.inf)
+                code, reference = run_json(tmp_path, "oracle", str(mfile), "--p", "inf", "--bits", bits)
+                if reference["phases"] == payload["phases"]:
+                    assert payload["objective"] == reference["objective"]
+                    agreed += 1
+        assert agreed >= 10
 
     def test_p_inf_rejects_the_flags_it_does_not_read(self, tmp_path, capsys):
         # the exact solver takes no SolveConfig, so --tol and --max-iter mean nothing

@@ -8,8 +8,10 @@ from unimod import (
     InvalidArgumentError,
     PhaseVector,
     Rng,
+    SolveConfig,
     nearest_lattice,
     norm_lp,
+    normalize_p,
     sample_complex_gaussian,
     wrap_phase,
 )
@@ -309,6 +311,25 @@ class TestNorms:
     def test_bad_selector(self):
         with pytest.raises(InvalidArgumentError):
             norm_lp(np.array([1.0]), 3)
+
+    @pytest.mark.parametrize("p,shown", [(True, "True"), (None, "None"), ([2], "[2]"),
+                                         ("abc", "'abc'"), ("-inf", "-inf"), (-math.inf, "-inf"),
+                                         (10 ** 400, "an int of 1329 bits")])
+    def test_a_selector_that_is_not_1_2_or_inf_is_named(self, p, shown):
+        # as the scalar rules: a bool is not 1, and no TypeError or
+        # ValueError escapes
+        message = f"norm selector must be 1, 2 or inf, got {shown}"
+        for call in (lambda: normalize_p(p), lambda: norm_lp(np.array([1.0]), p),
+                     lambda: SolveConfig(p=p)):
+            with pytest.raises(InvalidArgumentError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("p,value", [("2", 2.0), (" inf", math.inf), ("Infinity", math.inf),
+                                         (np.int64(1), 1.0), (np.float32(2.0), 2.0),
+                                         (np.float64(math.inf), math.inf)])
+    def test_strings_and_numpy_scalars_are_selectors(self, p, value):
+        assert normalize_p(p) == value and type(normalize_p(p)) is float
 
     @pytest.mark.parametrize("scale", [1e-170, 2.0**-560, 2.0**540, 1e170],
                              ids=["1e-170", "2^-560", "2^540", "1e170"])

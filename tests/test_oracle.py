@@ -495,3 +495,38 @@ def test_every_search_objective_is_norm_lp_of_its_phases():
                     assert res.objective == norm_lp(matrix @ res.phases.phasors(), p), (kind, s, p)
                     checked += 1
     assert checked == 60
+
+
+def test_every_solver_objective_is_norm_lp_of_its_phases():
+    # the exact solvers choose and norm_lp's kernel scores: das_maximize
+    # reports norm_lp(v^H x, 2) and solve_linf norm_lp(A x, inf) of their
+    # phases bit for bit, so wherever a solver and its oracle return the
+    # same phases they report the same objective
+    def draw(kind, m, n, g):
+        if kind == "tied":
+            return g.integers(1, 3, (m, n)) * np.exp(0.25j * np.pi * g.integers(0, 8, (m, n)))
+        if kind == "steering":
+            return np.exp(1j * np.pi * np.outer(g.uniform(-2.0, 2.0, m), np.arange(n)))
+        return g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))
+
+    agreed = {"inner": 0, "inf": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("gaussian", "tied", "steering"):
+            for s in (1.0, 1e170, 1e-170):
+                for t in range(8):
+                    g = np.random.default_rng([643, t, *kind.encode()])
+                    dps = DiscretePhaseSet(1 + t % 3)
+                    a, b = s * draw(kind, 4, 6, g), s * draw(kind, 8, 300, g)
+                    for m in (a, b):
+                        inner, linf = das_maximize(m[0], dps), solve_linf(m, dps)
+                        assert inner[1] == norm_lp(np.conj(m[0])[None] @ inner[0].phasors(), 2)
+                        assert linf[2] == norm_lp(m @ linf[0].phasors(), math.inf)
+                        if m is b:  # too large for the oracles
+                            continue
+                        for key, res, ref in (("inner", inner, exhaustive_inner(m[0], dps)),
+                                              ("inf", linf, exhaustive_norm(m, dps, math.inf))):
+                            if np.array_equal(res[0].indices, ref.phases.indices):
+                                assert res[-1] == ref.objective, (kind, s, t)
+                                agreed[key] += 1
+    assert min(agreed.values()) >= 30

@@ -143,6 +143,11 @@ def test_ab_tolerance_reaches_the_change_pipelines():
     counts = summary["counts"]
     assert counts["change"]["float64_cycles"] < counts["parent"]["float64_cycles"]
     assert summary["null"]["differing_outputs"] == summary["aa"]["differing_outputs"] == 0
+    # the single-precision cycles stop at max(tolerance, 1e-7)
+    summary = run_ab("--family", "pipeline-n1000", "--tolerance", "1e-5")
+    counts = summary["counts"]
+    assert counts["change"]["single_cycles"] < counts["parent"]["single_cycles"]
+    assert summary["null"]["differing_outputs"] == summary["aa"]["differing_outputs"] == 0
 
 
 def ab_exit_code(monkeypatch, tree: Path, *args) -> int:

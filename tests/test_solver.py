@@ -286,6 +286,18 @@ class TestSolveContinuous:
             assert np.all(trace.costs[1:] >= trace.costs[:-1] * (1 - 1e-12))
             assert trace.final_cost == pytest.approx(norm_lp(a[0], 1), rel=1e-15)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_the_tolerance_reaches_the_single_precision_cycles(self, p):
+        # they stop at max(1e-7, tolerance): a tolerance below 1e-7 moves
+        # only the float64 cycles, a looser one stops them sooner
+        a = numpy_gaussian([11, 3], 32, 1000)
+        x0 = deterministic_init(a, p).phasors()
+        single = {tol: solver._single_cycles(a, SolveConfig(p=p, tolerance=tol), x0)[1]
+                  for tol in (1e-10, 1e-7, 1e-3)}
+        assert single[1e-10] == single[1e-7] > single[1e-3] >= 1
+        trace = solve_continuous(a, SolveConfig(p=p, tolerance=1e-3), deterministic_init(a, p))
+        assert trace.single_iterations == single[1e-3]
+
     def test_tiny_scale_witness_does_not_underflow(self):
         # ||w||_2 of |w| near 1e-170 underflows to 0 in the sum of squares
         a = sample_complex_gaussian(Rng(3), 8, 40, 1.0)
@@ -698,8 +710,12 @@ class TestSolveLinf:
         pv, row, obj = solve_linf(a, dps)
         best_pv, best = das_maximize(np.conj(a[0]), dps)
         assert row == 0
-        assert obj == best
         assert np.array_equal(pv.indices, best_pv.indices)
+        # the same phases, scored as the l-infinity and the l2 norm of a
+        # one-entry A x: |.| and sqrt(re.re + im.im) may differ in the last bit
+        assert obj == norm_lp(a @ pv.phasors(), math.inf)
+        assert best == norm_lp(a @ pv.phasors(), 2)
+        assert obj == pytest.approx(best, rel=1e-15)
 
     def test_dominant_row_wins(self):
         rng = Rng(16)
@@ -710,18 +726,21 @@ class TestSolveLinf:
         pv, row, obj = solve_linf(a, dps)
         assert row == 1
         best_pv, best = das_maximize(np.conj(big[0]), dps)
-        assert obj == best
         assert np.array_equal(pv.indices, best_pv.indices)
+        assert obj == norm_lp(a @ pv.phasors(), math.inf)
+        assert obj == pytest.approx(best, rel=1e-15)
 
-    def test_objective_is_the_winning_rows_inner_product(self):
+    def test_objective_is_the_linf_norm_of_a_x(self):
+        # the winning row's inner product chooses, norm_lp(A x, inf) scores:
+        # the row's own dot product and its entry of A x may differ in the
+        # last bits
         a = sample_complex_gaussian(Rng(18), 5, 300, 1.0)
         for bits in (1, 2, 3, 4):
             dps = DiscretePhaseSet(bits)
             pv, row, obj = solve_linf(a, dps)
             x = np.exp(1j * (pv.indices * dps.step))
-            # np.abs, not the builtin abs: on a complex128 the two can
-            # differ in the last bit
-            assert obj == np.abs(np.vdot(np.conj(a[row]), x))
+            assert obj == norm_lp(a @ x, math.inf)
+            assert np.abs(a[row] @ x) == pytest.approx(obj, rel=1e-14)
 
     def test_matches_exhaustive_4x6(self):
         for t in range(15):
@@ -742,14 +761,17 @@ class TestSolveLinf:
 
     @staticmethod
     def row_by_row(a, dps):
-        """solve_linf spelled out: DaS on each nonzero row, first best wins."""
+        """solve_linf spelled out: DaS on each nonzero row, rows compared by
+        |a_i x|, first best wins, and the objective is norm_lp(A x, inf)."""
         best = None
         for i, row in enumerate(a):
             if np.any(row):
-                pv, obj = das_maximize(np.conj(row), dps)
+                idx = das_maximize(np.conj(row), dps)[0].indices
+                obj = np.abs(row @ dps.phasors[idx])
                 if best is None or obj > best[2]:
-                    best = (pv.indices, i, obj)
-        return best
+                    best = (idx, i, obj)
+        idx, i, _ = best
+        return idx, i, norm_lp(a @ dps.phasors[idx], math.inf)
 
     @staticmethod
     def inputs(family):
